@@ -41,11 +41,9 @@ from .training import (
     GradCheckReport,
     LinearAdapter,
     TrainConfig,
-    TrainingPair,
-    gradient_check,
     gradient_check_arrays,
     load_adapter,
-    make_pairs,
+    resolve_pairs,
     save_adapter,
     train,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "SyntheticBundle",
     "SyntheticSpec",
     "TrainConfig",
-    "TrainingPair",
     "alignment_diagnostics",
     "build",
     "category_relevance",
@@ -91,7 +88,6 @@ __all__ = [
     "evaluate_classification",
     "evaluate_retrieval",
     "generate_synthetic",
-    "gradient_check",
     "gradient_check_arrays",
     "info_nce_loss",
     "load_adapter",
@@ -99,11 +95,11 @@ __all__ = [
     "load_kb_dir",
     "load_pipeline_config",
     "localize",
-    "make_pairs",
     "normalize",
     "normalize_rows",
     "prompts_from_matrix",
     "read_ubem",
+    "resolve_pairs",
     "run_pipeline",
     "save_adapter",
     "save_center_set",

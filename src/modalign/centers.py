@@ -33,9 +33,8 @@ _PLACEHOLDER = "[Category]"
 
 @dataclass(frozen=True)
 class PromptSet:
-    """Prompt templates; the basic one drives anchor localization."""
+    """The basic prompt template, which drives anchor localization."""
 
-    templates: tuple[str, ...] = ()
     basic_template: str = DEFAULT_PROMPT_TEMPLATE
 
     def __post_init__(self):

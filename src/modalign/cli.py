@@ -27,7 +27,7 @@ from .centers import (
     sweep_k,
 )
 from .diagnostics import alignment_diagnostics
-from .errors import MalformedRecord, ModalignError, UnknownSample
+from .errors import MalformedRecord, ModalignError
 from .evaluation import (
     Direction,
     ScoringMode,
@@ -36,15 +36,21 @@ from .evaluation import (
     evaluate_retrieval,
 )
 from .kb import Source, build, load_kb_dir, write_kb_dir
-from .pipeline import load_labels, load_pairs_file, load_pipeline_config, run_pipeline
-from .serialize import atomic_write_text, fixed_json
+from .pipeline import (
+    categories_for,
+    load_labels,
+    load_pairs_file,
+    load_pipeline_config,
+    run_pipeline,
+)
+from .serialize import atomic_write_text, fixed_json, read_jsonl
 from .synthetic import SyntheticSpec, generate_synthetic
 from .training import (
     LinearAdapter,
     TrainConfig,
-    TrainingPair,
     gradient_check_arrays,
     load_train_config,
+    resolve_pairs,
     save_adapter,
     train,
 )
@@ -80,13 +86,6 @@ def _prompt_sets_from_matrix(matrix: EmbeddingMatrix) -> dict[str, np.ndarray]:
     for label, row in zip(matrix.labels, matrix.vectors):
         grouped.setdefault(label, []).append(row)
     return {cat: np.stack(rows) for cat, rows in grouped.items()}
-
-
-def _categories_or_raise(ids: list[str], labels: dict[str, str]) -> list[str]:
-    missing = [i for i in ids if i not in labels]
-    if missing:
-        raise UnknownSample(f"no category label for sample(s) {missing[:3]} ...")
-    return [labels[i] for i in ids]
 
 
 # --- command handlers --------------------------------------------------------
@@ -144,18 +143,11 @@ def cmd_train(args) -> int:
     kb = load_kb_dir(args.kb)
     visual = read_ubem(args.visual)
     config = load_train_config(args.config) if args.config else TrainConfig()
-    pairs = []
-    for sid, row in load_pairs_file(args.pairs):
-        if not 0 <= row < visual.rows:
-            raise ValueError(f"pair row {row} out of range")
-        text_row = kb.pair_index.get(sid)
-        if text_row is None:
-            raise UnknownSample(f"no paired description for sample {sid!r}")
-        pairs.append(TrainingPair(sid, visual.vectors[row], text_row))
-    adapter, history = train(pairs, kb, config, modality=args.modality)
+    vectors, text_rows = resolve_pairs(load_pairs_file(args.pairs), visual, kb)
+    adapter, history = train(vectors, text_rows, kb, config, modality=args.modality)
     save_adapter(args.out, adapter)
     print(
-        f"trained adapter {args.modality!r} on {len(pairs)} pairs: "
+        f"trained adapter {args.modality!r} on {len(text_rows)} pairs: "
         f"epoch loss {history[0]:.6f} -> {history[-1]:.6f} ({config.epochs} epochs)"
     )
     return 0
@@ -181,8 +173,7 @@ def cmd_eval_zeroshot(args) -> int:
     centers = load_center_set(args.centers)
     queries = read_ubem(args.queries)
     labels = load_labels(args.labels)
-    ids = queries.labels or [str(i) for i in range(queries.rows)]
-    categories = _categories_or_raise(ids, labels)
+    categories = categories_for(queries.ids, labels)
     mode = ScoringMode(args.mode)
     if mode == ScoringMode.CENTER_MAX:
         anchors = centers
@@ -202,26 +193,20 @@ def cmd_eval_retrieval(args) -> int:
     ks = _parse_int_list(args.ks)
     if args.relevance:
         relevance: dict[str, set[str]] = {}
-        with open(args.relevance, "r", encoding="utf-8") as f:
-            for line_number, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                    relevance[str(obj["query_id"])] = {str(g) for g in obj["relevant"]}
-                except (json.JSONDecodeError, KeyError, TypeError) as e:
-                    raise MalformedRecord(
-                        line_number, f"expected fields 'query_id' and 'relevant' ({e})"
-                    ) from e
+        for line_number, obj in read_jsonl(args.relevance):
+            try:
+                relevance[str(obj["query_id"])] = {str(g) for g in obj["relevant"]}
+            except (KeyError, TypeError) as e:
+                raise MalformedRecord(
+                    line_number, f"expected fields 'query_id' and 'relevant' ({e})"
+                ) from e
     elif args.labels:
         labels = load_labels(args.labels)
-        q_ids = queries.labels or [str(i) for i in range(queries.rows)]
-        g_ids = gallery.labels or [str(i) for i in range(gallery.rows)]
         relevance = category_relevance(
-            q_ids,
-            _categories_or_raise(q_ids, labels),
-            g_ids,
-            _categories_or_raise(g_ids, labels),
+            queries.ids,
+            categories_for(queries.ids, labels),
+            gallery.ids,
+            categories_for(gallery.ids, labels),
         )
     else:
         raise ValueError("supply --relevance or --labels for relevance judgments")
@@ -279,10 +264,8 @@ def cmd_diagnostics(args) -> int:
         name, _, path = entry.partition("=")
         if not path:
             raise ValueError(f"--embeddings expects name=path, got {entry!r}")
-        matrix = read_ubem(path)
-        ids = matrix.labels or [str(i) for i in range(matrix.rows)]
-        embeddings[name] = matrix
-        categories[name] = _categories_or_raise(ids, labels)
+        embeddings[name] = read_ubem(path)
+        categories[name] = categories_for(embeddings[name].ids, labels)
     diag = alignment_diagnostics(embeddings, categories)
     atomic_write_text(Path(args.report), fixed_json(diag.to_report()))
     print(

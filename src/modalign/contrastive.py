@@ -45,6 +45,24 @@ def _log_softmax(logits: np.ndarray, axis: int) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
+def info_nce_forward(adapted, texts, temperature: float, symmetric: bool = False):
+    """Mean contrastive loss, computed in the dtype of the inputs.
+
+    Takes (B, d) arrays that are already row-normalized and checks nothing,
+    so the gradient check can evaluate it in extended precision. Returns
+    (loss, row log-softmax, column log-softmax or None when not symmetric).
+    """
+    logits = (adapted @ texts.T) / temperature
+    diag = np.arange(logits.shape[0])
+    log_p_rows = _log_softmax(logits, axis=1)
+    loss = -log_p_rows[diag, diag].mean()
+    log_p_cols = None
+    if symmetric:
+        log_p_cols = _log_softmax(logits, axis=0)
+        loss = 0.5 * (loss + -log_p_cols[diag, diag].mean())
+    return loss, log_p_rows, log_p_cols
+
+
 def info_nce_loss(
     adapted, texts, temperature: float, symmetric: bool = False
 ) -> tuple[float, np.ndarray]:
@@ -65,17 +83,12 @@ def info_nce_loss(
     a, z = _checked_inputs(adapted, texts)
     batch = a.shape[0]
 
-    logits = (a @ z.T) / temperature
-    log_p_rows = _log_softmax(logits, axis=1)
+    loss, log_p_rows, log_p_cols = info_nce_forward(a, z, temperature, symmetric)
     diag = np.arange(batch)
-    loss = -log_p_rows[diag, diag].mean()
-    p_rows = np.exp(log_p_rows)
-    dlogits = p_rows.copy()
+    dlogits = np.exp(log_p_rows)
     dlogits[diag, diag] -= 1.0
 
     if symmetric:
-        log_p_cols = _log_softmax(logits, axis=0)
-        loss = 0.5 * (loss + -log_p_cols[diag, diag].mean())
         q_cols = np.exp(log_p_cols)
         q_cols[diag, diag] -= 1.0
         dlogits = 0.5 * (dlogits + q_cols)

@@ -139,7 +139,7 @@ def score_prompt_mean(query, prompt_sets: dict, sample_id: str = "") -> Predicti
 
 def predict(queries: EmbeddingMatrix, anchors, mode: ScoringMode) -> list[Prediction]:
     """Score every query row under the chosen rule."""
-    ids = queries.labels or [str(i) for i in range(queries.rows)]
+    ids = queries.ids
     if mode == ScoringMode.CENTER_MAX:
         return [
             score_center_max(queries.vectors[i], anchors, ids[i])
@@ -221,8 +221,8 @@ def evaluate_retrieval(
         raise DimensionMismatch(
             f"queries have dim {queries.dim}, gallery has dim {gallery.dim}"
         )
-    query_ids = queries.labels or [str(i) for i in range(queries.rows)]
-    gallery_ids = gallery.labels or [str(i) for i in range(gallery.rows)]
+    query_ids = queries.ids
+    gallery_ids = gallery.ids
     gallery_id_set = set(gallery_ids)
     for qid in query_ids:
         relevant = relevance.get(qid)

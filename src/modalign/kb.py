@@ -25,7 +25,7 @@ from .errors import (
     UnknownSample,
     ZeroVector,
 )
-from .serialize import atomic_write_text
+from .serialize import atomic_write_text, read_jsonl
 from .ubem import read_ubem, write_ubem
 from .vectors import UNIT_TOLERANCE, ZERO_NORM, EmbeddingMatrix
 
@@ -96,11 +96,7 @@ class KnowledgeBase:
         )
 
 
-def _parse_record(line_number: int, raw: str) -> KnowledgeRecord:
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise MalformedRecord(line_number, f"invalid JSON ({e.msg})") from e
+def _parse_record(line_number: int, obj) -> KnowledgeRecord:
     if not isinstance(obj, dict):
         raise MalformedRecord(line_number, "record is not a JSON object")
     for key in ("id", "category", "description", "source"):
@@ -125,13 +121,7 @@ def _parse_record(line_number: int, raw: str) -> KnowledgeRecord:
 
 def load_records(path) -> list[KnowledgeRecord]:
     """Parse a records JSONL file; blank lines are skipped."""
-    records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_number, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            records.append(_parse_record(line_number, line))
-    return records
+    return [_parse_record(line_number, obj) for line_number, obj in read_jsonl(path)]
 
 
 def save_records(path, records: list[KnowledgeRecord]) -> None:

@@ -11,6 +11,7 @@ time, so identical configs reproduce identical bytes.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,11 +29,11 @@ from .evaluation import (
     evaluate_retrieval,
 )
 from .kb import KnowledgeBase, Source, build, write_kb_dir
-from .serialize import atomic_write_text, fixed_json, sha256_file, sha256_text
+from .serialize import atomic_write_text, fixed_json, read_jsonl, sha256_file, sha256_text
 from .training import (
     LinearAdapter,
     TrainConfig,
-    TrainingPair,
+    resolve_pairs,
     save_adapter,
     train,
     train_config_from_dict,
@@ -75,7 +76,11 @@ class PipelineConfig:
 
 
 def load_pipeline_config(path, out_dir=None) -> PipelineConfig:
-    """Parse a pipeline config JSON; relative paths resolve against the file."""
+    """Parse a pipeline config JSON; relative paths resolve against the file.
+
+    A missing key or a value of the wrong type raises ValueError naming the
+    file and the key.
+    """
     path = Path(path)
     obj = json.loads(path.read_text(encoding="utf-8"))
     base = path.parent
@@ -84,27 +89,42 @@ def load_pipeline_config(path, out_dir=None) -> PipelineConfig:
         p = Path(p)
         return p if p.is_absolute() else base / p
 
+    def required(mapping, key: str, where: str):
+        if not isinstance(mapping, dict) or key not in mapping:
+            raise ValueError(f"{path}: {where} has no key {key!r}")
+        return mapping[key]
+
+    modalities_obj = required(obj, "modalities", "config")
+    if not isinstance(modalities_obj, dict):
+        raise ValueError(f"{path}: 'modalities' must map names to inputs")
     modalities = {
-        name: ModalityInput(resolve(entry["visual"]), resolve(entry["pairs"]))
-        for name, entry in obj["modalities"].items()
+        name: ModalityInput(
+            resolve(required(entry, "visual", f"modality {name!r}")),
+            resolve(required(entry, "pairs", f"modality {name!r}")),
+        )
+        for name, entry in modalities_obj.items()
+    }
+    paths = {
+        key: resolve(required(obj, key, "config"))
+        for key in ("records", "embeddings", "prompts", "labels")
     }
     resolved_out = out_dir or obj.get("out_dir")
     if resolved_out is None:
         raise ValueError("config must set out_dir or the caller must supply one")
     source_filter = obj.get("source_filter")
-    return PipelineConfig(
-        records=resolve(obj["records"]),
-        embeddings=resolve(obj["embeddings"]),
-        prompts=resolve(obj["prompts"]),
-        labels=resolve(obj["labels"]),
-        modalities=modalities,
-        out_dir=Path(resolved_out),
-        k=int(obj.get("k", 50)),
-        retrieval_ks=tuple(obj.get("retrieval_ks", (1, 5, 10, 20))),
-        train=train_config_from_dict(obj.get("train", {})),
-        source_filter=Source(source_filter) if source_filter else None,
-        dump_projection=bool(obj.get("dump_projection", False)),
-    )
+    try:
+        return PipelineConfig(
+            **paths,
+            modalities=modalities,
+            out_dir=Path(resolved_out),
+            k=int(obj.get("k", 50)),
+            retrieval_ks=tuple(obj.get("retrieval_ks", (1, 5, 10, 20))),
+            train=train_config_from_dict(obj.get("train", {})),
+            source_filter=Source(source_filter) if source_filter else None,
+            dump_projection=bool(obj.get("dump_projection", False)),
+        )
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def _canonical_config(config: PipelineConfig) -> dict:
@@ -136,38 +156,38 @@ def _canonical_config(config: PipelineConfig) -> dict:
 def load_labels(path) -> dict[str, str]:
     """Parse a labels JSONL ({"id": ..., "category": ...} per line)."""
     labels: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_number, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise MalformedRecord(line_number, f"invalid JSON ({e.msg})") from e
-            if not isinstance(obj, dict) or "id" not in obj or "category" not in obj:
-                raise MalformedRecord(line_number, "expected fields 'id' and 'category'")
-            labels[str(obj["id"])] = str(obj["category"])
+    for line_number, obj in read_jsonl(path):
+        if not isinstance(obj, dict) or "id" not in obj or "category" not in obj:
+            raise MalformedRecord(line_number, "expected fields 'id' and 'category'")
+        sample_id = str(obj["id"])
+        if sample_id in labels:
+            raise MalformedRecord(line_number, f"duplicate id {sample_id!r}")
+        labels[sample_id] = str(obj["category"])
     return labels
 
 
 def load_pairs_file(path) -> list[tuple[str, int]]:
     """Parse a pairs JSONL ({"sample_id": ..., "visual_row": ...} per line)."""
     pairs: list[tuple[str, int]] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_number, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise MalformedRecord(line_number, f"invalid JSON ({e.msg})") from e
-            if not isinstance(obj, dict) or "sample_id" not in obj or "visual_row" not in obj:
-                raise MalformedRecord(line_number, "expected fields 'sample_id' and 'visual_row'")
-            pairs.append((str(obj["sample_id"]), int(obj["visual_row"])))
+    seen: set[str] = set()
+    for line_number, obj in read_jsonl(path):
+        if not isinstance(obj, dict) or "sample_id" not in obj or "visual_row" not in obj:
+            raise MalformedRecord(line_number, "expected fields 'sample_id' and 'visual_row'")
+        sample_id = str(obj["sample_id"])
+        if sample_id in seen:
+            raise MalformedRecord(line_number, f"duplicate sample_id {sample_id!r}")
+        seen.add(sample_id)
+        try:
+            pairs.append((sample_id, int(obj["visual_row"])))
+        except (TypeError, ValueError):
+            raise MalformedRecord(
+                line_number, f"visual_row must be an integer, got {obj['visual_row']!r}"
+            ) from None
     return pairs
 
 
-def _categories_for(ids: list[str], labels: dict[str, str]) -> list[str]:
+def categories_for(ids: list[str], labels: dict[str, str]) -> list[str]:
+    """The category of each id; UnknownSample if any id has no label."""
     missing = [i for i in ids if i not in labels]
     if missing:
         raise UnknownSample(f"no category label for sample(s) {missing[:3]} ...")
@@ -197,22 +217,29 @@ class PipelineResult:
     summary: dict
 
 
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure inside the block as StageError(name, cause)."""
+    try:
+        yield
+    except Exception as e:
+        raise StageError(name, e) from e
+
+
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute all stages in order; see the module docstring for outputs."""
 
     # -- validate: fail before writing anything -----------------------------
-    stage = "validate"
-    missing = [
-        f"{name} ({path})"
-        for name, path in sorted(config.input_paths().items())
-        if not Path(path).is_file()
-    ]
-    if missing:
-        raise StageError(stage, FileNotFoundError("missing input file(s): " + ", ".join(missing)))
-    if not config.modalities:
-        raise StageError(stage, ValueError("pipeline needs at least one modality"))
-
-    try:
+    with _stage("validate"):
+        missing = [
+            f"{name} ({path})"
+            for name, path in sorted(config.input_paths().items())
+            if not Path(path).is_file()
+        ]
+        if missing:
+            raise FileNotFoundError("missing input file(s): " + ", ".join(missing))
+        if not config.modalities:
+            raise ValueError("pipeline needs at least one modality")
         labels = load_labels(config.labels)
         prompt_matrix = read_ubem(config.prompts)
         prompts = prompts_from_matrix(prompt_matrix)
@@ -225,106 +252,78 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 raise ValueError(
                     f"modality {name!r} dim {visual[name].dim} != prompt dim {prompt_matrix.dim}"
                 )
-    except Exception as e:
-        raise StageError(stage, e) from e
 
     out = Path(config.out_dir)
     reports_dir = out / "reports"
     adapters_dir = out / "adapters"
+    names = sorted(config.modalities)
 
-    # -- kb ------------------------------------------------------------------
-    stage = "kb-build"
-    try:
+    with _stage("kb-build"):
         kb = build(config.records, config.embeddings)
         if kb.dim != prompt_matrix.dim:
             raise ValueError(f"KB dim {kb.dim} != prompt dim {prompt_matrix.dim}")
         write_kb_dir(kb, out / "kb")
-    except StageError:
-        raise
-    except Exception as e:
-        raise StageError(stage, e) from e
 
-    # -- centers ---------------------------------------------------------------
-    stage = "centers"
-    try:
+    with _stage("centers"):
         centers = localize(kb, prompts, config.k, config.source_filter)
         save_center_set(out / "centers.cset", centers)
-    except Exception as e:
-        raise StageError(stage, e) from e
 
-    # -- train ----------------------------------------------------------------
     adapters: dict[str, LinearAdapter] = {}
     losses: dict[str, list[float]] = {}
-    for name in sorted(config.modalities):
-        stage = f"train:{name}"
-        try:
-            pairs = []
-            for sid, row in pair_rows[name]:
-                if not 0 <= row < visual[name].rows:
-                    raise ValueError(f"pair row {row} out of range for {name!r}")
-                text_row = kb.pair_index.get(sid)
-                if text_row is None:
-                    raise UnknownSample(f"no paired description for sample {sid!r}")
-                pairs.append(TrainingPair(sid, visual[name].vectors[row], text_row))
-            adapters[name], losses[name] = train(pairs, kb, config.train, modality=name)
+    for name in names:
+        with _stage(f"train:{name}"):
+            vectors, text_rows = resolve_pairs(pair_rows[name], visual[name], kb)
+            adapters[name], losses[name] = train(
+                vectors, text_rows, kb, config.train, modality=name
+            )
             save_adapter(adapters_dir / f"{name}.adapter", adapters[name])
-        except StageError:
-            raise
-        except Exception as e:
-            raise StageError(stage, e) from e
 
-    # -- eval -------------------------------------------------------------------
+    # Each modality's categories and its pre- and post-training embeddings are
+    # computed once, in its eval stage, and reused by every later stage.
+    categories: dict[str, list[str]] = {}
+    embedded: dict[str, dict[str, EmbeddingMatrix]] = {}
+    prompt_means = {c: p[None, :] for c, p in centers.prompt_embeddings.items()}
     accuracy: dict[str, dict[str, dict[str, float]]] = {}
-    for name in sorted(config.modalities):
-        stage = f"eval:{name}"
-        try:
-            ids = visual[name].labels or [str(i) for i in range(visual[name].rows)]
-            cats = _categories_for(ids, labels)
-            raw = EmbeddingMatrix(normalize_rows(visual[name]), ids)
-            adapted = adapters[name].apply(visual[name])
+    for name in names:
+        with _stage(f"eval:{name}"):
+            ids = visual[name].ids
+            categories[name] = categories_for(ids, labels)
+            embedded[name] = {
+                "pre": EmbeddingMatrix(normalize_rows(visual[name]), ids),
+                "post": adapters[name].apply(visual[name]),
+            }
             accuracy[name] = {}
-            for phase, queries in (("pre", raw), ("post", adapted)):
+            for phase, queries in embedded[name].items():
                 accuracy[name][phase] = {}
                 for mode, anchors in (
                     (ScoringMode.CENTER_MAX, centers),
-                    (ScoringMode.PROMPT_MEAN, {c: p[None, :] for c, p in centers.prompt_embeddings.items()}),
+                    (ScoringMode.PROMPT_MEAN, prompt_means),
                 ):
-                    report = evaluate_classification(queries, cats, anchors, mode)
+                    report = evaluate_classification(queries, categories[name], anchors, mode)
                     accuracy[name][phase][mode.value] = report.top1_accuracy
                     atomic_write_text(
                         reports_dir / f"zeroshot_{name}_{phase}_{mode.value}.json",
                         fixed_json(report.to_report()),
                     )
-        except StageError:
-            raise
-        except Exception as e:
-            raise StageError(stage, e) from e
 
-    # -- retrieval ---------------------------------------------------------------
-    names = sorted(config.modalities)
     retrieval: dict[str, dict[str, dict[str, float]]] = {}
     for a in names:
         for b in names:
             if a == b:
                 continue
-            stage = f"retrieval:{a}->{b}"
-            try:
-                ids_a = visual[a].labels or [str(i) for i in range(visual[a].rows)]
-                ids_b = visual[b].labels or [str(i) for i in range(visual[b].rows)]
-                cats_a = _categories_for(ids_a, labels)
-                cats_b = _categories_for(ids_b, labels)
-                relevance = category_relevance(ids_a, cats_a, ids_b, cats_b)
+            with _stage(f"retrieval:{a}->{b}"):
+                relevance = category_relevance(
+                    visual[a].ids, categories[a], visual[b].ids, categories[b]
+                )
                 pair_key = f"{a}_to_{b}"
                 retrieval[pair_key] = {}
                 for phase in ("pre", "post"):
-                    if phase == "pre":
-                        queries = EmbeddingMatrix(normalize_rows(visual[a]), ids_a)
-                        gallery = EmbeddingMatrix(normalize_rows(visual[b]), ids_b)
-                    else:
-                        queries = adapters[a].apply(visual[a])
-                        gallery = adapters[b].apply(visual[b])
                     report = evaluate_retrieval(
-                        queries, gallery, relevance, list(config.retrieval_ks), Direction.A_TO_B
+                        embedded[a][phase],
+                        embedded[b][phase],
+                        relevance,
+                        list(config.retrieval_ks),
+                        Direction.A_TO_B,
                     )
                     retrieval[pair_key][phase] = {
                         str(k): v for k, v in sorted(report.recall_at.items())
@@ -333,48 +332,27 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                         reports_dir / f"retrieval_{pair_key}_{phase}.json",
                         fixed_json(report.to_report()),
                     )
-            except StageError:
-                raise
-            except Exception as e:
-                raise StageError(stage, e) from e
 
-    # -- diagnostics ---------------------------------------------------------------
-    stage = "diagnostics"
-    try:
+    with _stage("diagnostics"):
         diag = {}
         for phase in ("pre", "post"):
-            per_mod_embeddings = {}
-            per_mod_categories = {}
-            for name in names:
-                ids = visual[name].labels or [str(i) for i in range(visual[name].rows)]
-                per_mod_categories[name] = _categories_for(ids, labels)
-                if phase == "pre":
-                    per_mod_embeddings[name] = EmbeddingMatrix(normalize_rows(visual[name]), ids)
-                else:
-                    per_mod_embeddings[name] = adapters[name].apply(visual[name])
-            diag[phase] = alignment_diagnostics(per_mod_embeddings, per_mod_categories)
+            diag[phase] = alignment_diagnostics(
+                {name: embedded[name][phase] for name in names}, categories
+            )
             atomic_write_text(
                 reports_dir / f"diagnostics_{phase}.json", fixed_json(diag[phase].to_report())
             )
         if config.dump_projection:
             for name in names:
-                raw = normalize_rows(visual[name])
-                adapted = adapters[name].apply(visual[name]).vectors
-                for phase, block in (("pre", raw), ("post", adapted)):
-                    coords = pca_2d(block)
+                for phase, matrix in embedded[name].items():
+                    coords = pca_2d(matrix.vectors)
                     lines = [f"{x:.6f},{y:.6f}" for x, y in coords]
                     atomic_write_text(
                         out / "projections" / f"{name}_{phase}.csv",
                         "\n".join(lines) + "\n",
                     )
-    except StageError:
-        raise
-    except Exception as e:
-        raise StageError(stage, e) from e
 
-    # -- summary + manifest ----------------------------------------------------------
-    stage = "summary"
-    try:
+    with _stage("summary"):
         summary = {
             "k": config.k,
             "modalities": names,
@@ -402,7 +380,5 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             "adapters": sorted(p.name for p in adapters_dir.glob("*.adapter")),
         }
         atomic_write_text(out / "manifest.json", fixed_json(manifest))
-    except Exception as e:
-        raise StageError(stage, e) from e
 
     return PipelineResult(out, kb, centers, adapters, summary)

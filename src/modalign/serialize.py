@@ -1,11 +1,33 @@
-"""Serialization helpers: diffable report JSON, atomic writes, file hashing."""
+"""Serialization helpers: JSONL reading, diffable report JSON, atomic writes,
+file hashing."""
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
+
+from .errors import MalformedRecord
+
+
+def read_jsonl(path) -> Iterator[tuple[int, object]]:
+    """Yield (line_number, parsed value) for each non-blank line of a JSONL file.
+
+    Line numbers count from 1 and include blank lines; a line that is not
+    valid JSON raises MalformedRecord naming it.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        for line_number, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise MalformedRecord(line_number, f"invalid JSON ({e.msg})") from e
+            yield line_number, obj
 
 
 def fixed_json(obj, indent: int = 2) -> str:

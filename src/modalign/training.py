@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .contrastive import info_nce_loss
+from .contrastive import info_nce_forward, info_nce_loss
 from .errors import (
     DegenerateBatch,
     DimensionMismatch,
@@ -113,15 +113,6 @@ class LinearAdapter:
 
 
 @dataclass(frozen=True)
-class TrainingPair:
-    """One sample's raw embedding plus the KB row of its paired description."""
-
-    sample_id: str
-    visual_embedding: np.ndarray
-    text_row: int
-
-
-@dataclass(frozen=True)
 class GradCheckReport:
     max_rel_error: float
     passed: bool
@@ -137,70 +128,37 @@ def default_adapter(dim_in: int, dim_out: int, seed: int, modality: str = "") ->
     return LinearAdapter(weight, np.zeros(dim_out), modality)
 
 
-def make_pairs(
-    sample_ids: list[str], visual: EmbeddingMatrix, kb: KnowledgeBase
-) -> list[TrainingPair]:
-    """Resolve sample ids to paired description rows via the KB pair index."""
-    if len(sample_ids) != visual.rows:
-        raise ValueError(f"{len(sample_ids)} sample ids for {visual.rows} rows")
-    pairs = []
-    for i, sample_id in enumerate(sample_ids):
-        row = kb.pair_index.get(sample_id)
-        if row is None:
-            raise UnknownSample(f"no paired description for sample {sample_id!r}")
-        pairs.append(TrainingPair(sample_id, visual.vectors[i], row))
-    return pairs
-
-
-def _resolve_batch_arrays(
-    pairs: list[TrainingPair], kb: KnowledgeBase
+def resolve_pairs(
+    pairs: list[tuple[str, int]], visual, kb: KnowledgeBase
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Map (sample_id, visual_row) pairs to training arrays.
+
+    Returns the float64 visual rows in pair order and, for each pair, the KB
+    row of the sample's paired description.
+    """
     if not pairs:
         raise ValueError("pairs must be non-empty")
-    dims = {np.asarray(p.visual_embedding).shape for p in pairs}
-    if len(dims) != 1 or len(next(iter(dims))) != 1:
-        raise DimensionMismatch(f"visual embeddings disagree on shape: {sorted(dims)}")
-    for p in pairs:
-        if not 0 <= p.text_row < kb.size:
-            raise UnknownSample(f"text row {p.text_row} out of range for sample {p.sample_id!r}")
-        indexed = kb.pair_index.get(p.sample_id)
-        if indexed != p.text_row:
-            raise UnknownSample(
-                f"sample {p.sample_id!r} does not pair with row {p.text_row}"
-            )
-    visual = np.stack([np.asarray(p.visual_embedding, dtype=np.float64) for p in pairs])
-    texts = normalize_rows(kb.embeddings.vectors[[p.text_row for p in pairs]])
-    return visual, texts
+    v = as_vectors(visual)
+    visual_rows = []
+    text_rows = []
+    for sample_id, row in pairs:
+        if not 0 <= row < v.shape[0]:
+            raise ValueError(f"pair row {row} out of range for {v.shape[0]} visual rows")
+        text_row = kb.pair_index.get(sample_id)
+        if text_row is None:
+            raise UnknownSample(f"no paired description for sample {sample_id!r}")
+        visual_rows.append(row)
+        text_rows.append(text_row)
+    return np.asarray(v[visual_rows], dtype=np.float64), np.asarray(text_rows, dtype=np.intp)
 
 
-def _forward_loss(W, b, visual, texts, temperature, symmetric, dtype=np.float64):
-    """Forward loss only, in an arbitrary float dtype.
-
-    The finite-difference oracle runs this in extended precision; differences
-    of O(1e-10) between two O(1) losses would otherwise drown in float64
-    rounding when gradients are tiny (very large temperatures).
-    """
-    W = np.asarray(W, dtype=dtype)
-    b = np.asarray(b, dtype=dtype)
-    visual = np.asarray(visual, dtype=dtype)
-    texts = np.asarray(texts, dtype=dtype)
+def _unit_map(W, b, visual):
+    """Affine map plus row normalization, in the dtype of the inputs."""
     mapped = visual @ W.T + b
-    norms = np.sqrt((mapped * mapped).sum(axis=1))
+    norms = np.linalg.norm(mapped, axis=1)
     if (norms < ZERO_NORM).any():
         raise ZeroVector("an adapted row collapsed to norm 0 during training")
-    unit = mapped / norms[:, None]
-    logits = (unit @ texts.T) / dtype(temperature)
-    diag = np.arange(logits.shape[0])
-
-    def mean_cross_entropy(l):
-        shifted = l - l.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1))
-        return (lse - shifted[diag, diag]).mean()
-
-    loss = mean_cross_entropy(logits)
-    if symmetric:
-        loss = (loss + mean_cross_entropy(logits.T)) / dtype(2.0)
-    return loss
+    return mapped / norms[:, None], norms
 
 
 def _forward_backward(W, b, visual, texts, temperature, symmetric):
@@ -209,18 +167,15 @@ def _forward_backward(W, b, visual, texts, temperature, symmetric):
     Chains the contrastive gradient through row normalization:
     d(a/|a|)/da applied to g is (g - (g.a_hat) a_hat) / |a|.
     """
-    mapped = visual @ W.T + b
-    norms = np.linalg.norm(mapped, axis=1)
-    if (norms < ZERO_NORM).any():
-        raise ZeroVector("an adapted row collapsed to norm 0 during training")
-    unit = mapped / norms[:, None]
+    unit, norms = _unit_map(W, b, visual)
     loss, g_unit = info_nce_loss(unit, texts, temperature, symmetric)
     g_mapped = (g_unit - (g_unit * unit).sum(axis=1, keepdims=True) * unit) / norms[:, None]
     return loss, g_mapped.T @ visual, g_mapped.sum(axis=0)
 
 
 def train(
-    pairs: list[TrainingPair],
+    visual: np.ndarray,
+    text_rows: np.ndarray,
     kb: KnowledgeBase,
     config: TrainConfig,
     init: LinearAdapter | None = None,
@@ -228,13 +183,21 @@ def train(
 ) -> tuple[LinearAdapter, list[float]]:
     """Fit one adapter by seeded mini-batch contrastive training.
 
-    Returns the trained adapter and the per-epoch mean loss. Inputs are never
-    mutated; the caller's `init` adapter, the visual embeddings, and the KB
-    all come back untouched.
+    `visual` holds one raw embedding per pair and `text_rows` the KB row of
+    its paired description, as `resolve_pairs` returns them. Returns the
+    trained adapter and the per-epoch mean loss. Inputs are never mutated;
+    the caller's `init` adapter, the visual embeddings, and the KB all come
+    back untouched.
     """
-    visual, texts = _resolve_batch_arrays(pairs, kb)
-    if len({p.text_row for p in pairs}) < 2:
+    visual = np.asarray(as_vectors(visual), dtype=np.float64)
+    text_rows = np.asarray(text_rows)
+    if text_rows.shape != (visual.shape[0],):
+        raise ValueError(f"{text_rows.size} text rows for {visual.shape[0]} visual rows")
+    if visual.shape[0] and not 0 <= text_rows.min() <= text_rows.max() < kb.size:
+        raise UnknownSample(f"text rows must lie in [0, {kb.size})")
+    if len(set(text_rows.tolist())) < 2:
         raise DegenerateBatch("all pairs share one description row; no negatives exist")
+    texts = normalize_rows(kb.embeddings.vectors[text_rows])
 
     n, dim_in = visual.shape
     dim_out = kb.dim
@@ -304,10 +267,15 @@ def gradient_check_arrays(
         W, b, v, z, config.temperature, config.symmetric_loss
     )
 
+    v_ext = v.astype(np.longdouble)
+    z_ext = z.astype(np.longdouble)
+
     def loss_at(Wp, bp):
-        return _forward_loss(
-            Wp, bp, v, z, config.temperature, config.symmetric_loss, dtype=np.longdouble
-        )
+        # Extended precision: differences of O(1e-10) between two O(1) losses
+        # would otherwise drown in float64 rounding when gradients are tiny
+        # (very large temperatures).
+        unit, _ = _unit_map(Wp.astype(np.longdouble), bp.astype(np.longdouble), v_ext)
+        return info_nce_forward(unit, z_ext, config.temperature, config.symmetric_loss)[0]
 
     two_step = np.longdouble(2.0) * np.longdouble(step)
     max_rel = 0.0
@@ -329,32 +297,50 @@ def gradient_check_arrays(
     return GradCheckReport(max_rel, max_rel < 1e-3)
 
 
-def gradient_check(
-    adapter: LinearAdapter,
-    batch: list[TrainingPair],
-    kb: KnowledgeBase,
-    config: TrainConfig,
-    step: float = 1e-5,
-) -> GradCheckReport:
-    """Gradient check over a batch of KB-resolved training pairs."""
-    visual, texts = _resolve_batch_arrays(batch, kb)
-    return gradient_check_arrays(adapter, visual, texts, config, step)
-
-
 # --- persistence -----------------------------------------------------------
 
+# TrainConfig's settable keys and their field types. Both parsers below check
+# keys and values against this one table.
 _CONFIG_KEYS = {
     "temperature": float,
     "learning_rate": float,
     "batch_size": int,
     "epochs": int,
     "seed": int,
-    "optimizer": str,
-    "symmetric_loss": str,
+    "optimizer": OptimizerKind,
+    "symmetric_loss": bool,
+}
+# The JSON types each field type accepts; JSON values are checked, not converted.
+_JSON_TYPES = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    bool: (bool, "true or false"),
+    OptimizerKind: (str, "a string"),
 }
 
 _TRUE_WORDS = {"true", "yes", "1", "on"}
 _FALSE_WORDS = {"false", "no", "0", "off"}
+
+
+def _from_text(key: str, value: str):
+    """Convert a key-value file's string to the key's field type."""
+    kind = _CONFIG_KEYS[key]
+    if kind is bool:
+        if value.lower() in _TRUE_WORDS:
+            return True
+        if value.lower() in _FALSE_WORDS:
+            return False
+        raise ValueError(f"not a boolean: {value!r}")
+    return value if kind is OptimizerKind else kind(value)
+
+
+def _make_config(values: dict, base: TrainConfig | None) -> TrainConfig:
+    if "optimizer" in values:
+        try:
+            values["optimizer"] = OptimizerKind(values["optimizer"].lower())
+        except ValueError:
+            raise ValueError(f"optimizer must be one of {[o.value for o in OptimizerKind]}") from None
+    return replace(base or TrainConfig(), **values)
 
 
 def parse_train_config(text: str, base: TrainConfig | None = None) -> TrainConfig:
@@ -375,24 +361,10 @@ def parse_train_config(text: str, base: TrainConfig | None = None) -> TrainConfi
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {line_number}: unknown config key {key!r}")
         try:
-            values[key] = _CONFIG_KEYS[key](value)
+            values[key] = _from_text(key, value)
         except ValueError:
             raise ValueError(f"line {line_number}: bad value for {key!r}: {value!r}") from None
-
-    if "optimizer" in values:
-        try:
-            values["optimizer"] = OptimizerKind(values["optimizer"].lower())
-        except ValueError:
-            raise ValueError(f"optimizer must be one of {[o.value for o in OptimizerKind]}") from None
-    if "symmetric_loss" in values:
-        word = values["symmetric_loss"].lower()
-        if word in _TRUE_WORDS:
-            values["symmetric_loss"] = True
-        elif word in _FALSE_WORDS:
-            values["symmetric_loss"] = False
-        else:
-            raise ValueError(f"symmetric_loss must be a boolean, got {word!r}")
-    return replace(base or TrainConfig(), **values)
+    return _make_config(values, base)
 
 
 def load_train_config(path, base: TrainConfig | None = None) -> TrainConfig:
@@ -400,11 +372,21 @@ def load_train_config(path, base: TrainConfig | None = None) -> TrainConfig:
 
 
 def train_config_from_dict(obj: dict, base: TrainConfig | None = None) -> TrainConfig:
-    """Build a TrainConfig from parsed JSON (pipeline configs)."""
-    values = dict(obj)
-    if "optimizer" in values:
-        values["optimizer"] = OptimizerKind(str(values["optimizer"]).lower())
-    return replace(base or TrainConfig(), **values)
+    """Build a TrainConfig from parsed JSON (pipeline configs).
+
+    Keys and value types are checked against the table `parse_train_config`
+    uses; values are taken as given, except that `optimizer` becomes the enum.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"train config must be a JSON object, got {obj!r}")
+    for key, value in obj.items():
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown train config key {key!r}")
+        kind = _CONFIG_KEYS[key]
+        json_types, expected = _JSON_TYPES[kind]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, json_types):
+            raise ValueError(f"train config key {key!r} must be {expected}, got {value!r}")
+    return _make_config(dict(obj), base)
 
 
 def save_adapter(path, adapter: LinearAdapter) -> None:

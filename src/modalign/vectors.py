@@ -48,6 +48,11 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
+    @property
+    def ids(self) -> list[str]:
+        """Per-row ids: the labels, or row numbers as strings when unlabeled."""
+        return self.labels or [str(i) for i in range(self.rows)]
+
     def row(self, i: int) -> np.ndarray:
         return self.vectors[i]
 

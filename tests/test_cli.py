@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modalign
 from modalign.cli import main
 from modalign.kb import KnowledgeRecord, Source, save_records
 from modalign.synthetic import SyntheticSpec, generate_synthetic
@@ -250,6 +255,33 @@ class TestPipelineAndDiagnostics:
         assert code == 0
         assert (out / "records.jsonl").is_file()
         assert (out / "pipeline_config.json").is_file()
+
+
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("epoch", lambda c: c["train"].update(epoch=3)),
+        ("epochs", lambda c: c["train"].update(epochs="3")),
+        ("records", lambda c: c.pop("records")),
+        ("pairs", lambda c: c["modalities"]["mod0"].pop("pairs")),
+    ],
+    ids=["unknown-train-key", "string-epochs", "no-records", "modality-without-pairs"],
+)
+def test_bad_pipeline_config_exits_2_naming_file_and_key(bundle, tmp_path, key, edit):
+    config = json.loads(bundle.pipeline_config.read_text())
+    edit(config)
+    path = bundle.root / f"bad_{key}.json"
+    path.write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONPATH=str(Path(modalign.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "modalign.cli", "pipeline", "run",
+         "--config", str(path), "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(path) in proc.stderr
+    assert repr(key) in proc.stderr
 
 
 class TestExitCodes:

@@ -3,14 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from modalign.errors import StageError
+from modalign.errors import MalformedRecord, StageError
 from modalign.pipeline import (
+    load_labels,
+    load_pairs_file,
     load_pipeline_config,
     pca_2d,
     run_pipeline,
 )
 from modalign.synthetic import SyntheticSpec, generate_synthetic
-from modalign.training import load_adapter
+from modalign.training import LinearAdapter, load_adapter
 
 
 SPEC = SyntheticSpec(
@@ -150,11 +152,45 @@ class TestProjectionDump:
         x, y = coords[0].split(",")
         float(x), float(y)  # two numeric columns
 
+    def test_each_adapter_applied_once(self, bundle, tmp_path, monkeypatch):
+        obj = json.loads(bundle.pipeline_config.read_text())
+        obj["dump_projection"] = True
+        config_path = bundle.root / "proj_config.json"
+        config_path.write_text(json.dumps(obj))
+        applied = []
+        original = LinearAdapter.apply
+
+        def counting_apply(self, visual):
+            applied.append(self.modality)
+            return original(self, visual)
+
+        monkeypatch.setattr(LinearAdapter, "apply", counting_apply)
+        run_pipeline(load_pipeline_config(config_path, tmp_path / "run"))
+        assert sorted(applied) == ["mod0", "mod1"]
+
     def test_pca_shape_and_centering(self):
         rng = np.random.default_rng(0)
         coords = pca_2d(rng.standard_normal((40, 7)))
         assert coords.shape == (40, 2)
         assert np.allclose(coords.mean(axis=0), 0.0, atol=1e-9)
+
+
+class TestJsonlInputs:
+    def test_repeated_label_id_rejected(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text(
+            '{"id": "a", "category": "x"}\n\n{"id": "a", "category": "y"}\n'
+        )
+        with pytest.raises(MalformedRecord, match="line 3: duplicate id 'a'"):
+            load_labels(path)
+
+    def test_repeated_pair_sample_rejected(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(
+            '{"sample_id": "s", "visual_row": 0}\n{"sample_id": "s", "visual_row": 1}\n'
+        )
+        with pytest.raises(MalformedRecord, match="line 2: duplicate sample_id 's'"):
+            load_pairs_file(path)
 
 
 class TestConfigParsing:

@@ -13,14 +13,12 @@ from modalign.training import (
     LinearAdapter,
     OptimizerKind,
     TrainConfig,
-    TrainingPair,
     default_adapter,
-    gradient_check,
     gradient_check_arrays,
     load_adapter,
     load_train_config,
-    make_pairs,
     parse_train_config,
+    resolve_pairs,
     save_adapter,
     train,
 )
@@ -45,6 +43,11 @@ def paired_kb(n, dim, seed=0, categories=2):
     kb = from_parts(records, np.stack(text_vectors))
     visual = EmbeddingMatrix(np.stack(visual_vectors), [r.id for r in records])
     return kb, visual
+
+
+def all_pairs(visual):
+    """One (sample_id, visual_row) pair per row of a labeled matrix."""
+    return [(sample_id, row) for row, sample_id in enumerate(visual.labels)]
 
 
 class TestApply:
@@ -95,18 +98,18 @@ class TestApply:
 class TestTrain:
     def test_loss_improves_on_clustered_data(self):
         kb, visual = paired_kb(120, 12, seed=4, categories=10)
-        pairs = make_pairs([r.id for r in kb.records], visual, kb)
+        vectors, text_rows = resolve_pairs(all_pairs(visual), visual, kb)
         config = TrainConfig(epochs=20, batch_size=16, seed=1)
-        _, history = train(pairs, kb, config)
+        _, history = train(vectors, text_rows, kb, config)
         assert len(history) == 20
         assert history[-1] < history[0]
 
     def test_same_seed_bitwise_identical(self):
         kb, visual = paired_kb(60, 8, seed=5, categories=4)
-        pairs = make_pairs([r.id for r in kb.records], visual, kb)
+        vectors, text_rows = resolve_pairs(all_pairs(visual), visual, kb)
         config = TrainConfig(epochs=5, batch_size=8, seed=7)
-        a1, h1 = train(pairs, kb, config)
-        a2, h2 = train(pairs, kb, config)
+        a1, h1 = train(vectors, text_rows, kb, config)
+        a2, h2 = train(vectors, text_rows, kb, config)
         assert h1 == h2
         assert a1.weight.tobytes() == a2.weight.tobytes()
         assert a1.bias.tobytes() == a2.bias.tobytes()
@@ -123,65 +126,62 @@ class TestTrain:
         visual = EmbeddingMatrix(
             kb.embeddings.vectors.astype(np.float64), [r.id for r in records]
         )
-        pairs = make_pairs([r.id for r in records], visual, kb)
+        vectors, text_rows = resolve_pairs(all_pairs(visual), visual, kb)
         config = TrainConfig(epochs=1, batch_size=8, seed=0, learning_rate=1e-9)
         identity = LinearAdapter(np.eye(8), np.zeros(8))
-        _, identity_history = train(pairs, kb, config, init=identity)
+        _, identity_history = train(vectors, text_rows, kb, config, init=identity)
         for seed in range(5):
             adapter_rng = np.random.default_rng(seed)
             random_init = LinearAdapter(
                 adapter_rng.standard_normal((8, 8)), adapter_rng.standard_normal(8)
             )
-            _, random_history = train(pairs, kb, config, init=random_init)
+            _, random_history = train(vectors, text_rows, kb, config, init=random_init)
             assert identity_history[0] <= random_history[0]
 
     def test_init_adapter_not_mutated(self):
         kb, visual = paired_kb(40, 6, seed=8, categories=4)
-        pairs = make_pairs([r.id for r in kb.records], visual, kb)
+        vectors, text_rows = resolve_pairs(all_pairs(visual), visual, kb)
         init = default_adapter(6, 6, seed=0)
         before = init.weight.copy()
-        train(pairs, kb, TrainConfig(epochs=2, batch_size=8, seed=0), init=init)
+        train(vectors, text_rows, kb, TrainConfig(epochs=2, batch_size=8, seed=0), init=init)
         assert np.array_equal(init.weight, before)
 
     def test_inputs_not_mutated(self):
         kb, visual = paired_kb(40, 6, seed=9, categories=4)
         kb_bytes = kb.embeddings.vectors.tobytes()
         visual_bytes = visual.vectors.tobytes()
-        pairs = make_pairs([r.id for r in kb.records], visual, kb)
-        train(pairs, kb, TrainConfig(epochs=2, batch_size=8, seed=0))
+        vectors, text_rows = resolve_pairs(all_pairs(visual), visual, kb)
+        train(vectors, text_rows, kb, TrainConfig(epochs=2, batch_size=8, seed=0))
         assert kb.embeddings.vectors.tobytes() == kb_bytes
         assert visual.vectors.tobytes() == visual_bytes
 
     def test_degenerate_single_text_row(self):
         records = [KnowledgeRecord("s0", "c", "d", Source.MLLM_DATA)]
         kb = from_parts(records, np.ones((1, 4)))
-        pairs = [
-            TrainingPair("s0", np.ones(4), 0),
-            TrainingPair("s0", np.full(4, 0.5), 0),
-        ]
+        visual = np.stack([np.ones(4), np.full(4, 0.5)])
+        vectors, text_rows = resolve_pairs([("s0", 0), ("s0", 1)], visual, kb)
         with pytest.raises(DegenerateBatch):
-            train(pairs, kb, TrainConfig(epochs=1, batch_size=2, seed=0))
+            train(vectors, text_rows, kb, TrainConfig(epochs=1, batch_size=2, seed=0))
 
     def test_unknown_sample_rejected(self):
         kb, visual = paired_kb(10, 4, seed=10)
-        pairs = [TrainingPair("ghost", np.ones(4), 0)]
         with pytest.raises(UnknownSample):
-            train(pairs, kb, TrainConfig(epochs=1, seed=0))
+            resolve_pairs([("ghost", 0)], visual, kb)
 
     def test_sgd_also_trains(self):
         kb, visual = paired_kb(80, 8, seed=11, categories=8)
-        pairs = make_pairs([r.id for r in kb.records], visual, kb)
+        vectors, text_rows = resolve_pairs(all_pairs(visual), visual, kb)
         config = TrainConfig(
             epochs=15, batch_size=16, seed=2, optimizer=OptimizerKind.SGD, learning_rate=0.5
         )
-        _, history = train(pairs, kb, config)
+        _, history = train(vectors, text_rows, kb, config)
         assert history[-1] < history[0]
 
     def test_partial_tail_of_one_dropped(self):
         kb, visual = paired_kb(9, 4, seed=12, categories=3)
-        pairs = make_pairs([r.id for r in kb.records], visual, kb)
+        vectors, text_rows = resolve_pairs(all_pairs(visual), visual, kb)
         # batch_size 4 over 9 samples: tail of 1 must be dropped, not crash
-        _, history = train(pairs, kb, TrainConfig(epochs=1, batch_size=4, seed=0))
+        _, history = train(vectors, text_rows, kb, TrainConfig(epochs=1, batch_size=4, seed=0))
         assert len(history) == 1
 
 
@@ -230,9 +230,10 @@ class TestGradientCheck:
 
     def test_kb_level_wrapper(self):
         kb, visual = paired_kb(8, 6, seed=13, categories=4)
-        pairs = make_pairs([r.id for r in kb.records], visual, kb)
+        vectors, text_rows = resolve_pairs(all_pairs(visual)[:4], visual, kb)
+        texts = normalize_rows(kb.embeddings.vectors[text_rows])
         adapter = default_adapter(6, 6, seed=0)
-        report = gradient_check(adapter, pairs[:4], kb, TrainConfig())
+        report = gradient_check_arrays(adapter, vectors, texts, TrainConfig())
         assert report.passed
 
     def test_batch_of_one_rejected(self):
