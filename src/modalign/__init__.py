@@ -23,16 +23,13 @@ from .contrastive import info_nce_loss
 from .diagnostics import AlignmentDiagnostics, alignment_diagnostics
 from .errors import ModalignError
 from .evaluation import (
-    Direction,
     EvalReport,
-    Prediction,
     RetrievalReport,
     ScoringMode,
     category_relevance,
+    category_scores,
     evaluate_classification,
     evaluate_retrieval,
-    score_center_max,
-    score_prompt_mean,
 )
 from .kb import KnowledgeBase, KnowledgeRecord, Source, build, load_kb_dir, write_kb_dir
 from .pipeline import PipelineConfig, load_pipeline_config, run_pipeline
@@ -50,7 +47,6 @@ from .training import (
 from .ubem import read_ubem, write_ubem
 from .vectors import (
     EmbeddingMatrix,
-    ScoredIndex,
     cosine,
     normalize,
     normalize_rows,
@@ -62,7 +58,6 @@ __all__ = [
     "__version__",
     "AlignmentDiagnostics",
     "CenterSet",
-    "Direction",
     "EmbeddingCenter",
     "EmbeddingMatrix",
     "EvalReport",
@@ -72,10 +67,8 @@ __all__ = [
     "LinearAdapter",
     "ModalignError",
     "PipelineConfig",
-    "Prediction",
     "PromptSet",
     "RetrievalReport",
-    "ScoredIndex",
     "ScoringMode",
     "Source",
     "SyntheticBundle",
@@ -84,6 +77,7 @@ __all__ = [
     "alignment_diagnostics",
     "build",
     "category_relevance",
+    "category_scores",
     "cosine",
     "evaluate_classification",
     "evaluate_retrieval",
@@ -103,8 +97,6 @@ __all__ = [
     "run_pipeline",
     "save_adapter",
     "save_center_set",
-    "score_center_max",
-    "score_prompt_mean",
     "similarity_matrix",
     "sweep_k",
     "top_k",

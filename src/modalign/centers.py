@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MissingCategory
 from .kb import KnowledgeBase, Source
-from .serialize import atomic_write_bytes
+from .serialize import atomic_write_bytes, require_key
 from .ubem import read_ubem_stream, write_ubem_stream
 from .vectors import EmbeddingMatrix, top_k
 
@@ -76,9 +76,6 @@ class CenterSet:
         first = next(iter(self.centers.values()))
         return first.member_embeddings.dim
 
-    def categories(self) -> list[str]:
-        return list(self.centers)
-
 
 def prompts_from_matrix(matrix: EmbeddingMatrix) -> dict[str, np.ndarray]:
     """Interpret a labeled matrix as one prompt embedding per category."""
@@ -108,8 +105,8 @@ def _rank_category(
             f"prompt for {category!r} has dim {prompt.shape[0]}, knowledge base has {kb.dim}"
         )
     candidates = kb.embeddings.vectors[rows]
-    ranked = top_k(prompt, candidates, len(rows))
-    return [rows[s.index] for s in ranked], [s.score for s in ranked]
+    order, scores = top_k(prompt[None, :], candidates, len(rows))
+    return [rows[i] for i in order[0].tolist()], scores[0].tolist()
 
 
 def _center_from_ranking(
@@ -239,34 +236,44 @@ def save_center_set(path, center_set: CenterSet) -> None:
 
 
 def load_center_set(path) -> CenterSet:
+    """Read a center-set file; a malformed header raises ValueError naming the
+    file and, for a missing key, the key."""
     with open(path, "rb") as f:
         header_line = f.readline()
         try:
             header = json.loads(header_line)
         except json.JSONDecodeError as e:
-            raise ValueError(f"bad center-set header: {e.msg}") from e
-        if header.get("format") != "center-set" or header.get("version") != 1:
-            raise ValueError("not a version-1 center-set file")
+            raise ValueError(f"{path}: bad center-set header: {e.msg}") from e
+        kind = (header.get("format"), header.get("version")) if isinstance(header, dict) else None
+        if kind != ("center-set", 1):
+            raise ValueError(f"{path}: not a version-1 center-set file")
         members = read_ubem_stream(f)
         prompt_matrix = read_ubem_stream(f)
 
     centers: dict[str, EmbeddingCenter] = {}
     offset = 0
-    for entry in header["categories"]:
-        size = len(entry["member_rows"])
-        block = EmbeddingMatrix(
-            members.vectors[offset : offset + size].copy(),
-            (members.labels or [""] * members.rows)[offset : offset + size],
-        )
-        centers[entry["category"]] = EmbeddingCenter(
-            entry["category"],
-            list(entry["member_rows"]),
-            [float(s) for s in entry["member_scores"]],
-            block,
-            int(entry["k_requested"]),
-        )
-        offset += size
+    try:
+        k = int(require_key(header, "k", f"{path}: center-set header"))
+        for i, entry in enumerate(require_key(header, "categories", f"{path}: center-set header")):
+            where = f"{path}: center-set category {i}"
+            category = require_key(entry, "category", where)
+            member_rows = require_key(entry, "member_rows", where)
+            size = len(member_rows)
+            block = EmbeddingMatrix(
+                members.vectors[offset : offset + size].copy(),
+                (members.labels or [""] * members.rows)[offset : offset + size],
+            )
+            centers[category] = EmbeddingCenter(
+                category,
+                list(member_rows),
+                [float(s) for s in require_key(entry, "member_scores", where)],
+                block,
+                int(require_key(entry, "k_requested", where)),
+            )
+            offset += size
+    except TypeError as e:
+        raise ValueError(f"{path}: malformed center-set header ({e})") from e
     if offset != members.rows:
-        raise ValueError("center-set member blob does not match header counts")
+        raise ValueError(f"{path}: center-set member blob does not match header counts")
     prompts = prompts_from_matrix(prompt_matrix)
-    return CenterSet(centers, prompts, int(header["k"]), header.get("prompt_template", DEFAULT_PROMPT_TEMPLATE))
+    return CenterSet(centers, prompts, k, header.get("prompt_template", DEFAULT_PROMPT_TEMPLATE))

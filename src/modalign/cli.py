@@ -29,7 +29,6 @@ from .centers import (
 from .diagnostics import alignment_diagnostics
 from .errors import MalformedRecord, ModalignError
 from .evaluation import (
-    Direction,
     ScoringMode,
     category_relevance,
     evaluate_classification,
@@ -210,10 +209,10 @@ def cmd_eval_retrieval(args) -> int:
         )
     else:
         raise ValueError("supply --relevance or --labels for relevance judgments")
-    report = evaluate_retrieval(queries, gallery, relevance, ks, Direction(args.direction))
+    report = evaluate_retrieval(queries, gallery, relevance, ks)
     atomic_write_text(Path(args.report), fixed_json(report.to_report()))
     printable = ", ".join(f"R@{k}={v:.4f}" for k, v in sorted(report.recall_at.items()))
-    print(f"retrieval ({report.direction.value}): {printable} -> {args.report}")
+    print(f"retrieval: {printable} -> {args.report}")
     return 0
 
 
@@ -347,7 +346,6 @@ def build_parser() -> _Parser:
     p.add_argument("--relevance", default=None, help="JSONL of query_id/relevant lists")
     p.add_argument("--labels", default=None, help="JSONL id/category labels for class-level relevance")
     p.add_argument("--ks", default="1,5,10,20")
-    p.add_argument("--direction", choices=[d.value for d in Direction], default="a_to_b")
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_eval_retrieval)
 

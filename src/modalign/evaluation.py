@@ -2,8 +2,10 @@
 
 Two scoring rules are provided: max cosine over a category's anchor members
 (the anchor-set rule) and cosine against the normalized mean of a category's
-prompt embeddings (the classic prompt-ensemble baseline). Argmax ties break
-by ascending category name so reports are reproducible.
+prompt embeddings (the classic prompt-ensemble baseline). Both score every
+query against every category with `similarity_matrix`, and argmax ties break
+by ascending category name so reports are reproducible. Retrieval ranks all
+queries with one batched `top_k` call.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .vectors import (
     as_vectors,
     normalize,
     normalize_rows,
+    similarity_matrix,
     top_k,
 )
 
@@ -34,19 +37,6 @@ from .vectors import (
 class ScoringMode(str, Enum):
     CENTER_MAX = "center_max"
     PROMPT_MEAN = "prompt_mean"
-
-
-class Direction(str, Enum):
-    A_TO_B = "a_to_b"
-    B_TO_A = "b_to_a"
-
-
-@dataclass
-class Prediction:
-    sample_id: str
-    predicted_category: str
-    score: float
-    per_category_scores: dict[str, float]
 
 
 @dataclass
@@ -67,88 +57,52 @@ class EvalReport:
 
 @dataclass
 class RetrievalReport:
-    direction: Direction
     recall_at: dict[int, float]
 
     def to_report(self) -> dict:
-        return {
-            "direction": self.direction.value,
-            "recall_at": {str(k): v for k, v in sorted(self.recall_at.items())},
-        }
+        return {"recall_at": {str(k): v for k, v in sorted(self.recall_at.items())}}
 
 
-def _category_member_matrices(centers: CenterSet) -> dict[str, np.ndarray]:
-    if not centers.centers:
-        raise EmptyCenterSet("anchor set has no categories")
-    return {
-        cat: normalize_rows(c.member_embeddings.vectors)
-        for cat, c in sorted(centers.centers.items())
-    }
+def _anchor_blocks(anchors, mode: ScoringMode) -> dict[str, np.ndarray]:
+    """Each category's anchor rows, by ascending name.
 
-
-def _prompt_mean_matrix(prompt_sets: dict) -> dict[str, np.ndarray]:
-    """Normalized mean prompt vector per category."""
-    if not prompt_sets:
-        raise EmptyCenterSet("prompt set has no categories")
-    means: dict[str, np.ndarray] = {}
-    for cat in sorted(prompt_sets):
-        block = np.asarray(as_vectors(prompt_sets[cat]), dtype=np.float64)
-        mean = normalize_rows(block).mean(axis=0)
-        if np.linalg.norm(mean) < ZERO_NORM:
-            raise ZeroVector(f"prompt embeddings for {cat!r} average to the zero vector")
-        means[cat] = normalize(mean)
-    return means
-
-
-def _argmax_by_name(scores: dict[str, float]) -> tuple[str, float]:
-    # max() keeps the first maximal item, so iterating sorted names breaks
-    # ties by ascending category name.
-    best = max(sorted(scores), key=lambda cat: scores[cat])
-    return best, scores[best]
-
-
-def score_center_max(query, centers: CenterSet, sample_id: str = "") -> Prediction:
-    """Classify a query by its best cosine against each category's members."""
-    members = _category_member_matrices(centers)
-    q = normalize(query)
-    scores: dict[str, float] = {}
-    for cat, block in members.items():
-        if block.shape[1] != q.shape[0]:
-            raise DimensionMismatch(
-                f"query dim {q.shape[0]} does not match anchor dim {block.shape[1]}"
-            )
-        scores[cat] = float(np.clip(block @ q, -1.0, 1.0).max())
-    best, best_score = _argmax_by_name(scores)
-    return Prediction(sample_id, best, best_score, scores)
-
-
-def score_prompt_mean(query, prompt_sets: dict, sample_id: str = "") -> Prediction:
-    """Classify a query by cosine against each category's mean prompt."""
-    means = _prompt_mean_matrix(prompt_sets)
-    q = normalize(query)
-    scores: dict[str, float] = {}
-    for cat, mean in means.items():
-        if mean.shape[0] != q.shape[0]:
-            raise DimensionMismatch(
-                f"query dim {q.shape[0]} does not match prompt dim {mean.shape[0]}"
-            )
-        scores[cat] = float(np.clip(mean @ q, -1.0, 1.0))
-    best, best_score = _argmax_by_name(scores)
-    return Prediction(sample_id, best, best_score, scores)
-
-
-def predict(queries: EmbeddingMatrix, anchors, mode: ScoringMode) -> list[Prediction]:
-    """Score every query row under the chosen rule."""
-    ids = queries.ids
+    CENTER_MAX uses a CenterSet's members; PROMPT_MEAN reduces each block of
+    a {category: prompt matrix} mapping to its one normalized mean row.
+    """
     if mode == ScoringMode.CENTER_MAX:
-        return [
-            score_center_max(queries.vectors[i], anchors, ids[i])
-            for i in range(queries.rows)
-        ]
-    return [
-        score_prompt_mean(queries.vectors[i], anchors, ids[i])
-        for i in range(queries.rows)
-    ]
+        raw = {cat: c.member_embeddings.vectors for cat, c in anchors.centers.items()}
+    else:
+        raw = {cat: as_vectors(block) for cat, block in anchors.items()}
+    if not raw:
+        raise EmptyCenterSet("anchor set has no categories")
+    blocks: dict[str, np.ndarray] = {}
+    for cat in sorted(raw):
+        block = raw[cat]
+        if block.shape[0] == 0:
+            raise EmptyCenterSet(f"category {cat!r} has no anchor rows")
+        if mode == ScoringMode.PROMPT_MEAN:
+            mean = normalize_rows(block).mean(axis=0)
+            if np.linalg.norm(mean) < ZERO_NORM:
+                raise ZeroVector(f"prompt embeddings for {cat!r} average to the zero vector")
+            block = normalize(mean)[None, :]
+        blocks[cat] = block
+    return blocks
+
+
+def category_scores(queries, anchors, mode: ScoringMode) -> tuple[list[str], np.ndarray]:
+    """Every query's score against every category under the chosen rule.
+
+    Returns the category names in ascending order and a (query rows x
+    categories) score matrix whose column j is each query's best cosine
+    against category j's anchor rows. `anchors` is a CenterSet for
+    CENTER_MAX or a {category: prompt matrix} mapping for PROMPT_MEAN.
+    """
+    blocks = _anchor_blocks(anchors, mode)
+    names = list(blocks)
+    scores = np.empty((as_vectors(queries).shape[0], len(names)))
+    for j, cat in enumerate(names):
+        scores[:, j] = similarity_matrix(queries, blocks[cat]).max(axis=1)
+    return names, scores
 
 
 def evaluate_classification(
@@ -171,20 +125,14 @@ def evaluate_classification(
     if unknown:
         raise UnknownLabel(f"queries labeled with absent categories: {unknown}")
 
-    predictions = predict(queries, anchors, mode)
-    correct_total = 0
-    class_total: dict[str, int] = {}
-    class_correct: dict[str, int] = {}
-    for prediction, label in zip(predictions, categories):
-        class_total[label] = class_total.get(label, 0) + 1
-        hit = prediction.predicted_category == label
-        correct_total += hit
-        class_correct[label] = class_correct.get(label, 0) + hit
-    per_class = {
-        label: class_correct[label] / class_total[label]
-        for label in sorted(class_total)
-    }
-    return EvalReport(correct_total / queries.rows, per_class, queries.rows, mode)
+    names, scores = category_scores(queries, anchors, mode)
+    # argmax keeps the first maximum, so ties go to the ascending name.
+    hits = [names[j] == label for j, label in zip(scores.argmax(axis=1).tolist(), categories)]
+    class_hits: dict[str, list[bool]] = {}
+    for hit, label in zip(hits, categories):
+        class_hits.setdefault(label, []).append(hit)
+    per_class = {label: sum(h) / len(h) for label, h in sorted(class_hits.items())}
+    return EvalReport(sum(hits) / queries.rows, per_class, queries.rows, mode)
 
 
 def category_relevance(
@@ -208,7 +156,6 @@ def evaluate_retrieval(
     gallery: EmbeddingMatrix,
     relevance: dict[str, set[str]],
     ks: list[int],
-    direction: Direction = Direction.A_TO_B,
 ) -> RetrievalReport:
     """Recall@k over cosine-ranked galleries.
 
@@ -233,20 +180,10 @@ def evaluate_retrieval(
                 f"query {qid!r} has no relevant items present in the gallery"
             )
 
-    k_max = min(ks[-1], gallery.rows)
-    hits = {k: 0 for k in ks}
-    for i, qid in enumerate(query_ids):
-        relevant = relevance[qid]
-        ranked = top_k(queries.vectors[i], gallery, k_max)
-        first_hit = None
-        for rank, scored in enumerate(ranked):
-            if gallery_ids[scored.index] in relevant:
-                first_hit = rank
-                break
-        if first_hit is None:
-            continue
-        for k in ks:
-            if first_hit < k:
-                hits[k] += 1
-    recall = {k: hits[k] / queries.rows for k in ks}
-    return RetrievalReport(direction, recall)
+    ranked, _ = top_k(queries, gallery, ks[-1])
+    # Each query's rank of its first relevant row; ks[-1] when none is ranked.
+    first_hits = [
+        next((r for r, j in enumerate(row.tolist()) if gallery_ids[j] in relevance[qid]), ks[-1])
+        for qid, row in zip(query_ids, ranked)
+    ]
+    return RetrievalReport({k: sum(f < k for f in first_hits) / queries.rows for k in ks})

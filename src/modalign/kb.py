@@ -22,7 +22,6 @@ from .errors import (
     CountMismatch,
     DuplicateId,
     MalformedRecord,
-    UnknownSample,
     ZeroVector,
 )
 from .serialize import atomic_write_text, read_jsonl
@@ -76,13 +75,6 @@ class KnowledgeBase:
         if source_filter is None:
             return list(rows)
         return [r for r in rows if self.records[r].source == source_filter]
-
-    def paired_text_embedding(self, sample_id: str) -> np.ndarray:
-        """The unit-norm description embedding paired with a data sample."""
-        row = self.pair_index.get(sample_id)
-        if row is None:
-            raise UnknownSample(f"no paired description for sample {sample_id!r}")
-        return self.embeddings.vectors[row]
 
     def categories(self) -> list[str]:
         return sorted(self.category_index)

@@ -22,14 +22,20 @@ from .centers import CenterSet, localize, prompts_from_matrix, save_center_set
 from .diagnostics import alignment_diagnostics
 from .errors import MalformedRecord, StageError, UnknownSample
 from .evaluation import (
-    Direction,
     ScoringMode,
     category_relevance,
     evaluate_classification,
     evaluate_retrieval,
 )
 from .kb import KnowledgeBase, Source, build, write_kb_dir
-from .serialize import atomic_write_text, fixed_json, read_jsonl, sha256_file, sha256_text
+from .serialize import (
+    atomic_write_text,
+    fixed_json,
+    read_jsonl,
+    require_key,
+    sha256_file,
+    sha256_text,
+)
 from .training import (
     LinearAdapter,
     TrainConfig,
@@ -75,56 +81,90 @@ class PipelineConfig:
         return paths
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_path(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_ascending_positive_ints(value) -> bool:
+    return (
+        isinstance(value, list)
+        and bool(value)
+        and all(_is_int(x) and x >= 1 for x in value)
+        and value == sorted(value)
+    )
+
+
+_SOURCES = [s.value for s in Source]
+_PATH_KEYS = ("records", "embeddings", "prompts", "labels")
+_REQUIRED_KEYS = _PATH_KEYS + ("modalities",)
+# Every top-level config key: the check its JSON value must pass, and what
+# that check means. Values are checked, not converted.
+_CONFIG_KEYS = {
+    **{key: (_is_path, "a path string") for key in _PATH_KEYS + ("out_dir",)},
+    "modalities": (lambda v: isinstance(v, dict), "an object mapping names to inputs"),
+    "k": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    "retrieval_ks": (_is_ascending_positive_ints, "an ascending list of positive integers"),
+    "train": (lambda v: isinstance(v, dict), "an object"),
+    "source_filter": (lambda v: v is None or v in _SOURCES, f"null or one of {_SOURCES}"),
+    "dump_projection": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
 def load_pipeline_config(path, out_dir=None) -> PipelineConfig:
     """Parse a pipeline config JSON; relative paths resolve against the file.
 
-    A missing key or a value of the wrong type raises ValueError naming the
-    file and the key.
+    Invalid JSON, an unknown or missing key, and a value of the wrong type
+    raise ValueError naming the file (and the key).
     """
     path = Path(path)
-    obj = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: invalid JSON ({e})") from e
+    for key in _REQUIRED_KEYS:
+        require_key(obj, key, f"{path}: config")
+    for key, value in obj.items():
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}: unknown config key {key!r}")
+        check, expected = _CONFIG_KEYS[key]
+        if not check(value):
+            raise ValueError(f"{path}: config key {key!r} must be {expected}, got {value!r}")
     base = path.parent
 
-    def resolve(p) -> Path:
+    def resolve(p: str) -> Path:
         p = Path(p)
         return p if p.is_absolute() else base / p
 
-    def required(mapping, key: str, where: str):
-        if not isinstance(mapping, dict) or key not in mapping:
-            raise ValueError(f"{path}: {where} has no key {key!r}")
-        return mapping[key]
-
-    modalities_obj = required(obj, "modalities", "config")
-    if not isinstance(modalities_obj, dict):
-        raise ValueError(f"{path}: 'modalities' must map names to inputs")
-    modalities = {
-        name: ModalityInput(
-            resolve(required(entry, "visual", f"modality {name!r}")),
-            resolve(required(entry, "pairs", f"modality {name!r}")),
-        )
-        for name, entry in modalities_obj.items()
-    }
-    paths = {
-        key: resolve(required(obj, key, "config"))
-        for key in ("records", "embeddings", "prompts", "labels")
-    }
+    modalities: dict[str, ModalityInput] = {}
+    for name, entry in obj["modalities"].items():
+        where = f"{path}: modality {name!r}"
+        visual, pairs = require_key(entry, "visual", where), require_key(entry, "pairs", where)
+        if not (_is_path(visual) and _is_path(pairs)):
+            raise ValueError(f"{where}: 'visual' and 'pairs' must be path strings")
+        modalities[name] = ModalityInput(resolve(visual), resolve(pairs))
+    paths = {key: resolve(obj[key]) for key in _PATH_KEYS}
     resolved_out = out_dir or obj.get("out_dir")
     if resolved_out is None:
-        raise ValueError("config must set out_dir or the caller must supply one")
+        raise ValueError(f"{path}: config must set out_dir or the caller must supply one")
     source_filter = obj.get("source_filter")
     try:
-        return PipelineConfig(
-            **paths,
-            modalities=modalities,
-            out_dir=Path(resolved_out),
-            k=int(obj.get("k", 50)),
-            retrieval_ks=tuple(obj.get("retrieval_ks", (1, 5, 10, 20))),
-            train=train_config_from_dict(obj.get("train", {})),
-            source_filter=Source(source_filter) if source_filter else None,
-            dump_projection=bool(obj.get("dump_projection", False)),
-        )
-    except (TypeError, ValueError) as e:
+        train = train_config_from_dict(obj.get("train", {}))
+    except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
+    return PipelineConfig(
+        **paths,
+        modalities=modalities,
+        out_dir=Path(resolved_out),
+        k=obj.get("k", 50),
+        retrieval_ks=tuple(obj.get("retrieval_ks", (1, 5, 10, 20))),
+        train=train,
+        source_filter=Source(source_filter) if source_filter else None,
+        dump_projection=obj.get("dump_projection", False),
+    )
 
 
 def _canonical_config(config: PipelineConfig) -> dict:
@@ -323,7 +363,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                         embedded[b][phase],
                         relevance,
                         list(config.retrieval_ks),
-                        Direction.A_TO_B,
                     )
                     retrieval[pair_key][phase] = {
                         str(k): v for k, v in sorted(report.recall_at.items())

@@ -30,6 +30,13 @@ def read_jsonl(path) -> Iterator[tuple[int, object]]:
             yield line_number, obj
 
 
+def require_key(mapping, key: str, where: str):
+    """`mapping[key]`, or ValueError "<where> has no key '<key>'" when absent."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise ValueError(f"{where} has no key {key!r}")
+    return mapping[key]
+
+
 def fixed_json(obj, indent: int = 2) -> str:
     """Render JSON with insertion-order keys and 6-decimal fixed-point floats.
 
@@ -111,10 +118,13 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def sha256_file(path) -> str:
+    """Hex SHA-256 of a file, read through one reused 64 KiB buffer."""
     h = hashlib.sha256()
+    buf = bytearray(1 << 16)
+    view = memoryview(buf)
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
+        while n := f.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 

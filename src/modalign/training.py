@@ -27,7 +27,7 @@ from .errors import (
 )
 from .kb import KnowledgeBase
 from .optim import SGD, Adam
-from .serialize import atomic_write_bytes
+from .serialize import atomic_write_bytes, require_key
 from .ubem import read_ubem_stream, write_ubem_stream
 from .vectors import ZERO_NORM, EmbeddingMatrix, as_vectors, normalize_rows
 
@@ -417,6 +417,8 @@ def load_adapter(path) -> LinearAdapter:
             raise ValueError("not a version-1 adapter file")
         weight = read_ubem_stream(f).vectors
         bias = read_ubem_stream(f).vectors[0]
-    if weight.shape != (header["dim_out"], header["dim_in"]) or bias.shape[0] != header["dim_out"]:
+    dim_out = require_key(header, "dim_out", f"{path}: adapter header")
+    dim_in = require_key(header, "dim_in", f"{path}: adapter header")
+    if weight.shape != (dim_out, dim_in) or bias.shape[0] != dim_out:
         raise ValueError("adapter blob shapes do not match header")
     return LinearAdapter(weight, bias, header.get("modality", ""))

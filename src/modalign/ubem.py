@@ -60,10 +60,15 @@ def read_ubem_stream(stream) -> EmbeddingMatrix:
     version, _flags, dim, rows = _HEADER.unpack(header)
     if version != VERSION:
         raise ValueError(f"unsupported UBEM version {version}")
+    # Check the header's size against the stream before reading, so a
+    # corrupt header cannot ask for a huge allocation.
     want = rows * dim * 4
+    here = stream.tell()
+    left = stream.seek(0, io.SEEK_END) - here
+    stream.seek(here)
+    if left < want:
+        raise ValueError(f"truncated UBEM payload: {left} of {want} bytes")
     payload = stream.read(want)
-    if len(payload) != want:
-        raise ValueError(f"truncated UBEM payload: {len(payload)} of {want} bytes")
     vectors = np.frombuffer(payload, dtype="<f4").reshape(rows, dim).copy()
 
     labels: list[str] | None = None

@@ -1,9 +1,16 @@
 """Dense vector primitives: normalization, cosine similarity, top-k search.
 
-All similarity math runs in float64 regardless of storage dtype, so rankings
-are reproducible across batch sizes and thread counts. Cosine scores are
-clamped to [-1, 1] after the fact; floating-point drift must never leak
-out-of-range values into downstream argmax/softmax.
+`similarity_matrix` is the one similarity kernel and `top_k` the one ranking
+kernel; zero-shot scoring, retrieval and anchor localization all go through
+them. All similarity math runs in float64 regardless of storage dtype, and
+cosine scores are clamped to [-1, 1] after the fact; floating-point drift
+must never leak out-of-range values into downstream argmax/softmax.
+
+What the kernels guarantee is the documented tie-breaks and byte-identical
+output for identical inputs. They do not guarantee bit-identical scores
+across batch shapes: a row scored inside a block of queries may differ in
+the last bits from the same row scored alone, because the matrix product
+may sum in a different order.
 """
 
 from __future__ import annotations
@@ -18,6 +25,9 @@ from .errors import DimensionMismatch, EmptyKeys, ZeroVector
 ZERO_NORM = 1e-12
 # Rows within this of unit norm are considered already normalized.
 UNIT_TOLERANCE = 1e-6
+# Query rows `top_k` scores per `similarity_matrix` call. A small block keeps
+# the score and sort temporaries small, so ranking adds nothing to peak memory.
+BLOCK_ROWS = 16
 
 
 @dataclass
@@ -52,17 +62,6 @@ class EmbeddingMatrix:
     def ids(self) -> list[str]:
         """Per-row ids: the labels, or row numbers as strings when unlabeled."""
         return self.labels or [str(i) for i in range(self.rows)]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.vectors[i]
-
-
-@dataclass(frozen=True)
-class ScoredIndex:
-    """A key row index together with its cosine similarity to the query."""
-
-    index: int
-    score: float
 
 
 def as_vectors(x) -> np.ndarray:
@@ -114,9 +113,9 @@ def cosine(a, b) -> float:
 def similarity_matrix(queries, keys) -> np.ndarray:
     """All-pairs cosine similarity, entry (i, j) = cosine(queries[i], keys[j]).
 
-    Computed as one float64 matrix product over row-normalized inputs; a
-    single call keeps the summation order fixed, so results do not depend on
-    how callers batch their queries.
+    Computed as one float64 matrix product over row-normalized inputs.
+    Identical inputs give byte-identical output; a query row's scores may
+    differ in the last bits depending on which other rows share the call.
     """
     q = as_vectors(queries)
     k = as_vectors(keys)
@@ -128,23 +127,27 @@ def similarity_matrix(queries, keys) -> np.ndarray:
     return np.clip(sims, -1.0, 1.0)
 
 
-def top_k(query, keys, k: int) -> list[ScoredIndex]:
-    """Exact top-k rows of `keys` by cosine similarity to `query`.
+def top_k(queries, keys, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k rows of `keys` by cosine similarity, for every query row.
 
-    Results are sorted by score descending with ties broken by ascending row
-    index, computed via a stable full sort so the output equals the k best of
+    Returns (indices, scores), both of shape (query rows, min(k, key rows)).
+    Each row is sorted by score descending with ties broken by ascending key
+    row, computed via a stable full sort so the output equals the k best of
     a complete scan even in the presence of duplicate scores.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    q = as_vectors(queries)
     km = as_vectors(keys)
     if km.shape[0] == 0:
         raise EmptyKeys("cannot select top-k from an empty key set")
-    qv = normalize(query)
-    if qv.shape[0] != km.shape[1]:
-        raise DimensionMismatch(
-            f"query has dim {qv.shape[0]}, keys have dim {km.shape[1]}"
-        )
-    scores = np.clip(normalize_rows(km) @ qv, -1.0, 1.0)
-    order = np.argsort(-scores, kind="stable")[: min(k, km.shape[0])]
-    return [ScoredIndex(int(i), float(scores[i])) for i in order]
+    width = min(k, km.shape[0])
+    indices = np.empty((q.shape[0], width), dtype=np.intp)
+    scores = np.empty((q.shape[0], width))
+    for start in range(0, q.shape[0], BLOCK_ROWS):
+        block = similarity_matrix(q[start : start + BLOCK_ROWS], km)
+        # Copy the kept columns out, so no full-width sort row stays alive.
+        order = np.argsort(-block, axis=1, kind="stable")[:, :width]
+        indices[start : start + BLOCK_ROWS] = order
+        scores[start : start + BLOCK_ROWS] = np.take_along_axis(block, order, axis=1)
+    return indices, scores

@@ -14,10 +14,9 @@ import pytest
 from modalign.centers import localize, sweep_k
 from modalign.evaluation import (
     ScoringMode,
+    category_scores,
     evaluate_classification,
     evaluate_retrieval,
-    score_center_max,
-    score_prompt_mean,
 )
 from modalign.contrastive import info_nce_loss
 from modalign.kb import KnowledgeRecord, Source, build, from_parts, load_kb_dir, write_kb_dir
@@ -84,8 +83,8 @@ def test_c03_top_k_oracle_equivalence():
         scores = [cosine(query, keys[i]) for i in range(1000)]
         oracle = sorted(range(1000), key=lambda i: (-scores[i], i))
         for k in (1, 50, 999, 1000):
-            got = top_k(query, keys, k)
-            assert [s.index for s in got] == oracle[:k], f"seed {seed}, k={k}"
+            got, _ = top_k(query[None, :], keys, k)
+            assert got[0].tolist() == oracle[:k], f"seed {seed}, k={k}"
     passed(3, "top-k oracle equivalence")
 
 
@@ -141,12 +140,14 @@ def test_c05_scoring_rule_boundary_divergence():
     query = vec(120)  # a boundary sample of the widely spread class "a"
     true_label = "a"
 
-    by_members = score_center_max(query, centers)
-    by_means = score_prompt_mean(query, members)
-    assert by_members.predicted_category != by_means.predicted_category
-    assert by_members.predicted_category == true_label
-    assert by_members.per_category_scores["a"] == pytest.approx(math.cos(math.radians(40)), abs=1e-12)
-    assert by_means.per_category_scores["b"] == pytest.approx(math.cos(math.radians(60)), abs=1e-12)
+    names, member_scores = category_scores(query[None, :], centers, ScoringMode.CENTER_MAX)
+    _, mean_scores = category_scores(query[None, :], members, ScoringMode.PROMPT_MEAN)
+    by_members = names[member_scores[0].argmax()]
+    by_means = names[mean_scores[0].argmax()]
+    assert by_members != by_means
+    assert by_members == true_label
+    assert member_scores[0, names.index("a")] == pytest.approx(math.cos(math.radians(40)), abs=1e-12)
+    assert mean_scores[0, names.index("b")] == pytest.approx(math.cos(math.radians(60)), abs=1e-12)
     passed(5, "anchor-max vs prompt-mean boundary case")
 
 

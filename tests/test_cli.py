@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -257,6 +258,15 @@ class TestPipelineAndDiagnostics:
         assert (out / "pipeline_config.json").is_file()
 
 
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    env = dict(os.environ, PYTHONPATH=str(Path(modalign.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "modalign.cli", *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "key, edit",
     [
@@ -264,24 +274,73 @@ class TestPipelineAndDiagnostics:
         ("epochs", lambda c: c["train"].update(epochs="3")),
         ("records", lambda c: c.pop("records")),
         ("pairs", lambda c: c["modalities"]["mod0"].pop("pairs")),
+        ("dump_projections", lambda c: c.update(dump_projections=True)),
+        ("dump_projection", lambda c: c.update(dump_projection="false")),
+        ("k", lambda c: c.update(k=True)),
+        ("retrieval_ks", lambda c: c.update(retrieval_ks="15")),
     ],
-    ids=["unknown-train-key", "string-epochs", "no-records", "modality-without-pairs"],
+    ids=[
+        "unknown-train-key", "string-epochs", "no-records", "modality-without-pairs",
+        "unknown-top-level-key", "string-dump-projection", "boolean-k", "string-retrieval-ks",
+    ],
 )
 def test_bad_pipeline_config_exits_2_naming_file_and_key(bundle, tmp_path, key, edit):
     config = json.loads(bundle.pipeline_config.read_text())
     edit(config)
     path = bundle.root / f"bad_{key}.json"
     path.write_text(json.dumps(config))
-    env = dict(os.environ, PYTHONPATH=str(Path(modalign.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "modalign.cli", "pipeline", "run",
-         "--config", str(path), "--out", str(tmp_path / "run")],
-        capture_output=True, text=True, env=env, timeout=120,
+    proc = run_cli("pipeline", "run", "--config", path, "--out", tmp_path / "run")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(path) in proc.stderr
+    assert repr(key) in proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
+def test_truncated_pipeline_config_exits_2_naming_file(bundle, tmp_path):
+    path = tmp_path / "truncated.json"
+    path.write_text(bundle.pipeline_config.read_text()[:40])
+    proc = run_cli("pipeline", "run", "--config", path, "--out", tmp_path / "run")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(path) in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("k", lambda h: h.pop("k")),
+        ("member_rows", lambda h: h["categories"][1].pop("member_rows")),
+    ],
+    ids=["no-k", "category-without-member-rows"],
+)
+def test_center_set_header_missing_key_exits_2(bundle, centers_file, tmp_path, key, edit):
+    header_line, blobs = centers_file.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    edit(header)
+    path = tmp_path / "bad.cset"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blobs)
+    proc = run_cli(
+        "eval", "zeroshot", "--centers", path, "--queries", bundle.visual["mod0"],
+        "--labels", bundle.labels, "--report", tmp_path / "r.json",
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert str(path) in proc.stderr
     assert repr(key) in proc.stderr
+
+
+def test_oversized_ubem_header_exits_2(bundle, tmp_path):
+    # 2^40 rows x 2^20 dims: the payload size alone must refuse the file.
+    path = tmp_path / "huge.ubem"
+    path.write_bytes(b"UBEM" + struct.pack("<HHIQ", 1, 0, 1 << 20, 1 << 40) + b"\x00" * 64)
+    proc = run_cli(
+        "eval", "retrieval", "--queries", path, "--gallery", path,
+        "--labels", bundle.labels, "--report", tmp_path / "r.json",
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "truncated UBEM payload" in proc.stderr
 
 
 class TestExitCodes:

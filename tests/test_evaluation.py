@@ -11,15 +11,15 @@ from modalign.errors import (
     ZeroVector,
 )
 from modalign.evaluation import (
-    Direction,
     ScoringMode,
     category_relevance,
+    category_scores,
     evaluate_classification,
     evaluate_retrieval,
-    score_center_max,
-    score_prompt_mean,
 )
-from modalign.vectors import EmbeddingMatrix, cosine
+from modalign.vectors import BLOCK_ROWS, EmbeddingMatrix, cosine
+
+from test_vectors import exact_unit_vectors
 
 
 def center_set_from_vectors(members_by_category, k=None):
@@ -44,21 +44,38 @@ def angle_vec(degrees):
     return np.array([math.cos(rad), math.sin(rad)])
 
 
+def score_one(query, anchors, mode):
+    """(predicted category, its score, {category: score}) for one query."""
+    names, scores = category_scores(np.asarray(query, dtype=np.float64)[None, :], anchors, mode)
+    best = int(scores[0].argmax())
+    return names[best], scores[0, best], dict(zip(names, scores[0].tolist()))
+
+
+def oracle_center_max(query, members):
+    """Independent oracle: double loop of scalar cosines, first best name wins."""
+    best_cat, best_score = None, -2.0
+    for cat in sorted(members):
+        score = max(cosine(query, m) for m in members[cat])
+        if score > best_score:
+            best_cat, best_score = cat, score
+    return best_cat, best_score
+
+
 class TestScoreCenterMax:
     def test_exact_member_match(self):
         rng = np.random.default_rng(0)
         members = rng.standard_normal((5, 8))
         members /= np.linalg.norm(members, axis=1, keepdims=True)
         cs = center_set_from_vectors({"airplane": members, "car": -members})
-        pred = score_center_max(members[2], cs)
-        assert pred.predicted_category == "airplane"
-        assert pred.per_category_scores["airplane"] == pytest.approx(1.0, abs=1e-12)
+        predicted, _, per_category = score_one(members[2], cs, ScoringMode.CENTER_MAX)
+        assert predicted == "airplane"
+        assert per_category["airplane"] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_single_members(self):
         cs = center_set_from_vectors({"one": [[1.0, 0.0]], "two": [[0.0, 1.0]]})
-        pred = score_center_max([0.0, 1.0], cs)
-        assert pred.predicted_category == "two"
-        assert pred.per_category_scores == pytest.approx({"one": 0.0, "two": 1.0})
+        predicted, _, per_category = score_one([0.0, 1.0], cs, ScoringMode.CENTER_MAX)
+        assert predicted == "two"
+        assert per_category == pytest.approx({"one": 0.0, "two": 1.0})
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(1)
@@ -66,27 +83,22 @@ class TestScoreCenterMax:
             f"cat{c}": rng.standard_normal((10, 6)) for c in range(5)
         }
         cs = center_set_from_vectors(members)
-        for _ in range(100):
-            query = rng.standard_normal(6)
-            pred = score_center_max(query, cs)
-            # independent oracle: double loop of scalar cosines
-            best_cat, best_score = None, -2.0
-            for cat in sorted(members):
-                score = max(cosine(query, m) for m in members[cat])
-                if score > best_score:
-                    best_cat, best_score = cat, score
-            assert pred.predicted_category == best_cat
-            assert pred.score == pytest.approx(best_score, abs=1e-12)
+        queries = rng.standard_normal((100, 6))
+        names, scores = category_scores(queries, cs, ScoringMode.CENTER_MAX)
+        for query, row in zip(queries, scores):
+            best_cat, best_score = oracle_center_max(query, members)
+            assert names[row.argmax()] == best_cat
+            assert row.max() == pytest.approx(best_score, abs=1e-12)
 
     def test_tie_breaks_by_ascending_name(self):
         shared = np.array([[1.0, 0.0]])
         cs = center_set_from_vectors({"zebra": shared, "aardvark": shared.copy()})
-        pred = score_center_max([1.0, 0.0], cs)
-        assert pred.predicted_category == "aardvark"
+        predicted, _, _ = score_one([1.0, 0.0], cs, ScoringMode.CENTER_MAX)
+        assert predicted == "aardvark"
 
     def test_empty_center_set(self):
         with pytest.raises(EmptyCenterSet):
-            score_center_max([1.0, 0.0], CenterSet({}, {}, 1))
+            category_scores([[1.0, 0.0]], CenterSet({}, {}, 1), ScoringMode.CENTER_MAX)
 
     def test_scale_invariant_prediction(self):
         rng = np.random.default_rng(2)
@@ -94,9 +106,9 @@ class TestScoreCenterMax:
             {f"c{c}": rng.standard_normal((4, 5)) for c in range(3)}
         )
         query = rng.standard_normal(5)
-        base = score_center_max(query, cs).predicted_category
+        base, _, _ = score_one(query, cs, ScoringMode.CENTER_MAX)
         for scale in (1e-3, 7.0, 1e4):
-            assert score_center_max(scale * query, cs).predicted_category == base
+            assert score_one(scale * query, cs, ScoringMode.CENTER_MAX)[0] == base
 
 
 class TestScorePromptMean:
@@ -106,17 +118,17 @@ class TestScorePromptMean:
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         singles = {f"c{i}": vectors[i : i + 1] for i in range(4)}
         cs = center_set_from_vectors(singles, k=1)
-        for _ in range(25):
-            q = rng.standard_normal(6)
-            a = score_center_max(q, cs)
-            b = score_prompt_mean(q, singles)
-            assert a.predicted_category == b.predicted_category
-            assert a.score == pytest.approx(b.score, abs=1e-9)
+        queries = rng.standard_normal((25, 6))
+        names_a, a = category_scores(queries, cs, ScoringMode.CENTER_MAX)
+        names_b, b = category_scores(queries, singles, ScoringMode.PROMPT_MEAN)
+        for row_a, row_b in zip(a, b):
+            assert names_a[row_a.argmax()] == names_b[row_b.argmax()]
+            assert row_a.max() == pytest.approx(row_b.max(), abs=1e-9)
 
     def test_antipodal_prompts_collapse(self):
         sets = {"bad": np.array([[1.0, 0.0], [-1.0, 0.0]])}
         with pytest.raises(ZeroVector):
-            score_prompt_mean([0.0, 1.0], sets)
+            category_scores([[0.0, 1.0]], sets, ScoringMode.PROMPT_MEAN)
 
     def test_boundary_case_modes_disagree(self):
         # Hand-built 2-D geometry. Class "a" members sit at 0 and 80 degrees
@@ -130,15 +142,65 @@ class TestScorePromptMean:
         cs = center_set_from_vectors(members)
         query = angle_vec(120)
 
-        by_members = score_center_max(query, cs)
-        by_means = score_prompt_mean(query, members)
-        assert by_members.predicted_category == "a"
-        assert by_means.predicted_category == "b"
+        by_members, _, member_scores = score_one(query, cs, ScoringMode.CENTER_MAX)
+        by_means, _, mean_scores = score_one(query, members, ScoringMode.PROMPT_MEAN)
+        assert by_members == "a"
+        assert by_means == "b"
         # frozen expectations from hand trigonometry
-        assert by_members.per_category_scores["a"] == pytest.approx(math.cos(math.radians(40)), abs=1e-12)
-        assert by_members.per_category_scores["b"] == pytest.approx(math.cos(math.radians(50)), abs=1e-12)
-        assert by_means.per_category_scores["a"] == pytest.approx(math.cos(math.radians(80)), abs=1e-12)
-        assert by_means.per_category_scores["b"] == pytest.approx(math.cos(math.radians(60)), abs=1e-12)
+        assert member_scores["a"] == pytest.approx(math.cos(math.radians(40)), abs=1e-12)
+        assert member_scores["b"] == pytest.approx(math.cos(math.radians(50)), abs=1e-12)
+        assert mean_scores["a"] == pytest.approx(math.cos(math.radians(80)), abs=1e-12)
+        assert mean_scores["b"] == pytest.approx(math.cos(math.radians(60)), abs=1e-12)
+
+
+class TestCategoryScores:
+    def test_shape_and_ascending_names(self):
+        members = {"zebra": [[1.0, 0.0]], "ant": [[0.0, 1.0]], "mole": [[1.0, 1.0]]}
+        names, scores = category_scores(
+            np.eye(2), center_set_from_vectors(members), ScoringMode.CENTER_MAX
+        )
+        assert names == ["ant", "mole", "zebra"]
+        assert scores.shape == (2, 3)
+
+    @pytest.mark.parametrize("mode", list(ScoringMode))
+    def test_category_without_anchor_rows_named(self, mode):
+        empty = np.zeros((0, 2))
+        if mode == ScoringMode.CENTER_MAX:
+            anchors = center_set_from_vectors({"full": [[1.0, 0.0]]})
+            anchors.centers["hollow"] = EmbeddingCenter("hollow", [], [], EmbeddingMatrix(empty), 1)
+        else:
+            anchors = {"full": np.array([[1.0, 0.0]]), "hollow": empty}
+        with pytest.raises(EmptyCenterSet, match="'hollow'"):
+            category_scores([[1.0, 0.0]], anchors, mode)
+
+    @pytest.mark.parametrize("mode", list(ScoringMode))
+    def test_exact_ties_go_to_ascending_name_on_every_row(self, mode):
+        # Exact cosines make ties real: "zebra" duplicates "aardvark", so it
+        # must never win, and every row must match the scalar oracle.
+        vectors = exact_unit_vectors()
+        members = {
+            "aardvark": vectors[0:8],
+            "mole": vectors[8:16],
+            "zebra": vectors[0:8].copy(),
+            "yak": vectors[16:24],
+        }
+        if mode == ScoringMode.PROMPT_MEAN:
+            members = {cat: block[:1] for cat, block in members.items()}
+            anchors = members
+        else:
+            anchors = center_set_from_vectors(members)
+        queries = np.concatenate([vectors, vectors])
+        assert len(queries) > BLOCK_ROWS
+        names, scores = category_scores(queries, anchors, mode)
+        predicted = [names[j] for j in scores.argmax(axis=1)]
+        expected = [oracle_center_max(q, members)[0] for q in queries]
+        assert predicted == expected
+        assert "zebra" not in predicted
+        column = {cat: j for j, cat in enumerate(names)}
+        ties = scores[:, column["aardvark"]] == scores[:, column["zebra"]]
+        assert ties.all()
+        report = evaluate_classification(EmbeddingMatrix(queries), expected, anchors, mode)
+        assert report.top1_accuracy == 1.0
 
 
 class TestEvaluateClassification:
@@ -173,8 +235,7 @@ class TestEvaluateClassification:
             EmbeddingMatrix(queries), labels, cs, ScoringMode.CENTER_MAX
         )
         correct = sum(
-            score_center_max(queries[i], cs).predicted_category == labels[i]
-            for i in range(80)
+            oracle_center_max(queries[i], members)[0] == labels[i] for i in range(80)
         )
         assert report.top1_accuracy == correct / 80
 
@@ -284,12 +345,25 @@ class TestEvaluateRetrieval:
         with pytest.raises(ValueError):
             evaluate_retrieval(q, q, {"q0": {"q0"}, "q1": {"q1"}}, [10, 1])
 
-    def test_direction_recorded(self):
-        q = EmbeddingMatrix(np.eye(2), ["q0", "q1"])
+    def test_exact_ties_go_to_the_lower_gallery_row(self):
+        # Each query's relevant item is the second of two identical gallery
+        # rows, so it ties at cosine 1 with the lower row and ranks second.
+        vectors = exact_unit_vectors()
+        gallery = np.concatenate([vectors, vectors])
+        queries = vectors[np.arange(2 * BLOCK_ROWS + 3) % len(vectors)]
+        qids = [f"q{i}" for i in range(len(queries))]
+        gids = [f"g{j}" for j in range(len(gallery))]
+        relevance = {
+            qid: {gids[i % len(vectors) + len(vectors)]} for i, qid in enumerate(qids)
+        }
+        ks = [1, 2, 5]
         report = evaluate_retrieval(
-            q, q, {"q0": {"q0"}, "q1": {"q1"}}, [1], Direction.B_TO_A
+            EmbeddingMatrix(queries, qids), EmbeddingMatrix(gallery, gids), relevance, ks
         )
-        assert report.direction == Direction.B_TO_A
+        assert report.recall_at == {1: 0.0, 2: 1.0, 5: 1.0}
+        assert report.recall_at == brute_force_recall(
+            queries, qids, gallery, gids, relevance, ks
+        )
 
 
 class TestCategoryRelevance:
@@ -317,5 +391,5 @@ class TestReportShapes:
         q = EmbeddingMatrix(np.eye(2), ["a", "b"])
         report = evaluate_retrieval(q, q, {"a": {"a"}, "b": {"b"}}, [1, 2])
         shaped = report.to_report()
-        assert list(shaped) == ["direction", "recall_at"]
+        assert list(shaped) == ["recall_at"]
         assert list(shaped["recall_at"]) == ["1", "2"]

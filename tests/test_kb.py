@@ -5,7 +5,6 @@ from modalign.errors import (
     CountMismatch,
     DuplicateId,
     MalformedRecord,
-    UnknownSample,
     ZeroVector,
 )
 from modalign.kb import (
@@ -158,24 +157,16 @@ class TestCategoryRows:
 
 class TestPairedTextEmbedding:
     def test_direct_lookup(self, small_kb):
-        v = small_kb.paired_text_embedding("s1")
+        v = small_kb.embeddings.vectors[small_kb.pair_index["s1"]]
         assert np.array_equal(v, small_kb.embeddings.vectors[3])
-
-    def test_unknown_sample(self, small_kb):
-        with pytest.raises(UnknownSample):
-            small_kb.paired_text_embedding("missing")
 
     def test_all_samples_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
         records = make_records(100, category="dog", source=Source.MLLM_DATA, prefix="img")
         kb = from_parts(records, rng.standard_normal((100, 6)))
         for row, record in enumerate(kb.records):
-            got = kb.paired_text_embedding(record.id)
+            got = kb.embeddings.vectors[kb.pair_index[record.id]]
             assert np.array_equal(got, kb.embeddings.vectors[row])
-
-    def test_unit_norm_from_accessor(self, small_kb):
-        v = small_kb.paired_text_embedding("s0").astype(np.float64)
-        assert abs(np.linalg.norm(v) - 1.0) < 1e-6
 
 
 class TestExportRoundtrip:

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from modalign.serialize import fixed_json, sha256_text
+from modalign.serialize import fixed_json, sha256_file, sha256_text
 
 
 def test_floats_rendered_fixed_point():
@@ -65,3 +66,11 @@ def test_deterministic_bytes():
 def test_sha256_text_stable():
     assert sha256_text("abc") == sha256_text("abc")
     assert sha256_text("abc") != sha256_text("abd")
+
+
+def test_sha256_file_spanning_several_buffers(tmp_path):
+    # Three full 64 KiB buffers plus a partial tail.
+    data = bytes(range(256)) * (3 * 256) + b"tail"
+    path = tmp_path / "blob.bin"
+    path.write_bytes(data)
+    assert sha256_file(path) == hashlib.sha256(data).hexdigest()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,18 @@ class TestAdapterFile:
         save_adapter(p1, adapter)
         save_adapter(p2, adapter)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("key", ["dim_in", "dim_out"])
+    def test_header_missing_key_names_file_and_key(self, tmp_path, key):
+        path = tmp_path / "a.adapter"
+        save_adapter(path, default_adapter(3, 3, seed=0, modality="image"))
+        header_line, blobs = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        del header[key]
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blobs)
+        with pytest.raises(ValueError) as e:
+            load_adapter(path)
+        assert str(path) in str(e.value) and repr(key) in str(e.value)
 
     def test_nonfinite_rejected_on_save(self, tmp_path):
         adapter = LinearAdapter(np.full((2, 2), np.nan), np.zeros(2))

@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -54,6 +55,26 @@ def test_truncated_payload_rejected():
     raw = roundtrip_bytes(m)
     with pytest.raises(ValueError):
         read_ubem_stream(io.BytesIO(raw[:30]))
+
+
+class _RecordingStream(io.BytesIO):
+    """A stream that remembers the largest read it was asked for."""
+
+    largest_read = 0
+
+    def read(self, size=-1):
+        self.largest_read = max(self.largest_read, size)
+        return super().read(size)
+
+
+def test_oversized_header_rejected_before_reading():
+    # 2^40 rows x 2^20 dims claims 4 EiB of payload; the reader must refuse
+    # from the header alone, without asking the stream for those bytes.
+    header = MAGIC + struct.pack("<HHIQ", 1, 0, 1 << 20, 1 << 40)
+    stream = _RecordingStream(header + b"\x00" * 64)
+    with pytest.raises(ValueError, match="truncated UBEM payload"):
+        read_ubem_stream(stream)
+    assert stream.largest_read <= 16
 
 
 def test_unsupported_version_rejected():

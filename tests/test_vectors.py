@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from modalign.errors import DimensionMismatch, EmptyKeys, ZeroVector
 from modalign.vectors import (
+    BLOCK_ROWS,
     EmbeddingMatrix,
-    ScoredIndex,
     cosine,
     normalize,
     similarity_matrix,
@@ -148,52 +150,77 @@ def brute_force_ranking(query, keys):
     return [(i, scores[i]) for i in order]
 
 
+def exact_unit_vectors():
+    """Unit vectors whose norms and pairwise cosines are exact in float64:
+    every sign pattern of (1/2, 1/2, 1/2, 1/2) and every +-e_i."""
+    halves = [np.array(signs) / 2 for signs in itertools.product((-1.0, 1.0), repeat=4)]
+    axes = [sign * axis for axis in np.eye(4) for sign in (1.0, -1.0)]
+    return np.array(halves + axes)
+
+
 class TestTopK:
     def test_exact_copy_wins(self):
         rng = np.random.default_rng(0)
         keys = rng.standard_normal((20, 6))
         query = keys[13].copy()
-        (best,) = top_k(query, keys, 1)
-        assert best.index == 13
-        assert best.score == pytest.approx(1.0, abs=1e-12)
+        indices, scores = top_k(query[None, :], keys, 1)
+        assert indices.shape == (1, 1)
+        assert indices[0, 0] == 13
+        assert scores[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_k_at_least_rows_returns_all_sorted(self):
         keys = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        result = top_k([1.0, 0.0], keys, 10)
-        assert [s.index for s in result] == [0, 2, 1]
-        scores = [s.score for s in result]
-        assert scores == sorted(scores, reverse=True)
+        indices, scores = top_k([[1.0, 0.0]], keys, 10)
+        assert indices[0].tolist() == [0, 2, 1]
+        assert scores[0].tolist() == sorted(scores[0].tolist(), reverse=True)
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(42)
         keys = rng.standard_normal((1000, 16))
         query = rng.standard_normal(16)
         expected = brute_force_ranking(query, keys)[:50]
-        got = top_k(query, keys, 50)
-        assert [s.index for s in got] == [i for i, _ in expected]
+        indices, _ = top_k(query[None, :], keys, 50)
+        assert indices[0].tolist() == [i for i, _ in expected]
 
     def test_tie_break_ascending_index(self):
         # duplicate rows produce identical scores; earlier row must win
         keys = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
-        result = top_k([1.0, 1.0], keys, 3)
-        assert [s.index for s in result] == [1, 2, 0]
+        indices, _ = top_k([[1.0, 1.0]], keys, 3)
+        assert indices[0].tolist() == [1, 2, 0]
 
     def test_empty_keys(self):
         with pytest.raises(EmptyKeys):
-            top_k([1.0, 0.0], np.zeros((0, 2)), 1)
+            top_k([[1.0, 0.0]], np.zeros((0, 2)), 1)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            top_k([1.0, 0.0, 0.0], np.ones((3, 2)), 1)
+            top_k([[1.0, 0.0, 0.0]], np.ones((3, 2)), 1)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
-            top_k([1.0, 0.0], np.ones((3, 2)), 0)
+            top_k([[1.0, 0.0]], np.ones((3, 2)), 0)
 
     def test_accepts_embedding_matrix(self):
         m = EmbeddingMatrix(np.eye(3), ["a", "b", "c"])
-        result = top_k([0.0, 1.0, 0.0], m, 2)
-        assert result[0] == ScoredIndex(1, 1.0)
+        indices, scores = top_k([[0.0, 1.0, 0.0]], m, 2)
+        assert (indices[0, 0], scores[0, 0]) == (1, 1.0)
+
+    def test_batched_equals_each_row_alone_on_exact_ties(self):
+        # Exact cosines make every score tie reproducible, so the batched
+        # ranking must equal each row ranked alone and the full-sort oracle.
+        vectors = exact_unit_vectors()
+        rng = np.random.default_rng(11)
+        keys = vectors[rng.integers(len(vectors), size=60)]
+        queries = vectors[rng.integers(len(vectors), size=3 * BLOCK_ROWS + 5)]
+        indices, scores = top_k(queries, keys, 25)
+        assert indices.shape == scores.shape == (len(queries), 25)
+        for i, query in enumerate(queries):
+            alone_indices, alone_scores = top_k(query[None, :], keys, 25)
+            assert np.array_equal(indices[i], alone_indices[0])
+            assert np.array_equal(scores[i], alone_scores[0])
+            expected = brute_force_ranking(query, keys)[:25]
+            assert indices[i].tolist() == [j for j, _ in expected]
+            assert scores[i].tolist() == [score for _, score in expected]
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -206,8 +233,8 @@ class TestTopK:
         keys = rng.standard_normal((rows, 5))
         query = rng.standard_normal(5)
         expected = brute_force_ranking(query, keys)[: min(k, rows)]
-        got = top_k(query, keys, k)
-        assert [s.index for s in got] == [i for i, _ in expected]
+        indices, _ = top_k(query[None, :], keys, k)
+        assert indices[0].tolist() == [i for i, _ in expected]
 
 
 class TestEmbeddingMatrix:
