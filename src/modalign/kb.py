@@ -7,13 +7,19 @@ category-level vs. sample-level descriptions are a filter, not a rebuild.
 Embeddings are unit-normalized once at ingest; rows already within tolerance
 of unit norm are stored byte-for-byte untouched, which keeps export -> build
 round trips lossless.
+
+Ingest holds the float32 payload plus at most one normalized float32 copy:
+norms are taken in float64 one block of INGEST_BLOCK_ROWS rows at a time, so
+no full-matrix float64 array exists. Export writes the stored matrix as it
+is and encodes each record field with the C JSON string encoder; its bytes
+equal `json.dumps(record, ensure_ascii=False)` line by line.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +36,9 @@ from .vectors import UNIT_TOLERANCE, ZERO_NORM, EmbeddingMatrix
 
 RECORDS_FILENAME = "records.jsonl"
 EMBEDDINGS_FILENAME = "embeddings.ubem"
+# Rows per float64 norm pass in `_ingest_rows`: a fixed block bounds the
+# float64 temporaries whatever the knowledge-base size.
+INGEST_BLOCK_ROWS = 1024
 
 
 class Source(str, Enum):
@@ -37,6 +46,9 @@ class Source(str, Enum):
 
     LLM_CATEGORY = "llm_category"  # category-level descriptions
     MLLM_DATA = "mllm_data"  # per-sample descriptions paired with data
+
+
+_SOURCES = {s.value: s for s in Source}
 
 
 @dataclass(frozen=True)
@@ -80,12 +92,13 @@ class KnowledgeBase:
         return sorted(self.category_index)
 
     def export(self, records_path, embeddings_path) -> None:
-        """Write the records JSONL and the (normalized) embeddings UBEM."""
+        """Write the records JSONL and the (normalized) embeddings UBEM.
+
+        The embeddings are written as they are: `from_parts` labels their rows
+        with the record ids.
+        """
         save_records(records_path, self.records)
-        write_ubem(
-            embeddings_path,
-            EmbeddingMatrix(self.embeddings.vectors, [r.id for r in self.records]),
-        )
+        write_ubem(embeddings_path, self.embeddings)
 
 
 def _parse_record(line_number: int, obj) -> KnowledgeRecord:
@@ -98,13 +111,11 @@ def _parse_record(line_number: int, obj) -> KnowledgeRecord:
             raise MalformedRecord(line_number, f"field {key!r} is not a string")
     if not obj["category"]:
         raise MalformedRecord(line_number, "category is empty")
-    try:
-        source = Source(obj["source"])
-    except ValueError:
+    source = _SOURCES.get(obj["source"])
+    if source is None:
         raise MalformedRecord(
-            line_number,
-            f"source must be one of {[s.value for s in Source]}, got {obj['source']!r}",
-        ) from None
+            line_number, f"source must be one of {list(_SOURCES)}, got {obj['source']!r}"
+        )
     generator = obj.get("generator", "")
     if not isinstance(generator, str):
         raise MalformedRecord(line_number, "field 'generator' is not a string")
@@ -117,36 +128,46 @@ def load_records(path) -> list[KnowledgeRecord]:
 
 
 def save_records(path, records: list[KnowledgeRecord]) -> None:
+    """Write one JSON object per record, byte-identical to
+    `json.dumps(obj, ensure_ascii=False)` over the fixed key order."""
+    enc = encode_basestring
     lines = []
     for r in records:
-        obj = {
-            "id": r.id,
-            "category": r.category,
-            "description": r.description,
-            "source": r.source.value,
-        }
-        if r.generator:
-            obj["generator"] = r.generator
-        lines.append(json.dumps(obj, ensure_ascii=False))
-    atomic_write_text(Path(path), "\n".join(lines) + ("\n" if lines else ""))
+        generator = f', "generator": {enc(r.generator)}' if r.generator else ""
+        lines.append(
+            f'{{"id": {enc(r.id)}, "category": {enc(r.category)}, '
+            f'"description": {enc(r.description)}, "source": {enc(r.source.value)}'
+            f"{generator}}}\n"
+        )
+    atomic_write_text(Path(path), "".join(lines))
 
 
 def _ingest_rows(vectors: np.ndarray) -> np.ndarray:
     """Unit-normalize rows, keeping already-unit rows bit-identical.
 
     Rows whose norm is within UNIT_TOLERANCE of 1 pass through untouched so a
-    normalize-store-reload cycle is idempotent at the byte level.
+    normalize-store-reload cycle is idempotent at the byte level. Norms are
+    taken in float64, INGEST_BLOCK_ROWS rows at a time; each row's norm is its
+    own reduction, so the blocks change no output bit. The caller's array is
+    never written: the first row that needs scaling makes the one float32
+    output copy.
     """
     x = np.ascontiguousarray(vectors, dtype=np.float32)
-    norms = np.linalg.norm(x.astype(np.float64), axis=1)
-    zero = np.flatnonzero(norms < ZERO_NORM)
-    if zero.size:
-        raise ZeroVector(f"embedding row {int(zero[0])} has norm {norms[zero[0]]:.3e}")
-    needs = np.abs(norms - 1.0) > UNIT_TOLERANCE
-    if needs.any():
-        x = x.copy()
-        x[needs] = (x[needs].astype(np.float64) / norms[needs, None]).astype(np.float32)
-    return x
+    out = None if np.may_share_memory(x, vectors) else x
+    for start in range(0, x.shape[0], INGEST_BLOCK_ROWS):
+        block = x[start : start + INGEST_BLOCK_ROWS]
+        norms = np.linalg.norm(block.astype(np.float64), axis=1)
+        zero = np.flatnonzero(norms < ZERO_NORM)
+        if zero.size:
+            row = int(zero[0])
+            raise ZeroVector(f"embedding row {start + row} has norm {norms[row]:.3e}")
+        needs = np.abs(norms - 1.0) > UNIT_TOLERANCE
+        if needs.any():
+            if out is None:
+                out = x.copy()
+            scaled = block[needs].astype(np.float64) / norms[needs, None]
+            out[start : start + INGEST_BLOCK_ROWS][needs] = scaled.astype(np.float32)
+    return x if out is None else out
 
 
 def from_parts(records: list[KnowledgeRecord], embeddings) -> KnowledgeBase:

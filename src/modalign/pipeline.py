@@ -143,6 +143,9 @@ def load_pipeline_config(path, out_dir=None) -> PipelineConfig:
     for name, entry in obj["modalities"].items():
         where = f"{path}: modality {name!r}"
         visual, pairs = require_key(entry, "visual", where), require_key(entry, "pairs", where)
+        for key in entry:
+            if key not in ("visual", "pairs"):
+                raise ValueError(f"{where}: unknown key {key!r}")
         if not (_is_path(visual) and _is_path(pairs)):
             raise ValueError(f"{where}: 'visual' and 'pairs' must be path strings")
         modalities[name] = ModalityInput(resolve(visual), resolve(pairs))
@@ -207,9 +210,14 @@ def load_labels(path) -> dict[str, str]:
 
 
 def load_pairs_file(path) -> list[tuple[str, int]]:
-    """Parse a pairs JSONL ({"sample_id": ..., "visual_row": ...} per line)."""
+    """Parse a pairs JSONL ({"sample_id": ..., "visual_row": ...} per line).
+
+    A repeated `sample_id`, and a `visual_row` already paired with another
+    `sample_id`, raise MalformedRecord naming the line.
+    """
     pairs: list[tuple[str, int]] = []
     seen: set[str] = set()
+    row_owner: dict[int, str] = {}
     for line_number, obj in read_jsonl(path):
         if not isinstance(obj, dict) or "sample_id" not in obj or "visual_row" not in obj:
             raise MalformedRecord(line_number, "expected fields 'sample_id' and 'visual_row'")
@@ -218,11 +226,18 @@ def load_pairs_file(path) -> list[tuple[str, int]]:
             raise MalformedRecord(line_number, f"duplicate sample_id {sample_id!r}")
         seen.add(sample_id)
         try:
-            pairs.append((sample_id, int(obj["visual_row"])))
+            row = int(obj["visual_row"])
         except (TypeError, ValueError):
             raise MalformedRecord(
                 line_number, f"visual_row must be an integer, got {obj['visual_row']!r}"
             ) from None
+        if row in row_owner:
+            raise MalformedRecord(
+                line_number,
+                f"visual_row {row} is already paired with sample_id {row_owner[row]!r}",
+            )
+        row_owner[row] = sample_id
+        pairs.append((sample_id, row))
     return pairs
 
 

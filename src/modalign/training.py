@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -187,7 +188,9 @@ def train(
     its paired description, as `resolve_pairs` returns them. Returns the
     trained adapter and the per-epoch mean loss. Inputs are never mutated;
     the caller's `init` adapter, the visual embeddings, and the KB all come
-    back untouched.
+    back untouched. A batch whose loss is NaN or Inf raises
+    NonFiniteParameter naming the modality, the epoch and the batch (both
+    counted from 1).
     """
     visual = np.asarray(as_vectors(visual), dtype=np.float64)
     text_rows = np.asarray(text_rows)
@@ -221,11 +224,11 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     history: list[float] = []
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         loss_sum = 0.0
         seen = 0
-        for start in range(0, n, config.batch_size):
+        for batch, start in enumerate(range(0, n, config.batch_size), start=1):
             idx = order[start : start + config.batch_size]
             if idx.size < 2:
                 continue  # a 1-sample tail has no negatives
@@ -237,6 +240,11 @@ def train(
                 config.temperature,
                 config.symmetric_loss,
             )
+            if not math.isfinite(loss):
+                raise NonFiniteParameter(
+                    f"training of adapter {adapter.modality!r} diverged: loss is {loss} "
+                    f"at epoch {epoch}, batch {batch}"
+                )
             optimizer.step([grad_w, grad_b])
             loss_sum += loss * idx.size
             seen += idx.size

@@ -12,7 +12,12 @@ Layout (all integers little-endian):
             followed by UTF-8 bytes
 
 Payload floats round-trip bit-identically: the reader hands back the stored
-float32 bytes and the writer emits float32 verbatim.
+float32 bytes and the writer emits float32 verbatim. The reader checks the
+header's payload size against the bytes left in the stream, then reads the
+payload with `readinto` straight into one preallocated float32 array; a
+stream that delivers fewer bytes raises ValueError, so no uninitialised
+memory escapes. The writer passes a float32 C-ordered array's own buffer to
+the stream (no `tobytes` copy) and writes the label block in one call.
 """
 
 from __future__ import annotations
@@ -38,15 +43,15 @@ def write_ubem_stream(stream, matrix: EmbeddingMatrix) -> None:
     data = np.ascontiguousarray(matrix.vectors, dtype="<f4")
     stream.write(MAGIC)
     stream.write(_HEADER.pack(VERSION, 0, matrix.dim, matrix.rows))
-    stream.write(data.tobytes())
+    stream.write(data)
     if matrix.labels is None:
         stream.write(b"\x00")
     else:
-        stream.write(b"\x01")
+        block = [b"\x01"]
         for label in matrix.labels:
             raw = label.encode("utf-8")
-            stream.write(_U32.pack(len(raw)))
-            stream.write(raw)
+            block += (_U32.pack(len(raw)), raw)
+        stream.write(b"".join(block))
 
 
 def read_ubem_stream(stream) -> EmbeddingMatrix:
@@ -68,8 +73,14 @@ def read_ubem_stream(stream) -> EmbeddingMatrix:
     stream.seek(here)
     if left < want:
         raise ValueError(f"truncated UBEM payload: {left} of {want} bytes")
-    payload = stream.read(want)
-    vectors = np.frombuffer(payload, dtype="<f4").reshape(rows, dim).copy()
+    vectors = np.empty((rows, dim), dtype="<f4")
+    view = memoryview(vectors.reshape(-1).view(np.uint8))
+    got = 0
+    while got < want:
+        n = stream.readinto(view[got:])
+        if not n:
+            raise ValueError(f"truncated UBEM payload: {got} of {want} bytes")
+        got += n
 
     labels: list[str] | None = None
     flag = stream.read(1)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -278,10 +279,12 @@ def run_cli(*args):
         ("dump_projection", lambda c: c.update(dump_projection="false")),
         ("k", lambda c: c.update(k=True)),
         ("retrieval_ks", lambda c: c.update(retrieval_ks="15")),
+        ("visuals", lambda c: c["modalities"]["mod1"].update(visuals="mod1.ubem")),
     ],
     ids=[
         "unknown-train-key", "string-epochs", "no-records", "modality-without-pairs",
         "unknown-top-level-key", "string-dump-projection", "boolean-k", "string-retrieval-ks",
+        "unknown-modality-key",
     ],
 )
 def test_bad_pipeline_config_exits_2_naming_file_and_key(bundle, tmp_path, key, edit):
@@ -295,6 +298,24 @@ def test_bad_pipeline_config_exits_2_naming_file_and_key(bundle, tmp_path, key, 
     assert str(path) in proc.stderr
     assert repr(key) in proc.stderr
     assert not (tmp_path / "run").exists()
+
+
+def test_diverging_training_exits_2_naming_epoch_and_batch(bundle, tmp_path):
+    # A learning rate near the float64 maximum overflows the weights after
+    # one SGD step, so a later batch's loss is NaN.
+    config = json.loads(bundle.pipeline_config.read_text())
+    config["train"].update(learning_rate=1e308, optimizer="sgd", epochs=5)
+    path = bundle.root / "diverge.json"
+    path.write_text(json.dumps(config))
+    proc = run_cli("pipeline", "run", "--config", path, "--out", tmp_path / "run")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert re.search(
+        r"stage 'train:mod0': training of adapter 'mod0' diverged: "
+        r"loss is nan at epoch \d+, batch \d+",
+        proc.stderr,
+    )
+    assert not (tmp_path / "run" / "adapters").exists()
 
 
 def test_truncated_pipeline_config_exits_2_naming_file(bundle, tmp_path):

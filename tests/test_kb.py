@@ -1,5 +1,10 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalign.errors import (
     CountMismatch,
@@ -8,6 +13,7 @@ from modalign.errors import (
     ZeroVector,
 )
 from modalign.kb import (
+    INGEST_BLOCK_ROWS,
     KnowledgeRecord,
     Source,
     build,
@@ -16,9 +22,10 @@ from modalign.kb import (
     load_records,
     save_records,
     write_kb_dir,
+    _ingest_rows,
 )
 from modalign.ubem import write_ubem
-from modalign.vectors import EmbeddingMatrix
+from modalign.vectors import UNIT_TOLERANCE, EmbeddingMatrix
 
 
 def make_records(n, category="fish", source=Source.LLM_CATEGORY, prefix="rec"):
@@ -122,6 +129,47 @@ class TestRecordsFile:
         save_records(path, records)
         assert load_records(path) == records
 
+    # Text that exercises every escape the JSON encoder makes: quotes,
+    # backslashes, control characters, and text outside the BMP. Characters
+    # are UTF-8-encodable: a lone surrogate cannot be written to the file.
+    _text = st.text(
+        st.one_of(
+            st.sampled_from('"\\/\n\r\t\x00\x1f\x7f\x85\u2028é😀𝄞'),
+            st.characters(codec="utf-8"),
+        )
+    )
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(
+            st.builds(
+                KnowledgeRecord,
+                _text,
+                _text.filter(bool),
+                _text,
+                st.sampled_from(Source),
+                st.one_of(st.just(""), _text),
+            ),
+            max_size=6,
+        )
+    )
+    def test_save_matches_json_dumps_and_roundtrips(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("records") / "records.jsonl"
+        save_records(path, records)
+        reference = []
+        for r in records:
+            obj = {
+                "id": r.id,
+                "category": r.category,
+                "description": r.description,
+                "source": r.source.value,
+            }
+            if r.generator:
+                obj["generator"] = r.generator
+            reference.append(json.dumps(obj, ensure_ascii=False) + "\n")
+        assert path.read_bytes() == "".join(reference).encode("utf-8")
+        assert load_records(path) == records
+
 
 class TestCategoryRows:
     def test_thousand_descriptions_per_category(self, tmp_path):
@@ -181,9 +229,88 @@ class TestExportRoundtrip:
         assert kb2.records == small_kb.records
         assert kb2.embeddings.vectors.tobytes() == small_kb.embeddings.vectors.tobytes()
 
+    def test_export_writes_the_embeddings_labels(self, tmp_path, small_kb):
+        write_kb_dir(small_kb, tmp_path / "kb")
+        kb2 = load_kb_dir(tmp_path / "kb")
+        assert kb2.embeddings.labels == [r.id for r in small_kb.records]
+
     def test_ingest_idempotent_at_byte_level(self):
         rng = np.random.default_rng(5)
         records = make_records(20)
         kb1 = from_parts(records, rng.standard_normal((20, 8)))
         kb2 = from_parts(records, kb1.embeddings.vectors)
         assert kb2.embeddings.vectors.tobytes() == kb1.embeddings.vectors.tobytes()
+
+
+def _whole_matrix_ingest(vectors):
+    """Reference: one float64 pass over the whole matrix."""
+    x = np.ascontiguousarray(vectors, dtype=np.float32)
+    norms = np.linalg.norm(x.astype(np.float64), axis=1)
+    needs = np.abs(norms - 1.0) > UNIT_TOLERANCE
+    out = x.copy()
+    out[needs] = (x[needs].astype(np.float64) / norms[needs, None]).astype(np.float32)
+    return out
+
+
+class TestIngestRows:
+    @pytest.fixture
+    def mixed(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((2 * INGEST_BLOCK_ROWS + 37, 24)).astype(np.float32)
+        # Every third row already unit-norm, so blocks mix both kinds.
+        x[::3] = _whole_matrix_ingest(x[::3])
+        return x
+
+    def test_blocks_bit_identical_to_whole_matrix(self, mixed):
+        before = mixed.copy()
+        out = _ingest_rows(mixed)
+        assert out.tobytes() == _whole_matrix_ingest(before).tobytes()
+        assert mixed.tobytes() == before.tobytes()
+        assert not np.shares_memory(out, mixed)
+
+    def test_unit_rows_pass_through_uncopied(self, mixed):
+        unit = _whole_matrix_ingest(mixed)
+        assert _ingest_rows(unit) is unit
+
+    def test_float64_input_converted(self, mixed):
+        wide = mixed.astype(np.float64)
+        out = _ingest_rows(wide)
+        assert out.dtype == np.float32
+        assert out.tobytes() == _whole_matrix_ingest(mixed).tobytes()
+
+    def test_zero_row_in_later_block_named_by_absolute_index(self, mixed):
+        row = INGEST_BLOCK_ROWS + 5
+        mixed[row] = 0.0
+        before = mixed.copy()
+        with pytest.raises(ZeroVector, match=f"embedding row {row} has norm"):
+            _ingest_rows(mixed)
+        assert mixed.tobytes() == before.tobytes()
+
+
+def test_build_and_export_hold_no_full_size_temporaries(tmp_path):
+    # Ingest keeps the float32 payload plus at most one normalized copy; the
+    # records' Python objects come on top. Whole-matrix float64 temporaries
+    # (8 bytes per value, twice over) would push the build peak to about 7x
+    # the float32 payload, and an export that copies the payload before
+    # buffering it adds 2x on top of the knowledge base.
+    rows, dim = 20_000, 128
+    records = [
+        KnowledgeRecord(f"r{i}", f"cat{i % 50}", f"description number {i}", Source.LLM_CATEGORY)
+        for i in range(rows)
+    ]
+    vectors = np.random.default_rng(0).standard_normal((rows, dim)).astype(np.float32)
+    paths = write_kb_files(tmp_path, records, vectors)
+    payload = vectors.nbytes
+    del records, vectors
+    tracemalloc.start()
+    try:
+        kb = build(*paths)
+        _, build_peak = tracemalloc.get_traced_memory()
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        write_kb_dir(kb, tmp_path / "kb")
+        _, export_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert build_peak < 5.0 * payload
+    assert export_peak - held < 1.75 * payload

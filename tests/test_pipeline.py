@@ -192,6 +192,18 @@ class TestJsonlInputs:
         with pytest.raises(MalformedRecord, match="line 2: duplicate sample_id 's'"):
             load_pairs_file(path)
 
+    def test_repeated_visual_row_rejected(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(
+            '{"sample_id": "s", "visual_row": 4}\n'
+            '{"sample_id": "t", "visual_row": 5}\n'
+            '{"sample_id": "u", "visual_row": 4}\n'
+        )
+        with pytest.raises(
+            MalformedRecord, match="line 3: visual_row 4 is already paired with sample_id 's'"
+        ):
+            load_pairs_file(path)
+
 
 class TestConfigParsing:
     def test_relative_paths_resolve_against_config(self, bundle, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modalign.errors import ModalignError
 from modalign.ubem import MAGIC, read_ubem, read_ubem_stream, write_ubem, write_ubem_stream
 from modalign.vectors import EmbeddingMatrix
 
@@ -55,6 +56,84 @@ def test_truncated_payload_rejected():
     raw = roundtrip_bytes(m)
     with pytest.raises(ValueError):
         read_ubem_stream(io.BytesIO(raw[:30]))
+
+
+class _ShortStream(io.BytesIO):
+    """Reports its full length to seek() but delivers only `limit` bytes."""
+
+    def __init__(self, raw, limit):
+        super().__init__(raw)
+        self.limit = limit
+
+    def _room(self, size):
+        room = max(0, self.limit - self.tell())
+        return room if size is None or size < 0 else min(size, room)
+
+    def read(self, size=-1):
+        return super().read(self._room(size))
+
+    def readinto(self, buffer):
+        view = memoryview(buffer).cast("B")
+        return super().readinto(view[: self._room(len(view))])
+
+
+def test_stream_delivering_short_payload_rejected():
+    m = EmbeddingMatrix(np.ones((4, 4), dtype=np.float32))
+    raw = roundtrip_bytes(m)
+    with pytest.raises(ValueError, match="truncated UBEM payload: 30 of 64 bytes"):
+        read_ubem_stream(_ShortStream(raw, 20 + 30))
+
+
+@pytest.mark.parametrize(
+    "matrix, label_block",
+    [
+        (EmbeddingMatrix(np.zeros((0, 3), dtype=np.float32)), b"\x00"),
+        (EmbeddingMatrix(np.zeros((0, 3), dtype=np.float32), []), b"\x01"),
+        (EmbeddingMatrix(np.arange(6, dtype=np.float32).reshape(2, 3)), b"\x00"),
+        (
+            EmbeddingMatrix(np.arange(6, dtype=np.float32).reshape(2, 3), ["", "é"]),
+            b"\x01" + struct.pack("<I", 0) + struct.pack("<I", 2) + "é".encode(),
+        ),
+    ],
+    ids=["zero-rows", "zero-rows-empty-labels", "label-free", "labels"],
+)
+def test_layout_pinned_and_roundtrips(matrix, label_block):
+    raw = roundtrip_bytes(matrix)
+    header = MAGIC + struct.pack("<HHIQ", 1, 0, matrix.dim, matrix.rows)
+    assert raw == header + matrix.vectors.astype("<f4").tobytes() + label_block
+    # Followed by a second blob, the reader must stop at the first one's end.
+    stream = io.BytesIO(raw + raw)
+    for _ in range(2):
+        back = read_ubem_stream(stream)
+        assert back.vectors.shape == matrix.vectors.shape
+        assert back.vectors.tobytes() == matrix.vectors.tobytes()
+        assert back.labels == matrix.labels
+    assert stream.tell() == 2 * len(raw)
+
+
+def _header_then(version, dim, rows, tail):
+    return MAGIC + struct.pack("<HHIQ", version, 0, dim, rows) + tail
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.one_of(
+        st.binary(max_size=80),
+        st.builds(
+            _header_then,
+            st.sampled_from([1, 1, 1, 0, 2]),
+            st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1)),
+            st.one_of(st.integers(0, 4), st.integers(0, 2**64 - 1)),
+            st.binary(max_size=80),
+        ),
+    )
+)
+def test_arbitrary_bytes_yield_a_matrix_or_a_value_error(raw):
+    try:
+        matrix = read_ubem_stream(io.BytesIO(raw))
+    except (ValueError, ModalignError):
+        return
+    assert isinstance(matrix, EmbeddingMatrix)
 
 
 class _RecordingStream(io.BytesIO):
