@@ -3,9 +3,10 @@
 For each category, the candidate pool is the knowledge-base rows labeled with
 that category (optionally filtered by source). Candidates are ranked by
 cosine similarity to the category's prompt embedding and the top k become
-the category's anchor set. Ranking each category once and slicing prefixes
+the category's anchor set. `sweep_k` is the one ranking path: it ranks each
+category once, to the largest k requested, and slices a prefix per k, which
 makes k-sweeps cheap and guarantees that growing k never reorders earlier
-members.
+members. `localize` is its one-k case.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MissingCategory
 from .kb import KnowledgeBase, Source
-from .serialize import atomic_write_bytes, require_key
+from .serialize import atomic_write_bytes, is_int, read_header, require_key
 from .ubem import read_ubem_stream, write_ubem_stream
 from .vectors import EmbeddingMatrix, top_k
 
@@ -94,8 +95,9 @@ def _rank_category(
     category: str,
     prompt: np.ndarray,
     source_filter: Source | None,
+    width: int,
 ) -> tuple[list[int], list[float]]:
-    """Full similarity ranking of a category's candidate rows."""
+    """The `width` candidate rows of a category most similar to its prompt."""
     rows = kb.category_rows(category, source_filter)
     if not rows:
         raise MissingCategory(f"category {category!r} has no candidate descriptions")
@@ -105,24 +107,8 @@ def _rank_category(
             f"prompt for {category!r} has dim {prompt.shape[0]}, knowledge base has {kb.dim}"
         )
     candidates = kb.embeddings.vectors[rows]
-    order, scores = top_k(prompt[None, :], candidates, len(rows))
+    order, scores = top_k(prompt[None, :], candidates, width)
     return [rows[i] for i in order[0].tolist()], scores[0].tolist()
-
-
-def _center_from_ranking(
-    kb: KnowledgeBase,
-    category: str,
-    ranked_rows: list[int],
-    ranked_scores: list[float],
-    k: int,
-) -> EmbeddingCenter:
-    member_rows = ranked_rows[:k]
-    member_scores = ranked_scores[:k]
-    members = EmbeddingMatrix(
-        kb.embeddings.vectors[member_rows].copy(),
-        [kb.records[r].id for r in member_rows],
-    )
-    return EmbeddingCenter(category, member_rows, member_scores, members, k)
 
 
 def localize(
@@ -134,27 +120,10 @@ def localize(
 ) -> CenterSet:
     """Build one anchor set per category from its top-k prompt-similar rows.
 
-    Categories with fewer than k candidates keep everything they have; that
-    case is logged as a warning rather than treated as an error.
+    The one-k case of `sweep_k`: categories with fewer than k candidates keep
+    everything they have, and that case is logged as a warning.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    centers: dict[str, EmbeddingCenter] = {}
-    prompts: dict[str, np.ndarray] = {}
-    for category in sorted(prompt_embeddings):
-        ranked_rows, ranked_scores = _rank_category(
-            kb, category, prompt_embeddings[category], source_filter
-        )
-        if len(ranked_rows) < k:
-            logger.warning(
-                "category %r has only %d descriptions for k=%d",
-                category,
-                len(ranked_rows),
-                k,
-            )
-        centers[category] = _center_from_ranking(kb, category, ranked_rows, ranked_scores, k)
-        prompts[category] = np.asarray(prompt_embeddings[category], dtype=np.float64)
-    return CenterSet(centers, prompts, k, prompt_template)
+    return sweep_k(kb, prompt_embeddings, [k], source_filter, prompt_template)[k]
 
 
 def sweep_k(
@@ -166,29 +135,37 @@ def sweep_k(
 ) -> dict[int, CenterSet]:
     """One CenterSet per k, sharing a single per-category ranking.
 
-    Because every k slices the same ranking, members at a smaller k are
-    always a prefix of members at a larger k.
+    Each category is ranked once, to the largest k; every k slices that
+    ranking, so members at a smaller k are always a prefix of members at a
+    larger k. A category with fewer candidates than the largest k is logged
+    as a warning and keeps everything it has.
     """
     if not k_values:
         raise ValueError("k_values must be non-empty")
     if any(k < 1 for k in k_values):
         raise ValueError(f"every k must be >= 1, got {k_values}")
-    rankings: dict[str, tuple[list[int], list[float]]] = {}
+    width = max(k_values)
+    centers: dict[int, dict[str, EmbeddingCenter]] = {k: {} for k in sorted(set(k_values))}
     prompts: dict[str, np.ndarray] = {}
     for category in sorted(prompt_embeddings):
-        rankings[category] = _rank_category(
-            kb, category, prompt_embeddings[category], source_filter
+        rows, scores = _rank_category(
+            kb, category, prompt_embeddings[category], source_filter, width
         )
+        if len(rows) < width:
+            logger.warning(
+                "category %r has only %d descriptions for k=%d", category, len(rows), width
+            )
+        for k, by_category in centers.items():
+            members = rows[:k]
+            matrix = EmbeddingMatrix(  # fancy indexing copies the rows
+                kb.embeddings.vectors[members], [kb.records[r].id for r in members]
+            )
+            by_category[category] = EmbeddingCenter(category, members, scores[:k], matrix, k)
         prompts[category] = np.asarray(prompt_embeddings[category], dtype=np.float64)
-
-    result: dict[int, CenterSet] = {}
-    for k in sorted(set(k_values)):
-        centers = {
-            category: _center_from_ranking(kb, category, rows, scores, k)
-            for category, (rows, scores) in rankings.items()
-        }
-        result[k] = CenterSet(centers, dict(prompts), k, prompt_template)
-    return result
+    return {
+        k: CenterSet(by_category, dict(prompts), k, prompt_template)
+        for k, by_category in centers.items()
+    }
 
 
 def save_center_set(path, center_set: CenterSet) -> None:
@@ -235,45 +212,62 @@ def save_center_set(path, center_set: CenterSet) -> None:
     atomic_write_bytes(Path(path), buf.getvalue())
 
 
+def _is_cosine(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and -1 <= value <= 1
+
+
+# Every key of a center-set category entry: the check its JSON value must
+# pass, and what that check means.
+_ENTRY_KEYS = {
+    "category": (lambda v: isinstance(v, str), "a string"),
+    "member_rows": (
+        lambda v: isinstance(v, list) and all(is_int(r) and r >= 0 for r in v),
+        "a list of non-negative integers",
+    ),
+    "member_scores": (
+        lambda v: isinstance(v, list) and all(_is_cosine(x) for x in v),
+        "a list of cosines in [-1, 1]",
+    ),
+    "k_requested": (is_int, "an integer"),
+}
+
+
 def load_center_set(path) -> CenterSet:
     """Read a center-set file; a malformed header raises ValueError naming the
-    file and, for a missing key, the key."""
+    file and, for a bad category entry, its index and the key."""
     with open(path, "rb") as f:
-        header_line = f.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: bad center-set header: {e.msg}") from e
-        kind = (header.get("format"), header.get("version")) if isinstance(header, dict) else None
-        if kind != ("center-set", 1):
-            raise ValueError(f"{path}: not a version-1 center-set file")
+        header = read_header(f, path, "center-set")
         members = read_ubem_stream(f)
         prompt_matrix = read_ubem_stream(f)
 
+    where = f"{path}: center-set header"
+    k = require_key(header, "k", where)
+    entries = require_key(header, "categories", where)
+    template = header.get("prompt_template", DEFAULT_PROMPT_TEMPLATE)
+    if not is_int(k):
+        raise ValueError(f"{where}: 'k' must be an integer, got {k!r}")
+    if not isinstance(entries, list):
+        raise ValueError(f"{where}: 'categories' must be a list")
+    if not isinstance(template, str):
+        raise ValueError(f"{where}: 'prompt_template' must be a string")
+    labels = members.labels or [""] * members.rows
     centers: dict[str, EmbeddingCenter] = {}
     offset = 0
-    try:
-        k = int(require_key(header, "k", f"{path}: center-set header"))
-        for i, entry in enumerate(require_key(header, "categories", f"{path}: center-set header")):
-            where = f"{path}: center-set category {i}"
-            category = require_key(entry, "category", where)
-            member_rows = require_key(entry, "member_rows", where)
-            size = len(member_rows)
-            block = EmbeddingMatrix(
-                members.vectors[offset : offset + size].copy(),
-                (members.labels or [""] * members.rows)[offset : offset + size],
-            )
-            centers[category] = EmbeddingCenter(
-                category,
-                list(member_rows),
-                [float(s) for s in require_key(entry, "member_scores", where)],
-                block,
-                int(require_key(entry, "k_requested", where)),
-            )
-            offset += size
-    except TypeError as e:
-        raise ValueError(f"{path}: malformed center-set header ({e})") from e
+    for i, entry in enumerate(entries):
+        where = f"{path}: center-set category {i}"
+        for key, (check, expected) in _ENTRY_KEYS.items():
+            if not check(require_key(entry, key, where)):
+                raise ValueError(f"{where}: {key!r} must be {expected}, got {entry[key]!r}")
+        category, rows, scores = entry["category"], entry["member_rows"], entry["member_scores"]
+        if len(scores) != len(rows):
+            raise ValueError(f"{where}: 'member_scores' must hold one score per member row")
+        if category in centers:
+            raise ValueError(f"{where}: duplicate category {category!r}")
+        end = offset + len(rows)
+        block = EmbeddingMatrix(members.vectors[offset:end].copy(), labels[offset:end])
+        scores = [float(x) for x in scores]
+        centers[category] = EmbeddingCenter(category, rows, scores, block, entry["k_requested"])
+        offset = end
     if offset != members.rows:
         raise ValueError(f"{path}: center-set member blob does not match header counts")
-    prompts = prompts_from_matrix(prompt_matrix)
-    return CenterSet(centers, prompts, k, header.get("prompt_template", DEFAULT_PROMPT_TEMPLATE))
+    return CenterSet(centers, prompts_from_matrix(prompt_matrix), k, template)

@@ -317,7 +317,9 @@ def build_parser() -> _Parser:
     p.add_argument("--pairs", required=True, help="JSONL of sample_id/visual_row pairs")
     p.add_argument("--visual", required=True, help="UBEM of raw backbone embeddings")
     p.add_argument("--modality", required=True)
-    p.add_argument("--config", default=None, help="key=value training config file")
+    p.add_argument(
+        "--config", default=None, help="training config JSON (a pipeline config's \"train\" object)"
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

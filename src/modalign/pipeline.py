@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .kb import KnowledgeBase, Source, build, write_kb_dir
 from .serialize import (
     atomic_write_text,
     fixed_json,
+    is_int,
     read_jsonl,
     require_key,
     sha256_file,
@@ -81,10 +82,6 @@ class PipelineConfig:
         return paths
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_path(value) -> bool:
     return isinstance(value, str)
 
@@ -93,7 +90,7 @@ def _is_ascending_positive_ints(value) -> bool:
     return (
         isinstance(value, list)
         and bool(value)
-        and all(_is_int(x) and x >= 1 for x in value)
+        and all(is_int(x) and x >= 1 for x in value)
         and value == sorted(value)
     )
 
@@ -106,7 +103,7 @@ _REQUIRED_KEYS = _PATH_KEYS + ("modalities",)
 _CONFIG_KEYS = {
     **{key: (_is_path, "a path string") for key in _PATH_KEYS + ("out_dir",)},
     "modalities": (lambda v: isinstance(v, dict), "an object mapping names to inputs"),
-    "k": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    "k": (lambda v: is_int(v) and v >= 1, "a positive integer"),
     "retrieval_ks": (_is_ascending_positive_ints, "an ascending list of positive integers"),
     "train": (lambda v: isinstance(v, dict), "an object"),
     "source_filter": (lambda v: v is None or v in _SOURCES, f"null or one of {_SOURCES}"),
@@ -123,7 +120,7 @@ def load_pipeline_config(path, out_dir=None) -> PipelineConfig:
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ValueError(f"{path}: invalid JSON ({e})") from e
     for key in _REQUIRED_KEYS:
         require_key(obj, key, f"{path}: config")
@@ -182,15 +179,7 @@ def _canonical_config(config: PipelineConfig) -> dict:
         },
         "k": config.k,
         "retrieval_ks": list(config.retrieval_ks),
-        "train": {
-            "temperature": config.train.temperature,
-            "learning_rate": config.train.learning_rate,
-            "batch_size": config.train.batch_size,
-            "epochs": config.train.epochs,
-            "seed": config.train.seed,
-            "optimizer": config.train.optimizer.value,
-            "symmetric_loss": config.train.symmetric_loss,
-        },
+        "train": {**asdict(config.train), "optimizer": config.train.optimizer.value},
         "source_filter": config.source_filter.value if config.source_filter else None,
         "dump_projection": config.dump_projection,
     }
@@ -212,8 +201,9 @@ def load_labels(path) -> dict[str, str]:
 def load_pairs_file(path) -> list[tuple[str, int]]:
     """Parse a pairs JSONL ({"sample_id": ..., "visual_row": ...} per line).
 
-    A repeated `sample_id`, and a `visual_row` already paired with another
-    `sample_id`, raise MalformedRecord naming the line.
+    A `visual_row` that is not a JSON integer, a repeated `sample_id`, and a
+    `visual_row` already paired with another `sample_id` raise
+    MalformedRecord naming the line.
     """
     pairs: list[tuple[str, int]] = []
     seen: set[str] = set()
@@ -225,12 +215,9 @@ def load_pairs_file(path) -> list[tuple[str, int]]:
         if sample_id in seen:
             raise MalformedRecord(line_number, f"duplicate sample_id {sample_id!r}")
         seen.add(sample_id)
-        try:
-            row = int(obj["visual_row"])
-        except (TypeError, ValueError):
-            raise MalformedRecord(
-                line_number, f"visual_row must be an integer, got {obj['visual_row']!r}"
-            ) from None
+        row = obj["visual_row"]
+        if not is_int(row):
+            raise MalformedRecord(line_number, f"visual_row must be an integer, got {row!r}")
         if row in row_owner:
             raise MalformedRecord(
                 line_number,

@@ -1,5 +1,5 @@
-"""Serialization helpers: JSONL reading, diffable report JSON, atomic writes,
-file hashing."""
+"""Serialization helpers: JSONL reading, binary-file header lines, diffable
+report JSON, atomic writes, file hashing."""
 
 from __future__ import annotations
 
@@ -17,7 +17,8 @@ def read_jsonl(path) -> Iterator[tuple[int, object]]:
     """Yield (line_number, parsed value) for each non-blank line of a JSONL file.
 
     Line numbers count from 1 and include blank lines; a line that is not
-    valid JSON raises MalformedRecord naming it.
+    valid JSON, or is nested too deeply to parse, raises MalformedRecord
+    naming it.
     """
     with open(path, "r", encoding="utf-8") as f:
         for line_number, line in enumerate(f, start=1):
@@ -27,7 +28,30 @@ def read_jsonl(path) -> Iterator[tuple[int, object]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise MalformedRecord(line_number, f"invalid JSON ({e.msg})") from e
+            except RecursionError:
+                raise MalformedRecord(line_number, "invalid JSON (nested too deeply)") from None
             yield line_number, obj
+
+
+def is_int(value) -> bool:
+    """True for a JSON integer: a Python int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def read_header(f, path, kind: str) -> dict:
+    """Decode the JSON header line that opens a `kind` binary file.
+
+    The line must hold an object whose `format` is `kind` and whose `version`
+    is the integer 1; anything else raises ValueError naming the file.
+    """
+    try:
+        header = json.loads(f.readline())
+    except (ValueError, RecursionError) as e:  # invalid JSON or UTF-8, or nested too deeply
+        raise ValueError(f"{path}: bad {kind} header: {e}") from e
+    version = header.get("version") if isinstance(header, dict) else None
+    if not (is_int(version) and version == 1 and header.get("format") == kind):
+        raise ValueError(f"{path}: not a version-1 {kind} file")
+    return header
 
 
 def require_key(mapping, key: str, where: str):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .kb import KnowledgeBase
 from .optim import SGD, Adam
-from .serialize import atomic_write_bytes, require_key
+from .serialize import atomic_write_bytes, read_header, require_key
 from .ubem import read_ubem_stream, write_ubem_stream
 from .vectors import ZERO_NORM, EmbeddingMatrix, as_vectors, normalize_rows
 
@@ -101,13 +101,8 @@ class LinearAdapter:
             raise DimensionMismatch(
                 f"input dim {v.shape[1]} does not match adapter dim_in {self.dim_in}"
             )
-        mapped = v @ self.weight.T + self.bias
-        norms = np.linalg.norm(mapped, axis=1)
-        bad = np.flatnonzero(norms < ZERO_NORM)
-        if bad.size:
-            raise ZeroVector(f"adapted row {int(bad[0])} collapsed to norm 0")
         labels = visual.labels if isinstance(visual, EmbeddingMatrix) else None
-        return EmbeddingMatrix(mapped / norms[:, None], labels)
+        return EmbeddingMatrix(_unit_map(self.weight, self.bias, v)[0], labels)
 
     def copy(self) -> "LinearAdapter":
         return LinearAdapter(self.weight.copy(), self.bias.copy(), self.modality)
@@ -154,11 +149,20 @@ def resolve_pairs(
 
 
 def _unit_map(W, b, visual):
-    """Affine map plus row normalization, in the dtype of the inputs."""
+    """Affine map plus row normalization, in the dtype of the inputs.
+
+    Returns the unit rows and their norms. A row whose norm is below ZERO_NORM
+    raises ZeroVector, and one whose norm is not finite (the map overflowed)
+    raises NonFiniteParameter; both name the first such row.
+    """
     mapped = visual @ W.T + b
     norms = np.linalg.norm(mapped, axis=1)
-    if (norms < ZERO_NORM).any():
-        raise ZeroVector("an adapted row collapsed to norm 0 during training")
+    ok = (norms >= ZERO_NORM) & (norms < np.inf)
+    if not ok.all():
+        row = int(np.argmin(ok))
+        if norms[row] < ZERO_NORM:
+            raise ZeroVector(f"adapted row {row} collapsed to norm 0")
+        raise NonFiniteParameter(f"adapted row {row} has norm {norms[row]}")
     return mapped / norms[:, None], norms
 
 
@@ -188,9 +192,9 @@ def train(
     its paired description, as `resolve_pairs` returns them. Returns the
     trained adapter and the per-epoch mean loss. Inputs are never mutated;
     the caller's `init` adapter, the visual embeddings, and the KB all come
-    back untouched. A batch whose loss is NaN or Inf raises
-    NonFiniteParameter naming the modality, the epoch and the batch (both
-    counted from 1).
+    back untouched. A batch whose loss is NaN or Inf, or whose adapted rows'
+    norms overflow (the loss is then NaN), raises NonFiniteParameter naming
+    the modality, the epoch and the batch (both counted from 1).
     """
     visual = np.asarray(as_vectors(visual), dtype=np.float64)
     text_rows = np.asarray(text_rows)
@@ -232,18 +236,18 @@ def train(
             idx = order[start : start + config.batch_size]
             if idx.size < 2:
                 continue  # a 1-sample tail has no negatives
-            loss, grad_w, grad_b = _forward_backward(
-                adapter.weight,
-                adapter.bias,
-                visual[idx],
-                texts[idx],
-                config.temperature,
-                config.symmetric_loss,
-            )
+            cause = ""
+            try:
+                loss, grad_w, grad_b = _forward_backward(
+                    adapter.weight, adapter.bias, visual[idx], texts[idx],
+                    config.temperature, config.symmetric_loss,
+                )
+            except NonFiniteParameter as e:  # an adapted row's norm overflowed
+                loss, cause = math.nan, f" ({e})"
             if not math.isfinite(loss):
                 raise NonFiniteParameter(
                     f"training of adapter {adapter.modality!r} diverged: loss is {loss} "
-                    f"at epoch {epoch}, batch {batch}"
+                    f"at epoch {epoch}, batch {batch}{cause}"
                 )
             optimizer.step([grad_w, grad_b])
             loss_sum += loss * idx.size
@@ -307,94 +311,52 @@ def gradient_check_arrays(
 
 # --- persistence -----------------------------------------------------------
 
-# TrainConfig's settable keys and their field types. Both parsers below check
-# keys and values against this one table.
+# TrainConfig's settable keys and the JSON types each accepts. Values are
+# checked, not converted, except that `optimizer` becomes the enum.
 _CONFIG_KEYS = {
-    "temperature": float,
-    "learning_rate": float,
-    "batch_size": int,
-    "epochs": int,
-    "seed": int,
-    "optimizer": OptimizerKind,
-    "symmetric_loss": bool,
-}
-# The JSON types each field type accepts; JSON values are checked, not converted.
-_JSON_TYPES = {
-    float: ((int, float), "a number"),
-    int: (int, "an integer"),
-    bool: (bool, "true or false"),
-    OptimizerKind: (str, "a string"),
+    "temperature": ((int, float), "a number"),
+    "learning_rate": ((int, float), "a number"),
+    "batch_size": (int, "an integer"),
+    "epochs": (int, "an integer"),
+    "seed": (int, "an integer"),
+    "optimizer": (str, "a string"),
+    "symmetric_loss": (bool, "true or false"),
 }
 
-_TRUE_WORDS = {"true", "yes", "1", "on"}
-_FALSE_WORDS = {"false", "no", "0", "off"}
 
+def train_config_from_dict(obj) -> TrainConfig:
+    """Build a TrainConfig from a parsed JSON object: a pipeline config's
+    `"train"` entry, or a whole `train --config` file.
 
-def _from_text(key: str, value: str):
-    """Convert a key-value file's string to the key's field type."""
-    kind = _CONFIG_KEYS[key]
-    if kind is bool:
-        if value.lower() in _TRUE_WORDS:
-            return True
-        if value.lower() in _FALSE_WORDS:
-            return False
-        raise ValueError(f"not a boolean: {value!r}")
-    return value if kind is OptimizerKind else kind(value)
-
-
-def _make_config(values: dict, base: TrainConfig | None) -> TrainConfig:
+    Unknown keys and values of the wrong JSON type raise ValueError naming
+    the key.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"train config must be a JSON object, got {obj!r}")
+    values = dict(obj)
+    for key, value in values.items():
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown train config key {key!r}")
+        json_types, expected = _CONFIG_KEYS[key]
+        if isinstance(value, bool) != (json_types is bool) or not isinstance(value, json_types):
+            raise ValueError(f"train config key {key!r} must be {expected}, got {value!r}")
     if "optimizer" in values:
         try:
             values["optimizer"] = OptimizerKind(values["optimizer"].lower())
         except ValueError:
             raise ValueError(f"optimizer must be one of {[o.value for o in OptimizerKind]}") from None
-    return replace(base or TrainConfig(), **values)
+    return TrainConfig(**values)
 
 
-def parse_train_config(text: str, base: TrainConfig | None = None) -> TrainConfig:
-    """Parse a key-value config ("key = value" lines, '#' comments)."""
-    values: dict = {}
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        for sep in ("=", ":"):
-            if sep in line:
-                key, _, value = line.partition(sep)
-                break
-        else:
-            raise ValueError(f"line {line_number}: expected 'key = value', got {raw!r}")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"line {line_number}: unknown config key {key!r}")
-        try:
-            values[key] = _from_text(key, value)
-        except ValueError:
-            raise ValueError(f"line {line_number}: bad value for {key!r}: {value!r}") from None
-    return _make_config(values, base)
-
-
-def load_train_config(path, base: TrainConfig | None = None) -> TrainConfig:
-    return parse_train_config(Path(path).read_text(encoding="utf-8"), base)
-
-
-def train_config_from_dict(obj: dict, base: TrainConfig | None = None) -> TrainConfig:
-    """Build a TrainConfig from parsed JSON (pipeline configs).
-
-    Keys and value types are checked against the table `parse_train_config`
-    uses; values are taken as given, except that `optimizer` becomes the enum.
-    """
-    if not isinstance(obj, dict):
-        raise ValueError(f"train config must be a JSON object, got {obj!r}")
-    for key, value in obj.items():
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown train config key {key!r}")
-        kind = _CONFIG_KEYS[key]
-        json_types, expected = _JSON_TYPES[kind]
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, json_types):
-            raise ValueError(f"train config key {key!r} must be {expected}, got {value!r}")
-    return _make_config(dict(obj), base)
+def load_train_config(path) -> TrainConfig:
+    """Read a training config file: the JSON object a pipeline config holds
+    under `"train"`. Any error raises ValueError naming the file."""
+    try:
+        return train_config_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise ValueError(f"{path}: invalid JSON ({e})") from e
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def save_adapter(path, adapter: LinearAdapter) -> None:
@@ -416,17 +378,18 @@ def save_adapter(path, adapter: LinearAdapter) -> None:
 
 
 def load_adapter(path) -> LinearAdapter:
+    """Read an adapter file; a malformed header raises ValueError naming the
+    file (and, for a missing key, the key)."""
     with open(path, "rb") as f:
-        try:
-            header = json.loads(f.readline())
-        except json.JSONDecodeError as e:
-            raise ValueError(f"bad adapter header: {e.msg}") from e
-        if header.get("format") != "linear-adapter" or header.get("version") != 1:
-            raise ValueError("not a version-1 adapter file")
+        header = read_header(f, path, "linear-adapter")
         weight = read_ubem_stream(f).vectors
-        bias = read_ubem_stream(f).vectors[0]
-    dim_out = require_key(header, "dim_out", f"{path}: adapter header")
-    dim_in = require_key(header, "dim_in", f"{path}: adapter header")
-    if weight.shape != (dim_out, dim_in) or bias.shape[0] != dim_out:
-        raise ValueError("adapter blob shapes do not match header")
-    return LinearAdapter(weight, bias, header.get("modality", ""))
+        bias = read_ubem_stream(f).vectors
+    where = f"{path}: adapter header"
+    dim_out = require_key(header, "dim_out", where)
+    dim_in = require_key(header, "dim_in", where)
+    modality = header.get("modality", "")
+    if not isinstance(modality, str):
+        raise ValueError(f"{where}: 'modality' must be a string, got {modality!r}")
+    if weight.shape != (dim_out, dim_in) or bias.shape != (1, dim_out):
+        raise ValueError(f"{path}: adapter blob shapes do not match header")
+    return LinearAdapter(weight, bias[0], modality)

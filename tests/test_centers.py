@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+import modalign.centers
 from modalign.centers import (
     PromptSet,
     load_center_set,
@@ -13,7 +14,7 @@ from modalign.centers import (
 )
 from modalign.errors import DimensionMismatch, MissingCategory
 from modalign.kb import KnowledgeRecord, Source, from_parts
-from modalign.vectors import EmbeddingMatrix, cosine
+from modalign.vectors import EmbeddingMatrix, cosine, top_k
 
 
 def synthetic_kb(categories, per_category, dim, seed=0, source=Source.LLM_CATEGORY):
@@ -58,6 +59,19 @@ class TestLocalize:
         with caplog.at_level(logging.WARNING):
             localize(kb, {"lone": anchors["lone"]}, k=50)
         assert any("3 descriptions" in r.message for r in caplog.records)
+
+    def test_ranks_only_k_rows(self, monkeypatch):
+        kb, anchors = synthetic_kb(["a", "b"], 30, 8, seed=3)
+        widths = []
+
+        def recording_top_k(queries, keys, k):
+            widths.append(k)
+            return top_k(queries, keys, k)
+
+        monkeypatch.setattr(modalign.centers, "top_k", recording_top_k)
+        centers = localize(kb, anchors, k=5)
+        assert widths == [5, 5]
+        assert all(c.size == 5 for c in centers.centers.values())
 
     def test_exact_prompt_copy_is_first_member(self):
         kb, anchors = synthetic_kb(["a", "b"], 30, 8, seed=2)
@@ -146,6 +160,16 @@ class TestSweepK:
             direct = localize(kb, anchors, k=k)
             for name in anchors:
                 assert sweeps[k].centers[name].member_rows == direct.centers[name].member_rows
+
+    def test_short_category_warns_against_largest_k(self, caplog):
+        kb, anchors = synthetic_kb(["big", "lone"], 20, 8, seed=4)
+        rows = kb.category_rows("big") + kb.category_rows("lone")[:3]
+        kb = from_parts([kb.records[r] for r in rows], kb.embeddings.vectors[rows])
+        with caplog.at_level(logging.WARNING):
+            sweeps = sweep_k(kb, anchors, [2, 10])
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["category 'lone' has only 3 descriptions for k=10"]
+        assert sweeps[10].centers["lone"].size == 3
 
     def test_empty_k_values_rejected(self):
         kb, anchors = synthetic_kb(["a"], 10, 8)

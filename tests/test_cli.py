@@ -113,8 +113,8 @@ class TestCentersCommands:
 
 class TestTrainAndGradcheck:
     def test_train_writes_adapter(self, bundle, kb_dir, tmp_path):
-        config = tmp_path / "train.cfg"
-        config.write_text("epochs = 3\nbatch_size = 8\nseed = 0\n")
+        config = tmp_path / "train.json"
+        config.write_text('{"epochs": 3, "batch_size": 8, "seed": 0}')
         out = tmp_path / "mod0.adapter"
         code = main([
             "train",
@@ -318,6 +318,64 @@ def test_diverging_training_exits_2_naming_epoch_and_batch(bundle, tmp_path):
     assert not (tmp_path / "run" / "adapters").exists()
 
 
+def test_weight_overflow_exits_2_as_divergence(bundle, tmp_path):
+    # At this learning rate the weights stay finite after one SGD step but
+    # the adapted rows' norms overflow to Inf.
+    config = json.loads(bundle.pipeline_config.read_text())
+    config["train"].update(learning_rate=1e300, optimizer="sgd", epochs=5)
+    path = bundle.root / "overflow.json"
+    path.write_text(json.dumps(config))
+    proc = run_cli("pipeline", "run", "--config", path, "--out", tmp_path / "run")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "diverged" in proc.stderr and "epoch" in proc.stderr
+
+
+@pytest.mark.parametrize("value", [3.7, "2", True, None], ids=["float", "string", "true", "null"])
+def test_non_integer_visual_row_exits_2_naming_line(bundle, tmp_path, value):
+    lines = bundle.pairs["mod0"].read_text().splitlines()
+    bad = json.loads(lines[1])
+    bad["visual_row"] = value
+    lines[1] = json.dumps(bad)
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("\n".join(lines) + "\n")
+    config = json.loads(bundle.pipeline_config.read_text())
+    config["modalities"]["mod0"]["pairs"] = str(pairs)
+    path = bundle.root / f"visual_row_{type(value).__name__}.json"
+    path.write_text(json.dumps(config))
+    proc = run_cli("pipeline", "run", "--config", path, "--out", tmp_path / "run")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"line 2: visual_row must be an integer, got {value!r}" in proc.stderr
+
+
+def run_train(bundle, kb_dir, config, out):
+    return run_cli(
+        "train", "--kb", kb_dir, "--pairs", bundle.pairs["mod0"],
+        "--visual", bundle.visual["mod0"], "--modality", "mod0",
+        "--config", config, "--out", out,
+    )
+
+
+def test_train_key_value_config_exits_2_naming_file(bundle, kb_dir, tmp_path):
+    config = tmp_path / "train.cfg"
+    config.write_text("epochs = 3\nbatch_size = 8\n")
+    proc = run_train(bundle, kb_dir, config, tmp_path / "mod0.adapter")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(config) in proc.stderr
+    assert not (tmp_path / "mod0.adapter").exists()
+
+
+def test_train_config_unknown_key_exits_2_naming_file_and_key(bundle, kb_dir, tmp_path):
+    config = tmp_path / "train.json"
+    config.write_text('{"epochs": 3, "momentum": 0.9}')
+    proc = run_train(bundle, kb_dir, config, tmp_path / "mod0.adapter")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(config) in proc.stderr and "'momentum'" in proc.stderr
+
+
 def test_truncated_pipeline_config_exits_2_naming_file(bundle, tmp_path):
     path = tmp_path / "truncated.json"
     path.write_text(bundle.pipeline_config.read_text()[:40])
@@ -349,6 +407,32 @@ def test_center_set_header_missing_key_exits_2(bundle, centers_file, tmp_path, k
     assert "Traceback" not in proc.stderr
     assert str(path) in proc.stderr
     assert repr(key) in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("category", lambda e: e.update(category=5)),
+        ("member_rows", lambda e: e.update(member_rows="abcde")),
+        ("member_rows", lambda e: e.update(member_rows=[float(r) for r in e["member_rows"]])),
+        ("member_scores", lambda e: e["member_scores"].pop()),
+        ("k_requested", lambda e: e.update(k_requested="10")),
+    ],
+    ids=["integer-category", "string-rows", "float-rows", "short-scores", "string-k-requested"],
+)
+def test_center_set_bad_category_entry_exits_2(bundle, centers_file, tmp_path, key, edit):
+    header_line, blobs = centers_file.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    edit(header["categories"][1])
+    path = tmp_path / "bad.cset"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blobs)
+    proc = run_cli(
+        "eval", "zeroshot", "--centers", path, "--queries", bundle.visual["mod0"],
+        "--labels", bundle.labels, "--report", tmp_path / "r.json",
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{path}: center-set category 1: {key!r}" in proc.stderr
 
 
 def test_oversized_ubem_header_exits_2(bundle, tmp_path):

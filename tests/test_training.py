@@ -19,10 +19,10 @@ from modalign.training import (
     gradient_check_arrays,
     load_adapter,
     load_train_config,
-    parse_train_config,
     resolve_pairs,
     save_adapter,
     train,
+    train_config_from_dict,
 )
 from modalign.vectors import EmbeddingMatrix, normalize_rows
 
@@ -85,6 +85,13 @@ class TestApply:
         adapter = LinearAdapter(np.zeros((2, 2)), np.zeros(2))
         with pytest.raises(ZeroVector):
             adapter.apply(np.ones((1, 2)))
+
+    def test_overflowing_row_named(self):
+        adapter = LinearAdapter(np.full((2, 2), 1e300), np.zeros(2))
+        with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteParameter, match="adapted row 1 has norm inf"
+        ):
+            adapter.apply(np.array([[1e-300, 0.0], [1.0, 1.0]]))
 
     def test_dim_mismatch(self):
         adapter = LinearAdapter(np.eye(3), np.zeros(3))
@@ -261,18 +268,18 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=1)
 
-    def test_parse_key_value_file(self):
-        text = """
-        # training settings
-        temperature = 0.05
-        learning_rate = 0.2
-        batch_size = 8
-        epochs = 3
-        seed = 42
-        optimizer = sgd
-        symmetric_loss = true
-        """
-        config = parse_train_config(text)
+    def test_load_json_file(self, tmp_path):
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps({
+            "temperature": 0.05,
+            "learning_rate": 0.2,
+            "batch_size": 8,
+            "epochs": 3,
+            "seed": 42,
+            "optimizer": "sgd",
+            "symmetric_loss": True,
+        }))
+        config = load_train_config(path)
         assert config.temperature == 0.05
         assert config.learning_rate == 0.2
         assert config.batch_size == 8
@@ -281,19 +288,32 @@ class TestTrainConfig:
         assert config.optimizer == OptimizerKind.SGD
         assert config.symmetric_loss is True
 
-    def test_parse_colon_separator(self):
-        config = parse_train_config("epochs: 7")
-        assert config.epochs == 7
-
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
-            parse_train_config("momentum = 0.9")
+            train_config_from_dict({"momentum": 0.9})
 
     def test_load_from_file(self, tmp_path):
-        path = tmp_path / "train.cfg"
-        path.write_text("epochs = 2\nseed = 5\n")
+        path = tmp_path / "train.json"
+        path.write_text('{"epochs": 2, "seed": 5}')
         config = load_train_config(path)
         assert (config.epochs, config.seed) == (2, 5)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("epochs = 2\nseed = 5\n", "invalid JSON"),
+            ('{"epochs": 2, "momentum": 0.9}', "'momentum'"),
+            ('{"epochs": "2"}', "'epochs'"),
+            ("[2]", "JSON object"),
+        ],
+        ids=["key-value-text", "unknown-key", "string-epochs", "list"],
+    )
+    def test_file_errors_name_the_file(self, tmp_path, text, named):
+        path = tmp_path / "train.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as e:
+            load_train_config(path)
+        assert str(e.value).startswith(f"{path}: ") and named in str(e.value)
 
 
 class TestAdapterFile:
@@ -328,6 +348,20 @@ class TestAdapterFile:
         with pytest.raises(ValueError) as e:
             load_adapter(path)
         assert str(path) in str(e.value) and repr(key) in str(e.value)
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"[1]", b'{"format": "linear-adapter", "version": true, "dim_in": 3, "dim_out": 3}'],
+        ids=["list", "boolean-version"],
+    )
+    def test_header_not_a_version_1_object_names_file(self, tmp_path, header):
+        path = tmp_path / "a.adapter"
+        save_adapter(path, default_adapter(3, 3, seed=0, modality="image"))
+        blobs = path.read_bytes().split(b"\n", 1)[1]
+        path.write_bytes(header + b"\n" + blobs)
+        with pytest.raises(ValueError, match="not a version-1 linear-adapter file") as e:
+            load_adapter(path)
+        assert str(path) in str(e.value)
 
     def test_nonfinite_rejected_on_save(self, tmp_path):
         adapter = LinearAdapter(np.full((2, 2), np.nan), np.zeros(2))
