@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DimensionMismatch, MissingCategory
 from .kb import KnowledgeBase, Source
 from .serialize import atomic_write_bytes, is_int, read_header, require_key
-from .ubem import read_ubem_stream, write_ubem_stream
+from .ubem import read_ubem_file_stream, write_ubem_stream
 from .vectors import EmbeddingMatrix, top_k
 
 logger = logging.getLogger(__name__)
@@ -233,12 +233,12 @@ _ENTRY_KEYS = {
 
 
 def load_center_set(path) -> CenterSet:
-    """Read a center-set file; a malformed header raises ValueError naming the
-    file and, for a bad category entry, its index and the key."""
+    """Read a center-set file; a malformed header or blob raises ValueError
+    naming the file and, for a bad category entry, its index and the key."""
     with open(path, "rb") as f:
         header = read_header(f, path, "center-set")
-        members = read_ubem_stream(f)
-        prompt_matrix = read_ubem_stream(f)
+        members = read_ubem_file_stream(f, path)
+        prompt_matrix = read_ubem_file_stream(f, path)
 
     where = f"{path}: center-set header"
     k = require_key(header, "k", where)

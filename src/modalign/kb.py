@@ -8,19 +8,24 @@ Embeddings are unit-normalized once at ingest; rows already within tolerance
 of unit norm are stored byte-for-byte untouched, which keeps export -> build
 round trips lossless.
 
-Ingest holds the float32 payload plus at most one normalized float32 copy:
-norms are taken in float64 one block of INGEST_BLOCK_ROWS rows at a time, so
-no full-matrix float64 array exists. Export writes the stored matrix as it
-is and encodes each record field with the C JSON string encoder; its bytes
-equal `json.dumps(record, ensure_ascii=False)` line by line.
+Ingest memory: `build` normalizes the float32 payload it has just read in
+place, so it holds no second copy. `from_parts` never writes the caller's
+array and makes at most one normalized float32 copy. Either way, norms and
+scaling run in float64 through one block buffer of INGEST_BLOCK_ROWS rows
+allocated once per call, so no full-matrix float64 array exists. Export
+writes the stored matrix as it is and encodes each record field with the C
+JSON string encoder; its bytes equal `json.dumps(record, ensure_ascii=False)`
+line by line.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,12 +37,12 @@ from .errors import (
 )
 from .serialize import atomic_write_text, read_jsonl
 from .ubem import read_ubem, write_ubem
-from .vectors import UNIT_TOLERANCE, ZERO_NORM, EmbeddingMatrix
+from .vectors import UNIT_TOLERANCE, ZERO_NORM, EmbeddingMatrix, as_vectors
 
 RECORDS_FILENAME = "records.jsonl"
 EMBEDDINGS_FILENAME = "embeddings.ubem"
 # Rows per float64 norm pass in `_ingest_rows`: a fixed block bounds the
-# float64 temporaries whatever the knowledge-base size.
+# float64 buffers whatever the knowledge-base size.
 INGEST_BLOCK_ROWS = 1024
 
 
@@ -51,9 +56,10 @@ class Source(str, Enum):
 _SOURCES = {s.value: s for s in Source}
 
 
-@dataclass(frozen=True)
-class KnowledgeRecord:
-    """One description row. For MLLM_DATA rows, `id` is the paired sample id."""
+class KnowledgeRecord(NamedTuple):
+    """One description row, an immutable NamedTuple (a knowledge base holds
+    one per description, so it is kept as cheap as a tuple). For MLLM_DATA
+    rows, `id` is the paired sample id."""
 
     id: str
     category: str
@@ -119,7 +125,9 @@ def _parse_record(line_number: int, obj) -> KnowledgeRecord:
     generator = obj.get("generator", "")
     if not isinstance(generator, str):
         raise MalformedRecord(line_number, "field 'generator' is not a string")
-    return KnowledgeRecord(obj["id"], obj["category"], obj["description"], source, generator)
+    return KnowledgeRecord(
+        obj["id"], sys.intern(obj["category"]), obj["description"], source, sys.intern(generator)
+    )
 
 
 def load_records(path) -> list[KnowledgeRecord]:
@@ -142,21 +150,29 @@ def save_records(path, records: list[KnowledgeRecord]) -> None:
     atomic_write_text(Path(path), "".join(lines))
 
 
-def _ingest_rows(vectors: np.ndarray) -> np.ndarray:
+def _ingest_rows(vectors: np.ndarray, owned: bool = False) -> np.ndarray:
     """Unit-normalize rows, keeping already-unit rows bit-identical.
 
     Rows whose norm is within UNIT_TOLERANCE of 1 pass through untouched so a
     normalize-store-reload cycle is idempotent at the byte level. Norms are
-    taken in float64, INGEST_BLOCK_ROWS rows at a time; each row's norm is its
-    own reduction, so the blocks change no output bit. The caller's array is
-    never written: the first row that needs scaling makes the one float32
-    output copy.
+    taken in float64, INGEST_BLOCK_ROWS rows at a time, with the operations of
+    `np.linalg.norm` into a buffer allocated once per call; each row's norm is
+    its own reduction, so the blocks change no output bit. An `owned` float32
+    array is normalized in place. Otherwise the caller's array is never
+    written: the first row that needs scaling makes the one float32 output
+    copy.
     """
     x = np.ascontiguousarray(vectors, dtype=np.float32)
-    out = None if np.may_share_memory(x, vectors) else x
+    out = x if owned or not np.may_share_memory(x, vectors) else None
+    block_rows = min(INGEST_BLOCK_ROWS, x.shape[0])
+    wide, norm_buf = np.empty((block_rows, x.shape[1])), np.empty(block_rows)
     for start in range(0, x.shape[0], INGEST_BLOCK_ROWS):
         block = x[start : start + INGEST_BLOCK_ROWS]
-        norms = np.linalg.norm(block.astype(np.float64), axis=1)
+        n = block.shape[0]
+        rows, norms = wide[:n], norm_buf[:n]
+        np.copyto(rows, block)
+        np.add.reduce(np.multiply(rows, rows, out=rows), axis=1, out=norms)
+        np.sqrt(norms, out=norms)
         zero = np.flatnonzero(norms < ZERO_NORM)
         if zero.size:
             row = int(zero[0])
@@ -165,14 +181,13 @@ def _ingest_rows(vectors: np.ndarray) -> np.ndarray:
         if needs.any():
             if out is None:
                 out = x.copy()
-            scaled = block[needs].astype(np.float64) / norms[needs, None]
-            out[start : start + INGEST_BLOCK_ROWS][needs] = scaled.astype(np.float32)
+            np.copyto(rows, block)
+            np.divide(rows, norms[:, None], out=rows)
+            np.copyto(out[start : start + n], rows, where=needs[:, None])
     return x if out is None else out
 
 
-def from_parts(records: list[KnowledgeRecord], embeddings) -> KnowledgeBase:
-    """Assemble and validate a knowledge base from in-memory pieces."""
-    vectors = embeddings.vectors if isinstance(embeddings, EmbeddingMatrix) else np.asarray(embeddings)
+def _assemble(records: list[KnowledgeRecord], vectors: np.ndarray, owned: bool) -> KnowledgeBase:
     if len(records) != vectors.shape[0]:
         raise CountMismatch(
             f"{len(records)} records but {vectors.shape[0]} embedding rows"
@@ -183,20 +198,33 @@ def from_parts(records: list[KnowledgeRecord], embeddings) -> KnowledgeBase:
             raise DuplicateId(f"record id {r.id!r} appears more than once")
         seen.add(r.id)
 
-    matrix = EmbeddingMatrix(_ingest_rows(vectors), [r.id for r in records])
+    matrix = EmbeddingMatrix(_ingest_rows(vectors, owned), [r.id for r in records])
     category_index: dict[str, list[int]] = {}
     pair_index: dict[str, int] = {}
+    mllm_data = Source.MLLM_DATA  # one enum attribute lookup, not one per row
     for row, r in enumerate(records):
         category_index.setdefault(r.category, []).append(row)
-        if r.source == Source.MLLM_DATA:
+        if r.source == mllm_data:
             pair_index[r.id] = row
     return KnowledgeBase(list(records), matrix, category_index, pair_index)
 
 
+def from_parts(records: list[KnowledgeRecord], embeddings) -> KnowledgeBase:
+    """Assemble and validate a knowledge base from in-memory pieces.
+
+    `embeddings` is never written; the knowledge base gets at most one
+    normalized copy of it.
+    """
+    return _assemble(records, as_vectors(embeddings), owned=False)
+
+
 def build(records_path, embeddings_path) -> KnowledgeBase:
-    """Load, validate, and index a knowledge base from its two files."""
+    """Load, validate, and index a knowledge base from its two files.
+
+    The payload just read belongs to no one else, so it is normalized in place.
+    """
     records = load_records(records_path)
-    return from_parts(records, read_ubem(embeddings_path))
+    return _assemble(records, read_ubem(embeddings_path).vectors, owned=True)
 
 
 def load_kb_dir(kb_dir) -> KnowledgeBase:

@@ -13,21 +13,38 @@ from pathlib import Path
 from .errors import MalformedRecord
 
 
+# One decoder for every JSONL line: `json.loads` minus its per-call argument
+# checks. JSON whitespace is space, tab, LF and CR only.
+_decode = json.JSONDecoder().raw_decode
+_skip_ws = json.decoder.WHITESPACE.match
+_JSON_WS = " \t\n\r"
+_BOM_MSG = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+
+
 def read_jsonl(path) -> Iterator[tuple[int, object]]:
     """Yield (line_number, parsed value) for each non-blank line of a JSONL file.
 
-    Line numbers count from 1 and include blank lines; a line that is not
-    valid JSON, or is nested too deeply to parse, raises MalformedRecord
-    naming it.
+    Line numbers count from 1 and include blank lines (`line.strip()` is
+    empty). Each other line is decoded by one `raw_decode` call from the end
+    of its leading JSON whitespace, and only JSON whitespace may follow the
+    value, so it yields exactly `json.loads(line)`. A line that is not valid
+    JSON, or is nested too deeply to parse, raises MalformedRecord naming it
+    with `json.loads`'s own message ("Extra data" for a second value,
+    "Unexpected UTF-8 BOM" for a line that starts with U+FEFF).
     """
     with open(path, "r", encoding="utf-8") as f:
         for line_number, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj, end = _decode(line, _skip_ws(line).end())
+                if line[end:].strip(_JSON_WS):
+                    raise json.JSONDecodeError("Extra data", line, _skip_ws(line, end).end())
             except json.JSONDecodeError as e:
-                raise MalformedRecord(line_number, f"invalid JSON ({e.msg})") from e
+                # U+FEFF is neither JSON whitespace nor the start of a value,
+                # so a line that opens with it always fails to decode.
+                msg = _BOM_MSG if line.startswith("\ufeff") else e.msg
+                raise MalformedRecord(line_number, f"invalid JSON ({msg})") from e
             except RecursionError:
                 raise MalformedRecord(line_number, "invalid JSON (nested too deeply)") from None
             yield line_number, obj

@@ -29,7 +29,7 @@ from .errors import (
 from .kb import KnowledgeBase
 from .optim import SGD, Adam
 from .serialize import atomic_write_bytes, read_header, require_key
-from .ubem import read_ubem_stream, write_ubem_stream
+from .ubem import read_ubem_file_stream, write_ubem_stream
 from .vectors import ZERO_NORM, EmbeddingMatrix, as_vectors, normalize_rows
 
 
@@ -378,12 +378,12 @@ def save_adapter(path, adapter: LinearAdapter) -> None:
 
 
 def load_adapter(path) -> LinearAdapter:
-    """Read an adapter file; a malformed header raises ValueError naming the
-    file (and, for a missing key, the key)."""
+    """Read an adapter file; a malformed header or blob raises ValueError
+    naming the file (and, for a missing key, the key)."""
     with open(path, "rb") as f:
         header = read_header(f, path, "linear-adapter")
-        weight = read_ubem_stream(f).vectors
-        bias = read_ubem_stream(f).vectors
+        weight = read_ubem_file_stream(f, path).vectors
+        bias = read_ubem_file_stream(f, path).vectors
     where = f"{path}: adapter header"
     dim_out = require_key(header, "dim_out", where)
     dim_in = require_key(header, "dim_in", where)

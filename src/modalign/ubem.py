@@ -106,6 +106,14 @@ def write_ubem(path, matrix: EmbeddingMatrix) -> None:
     atomic_write_bytes(Path(path), buf.getvalue())
 
 
+def read_ubem_file_stream(stream, path) -> EmbeddingMatrix:
+    """`read_ubem_stream` on an open file; a ValueError names the file."""
+    try:
+        return read_ubem_stream(stream)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
+
+
 def read_ubem(path) -> EmbeddingMatrix:
     with open(path, "rb") as f:
-        return read_ubem_stream(f)
+        return read_ubem_file_stream(f, path)

@@ -13,7 +13,7 @@ import modalign
 from modalign.cli import main
 from modalign.kb import KnowledgeRecord, Source, save_records
 from modalign.synthetic import SyntheticSpec, generate_synthetic
-from modalign.training import load_adapter
+from modalign.training import default_adapter, load_adapter, save_adapter
 from modalign.ubem import read_ubem, write_ubem
 from modalign.vectors import EmbeddingMatrix
 
@@ -446,6 +446,59 @@ def test_oversized_ubem_header_exits_2(bundle, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "truncated UBEM payload" in proc.stderr
+
+
+def _truncated(source, out):
+    """A copy of `source` cut in the middle of its first UBEM payload."""
+    raw = source.read_bytes()
+    out.write_bytes(raw[: raw.index(b"UBEM") + 40])
+    return out
+
+
+@pytest.mark.parametrize("kind", ["prompts-ubem", "cset-blob"])
+def test_truncated_ubem_blob_exits_2_naming_file(bundle, kb_dir, centers_file, tmp_path, kind):
+    out = tmp_path / "out"
+    if kind == "prompts-ubem":
+        path = _truncated(bundle.prompts, tmp_path / "prompts.ubem")
+        argv = ["centers", "localize", "--kb", kb_dir, "--prompts", path, "--k", 3, "--out", out]
+    else:
+        path = _truncated(centers_file, tmp_path / "centers.cset")
+        argv = [
+            "eval", "zeroshot", "--centers", path, "--queries", bundle.visual["mod0"],
+            "--labels", bundle.labels, "--report", out,
+        ]
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"error: {path}: truncated UBEM payload" in proc.stderr
+    assert not out.exists()
+
+
+def test_truncated_adapter_blob_error_names_file(tmp_path):
+    # No CLI verb reads an adapter, so the loader's message is checked here.
+    source = tmp_path / "valid.adapter"
+    save_adapter(source, default_adapter(6, 4, seed=0, modality="mod0"))
+    path = _truncated(source, tmp_path / "mod0.adapter")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated UBEM payload"):
+        load_adapter(path)
+
+
+def test_pipeline_run_leaves_numpy_ma_unimported(bundle, tmp_path):
+    # Importing numpy.ma adds about 1 MB of peak RSS, ten times the
+    # benchmark's bound; nothing `pipeline run` calls may pull it in.
+    program = (
+        "import sys; from modalign.cli import main; "
+        f"code = main(['pipeline', 'run', '--config', {str(bundle.pipeline_config)!r}, "
+        f"'--out', {str(tmp_path / 'run')!r}]); "
+        "print('numpy.ma' in sys.modules); sys.exit(code)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(modalign.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
 
 
 class TestExitCodes:

@@ -9,9 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from modalign.centers import CenterSet, load_center_set, localize, save_center_set
-from modalign.errors import ModalignError
-from modalign.kb import KnowledgeRecord, Source, from_parts
-from modalign.pipeline import load_pairs_file, load_pipeline_config
+from modalign.errors import MalformedRecord, ModalignError
+from modalign.kb import KnowledgeRecord, Source, from_parts, load_records
+from modalign.pipeline import PipelineConfig, load_labels, load_pairs_file, load_pipeline_config
+from modalign.serialize import read_jsonl
 from modalign.training import (
     LinearAdapter,
     TrainConfig,
@@ -42,6 +43,15 @@ def objects_with_keys(keys):
     return st.dictionaries(st.sampled_from(sorted(keys)) | st.text(max_size=8), json_values)
 
 
+def nested_objects(value):
+    """Every JSON object nested anywhere inside `value`."""
+    children = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    for child in children:
+        if isinstance(child, dict):
+            yield child
+        yield from nested_objects(child)
+
+
 def mutated(header: dict):
     """`header` with one key, at the top or in one nested object, replaced by
     an arbitrary JSON value or deleted."""
@@ -50,7 +60,7 @@ def mutated(header: dict):
     def build(draw):
         out = json.loads(json.dumps(header))
         target = out
-        entries = [e for v in out.values() if isinstance(v, list) for e in v if isinstance(e, dict)]
+        entries = list(nested_objects(out))
         if entries and draw(st.booleans()):
             target = draw(st.sampled_from(entries))
         key = draw(st.sampled_from(sorted(target)))
@@ -102,6 +112,119 @@ def test_pairs_file_yields_pairs_or_a_malformed_record(tmp_path, lines):
         assert all(type(line["visual_row"]) is int for line in lines)
         assert pairs == [(str(line["sample_id"]), line["visual_row"]) for line in lines]
         assert len({s for s, _ in pairs}) == len({row for _, row in pairs}) == len(pairs)
+
+
+VALID_PIPELINE_CONFIG = {
+    "records": "records.jsonl",
+    "embeddings": "kb.ubem",
+    "prompts": "prompts.ubem",
+    "labels": "labels.jsonl",
+    "modalities": {
+        "mod0": {"visual": "mod0.ubem", "pairs": "mod0_pairs.jsonl"},
+        "mod1": {"visual": "mod1.ubem", "pairs": "mod1_pairs.jsonl"},
+    },
+    "out_dir": "run",
+    "k": 5,
+    "retrieval_ks": [1, 5],
+    "train": {"epochs": 2, "batch_size": 8, "learning_rate": 0.01, "optimizer": "adam"},
+    "source_filter": "llm_category",
+    "dump_projection": False,
+}
+
+
+@given(config=mutated(VALID_PIPELINE_CONFIG))
+@FUZZ
+def test_pipeline_config_yields_a_config_or_a_value_error_naming_the_file(tmp_path, config):
+    path = tmp_path / "pipeline.json"
+    path.write_text(json.dumps(config))
+    try:
+        loaded = load_pipeline_config(path)
+    except ValueError as e:
+        assert str(e).startswith(f"{path}: ")
+    else:
+        assert isinstance(loaded, PipelineConfig)
+
+
+# Lines biased toward JSON: whole values, fragments of them, whitespace that
+# JSON accepts and whitespace that only `str.strip` accepts, a leading BOM,
+# and two values on one line. "\n" and "\r" end a line, so they appear only
+# as the terminator.
+_json_text = json_values.map(json.dumps)
+_fragments = st.sampled_from(
+    ["{", "}", "[", "]", ",", ":", '"', "\\", "\\u12", "tru", "null", "-", "1e", "0.5", "NaN",
+     "Infinity", '"a"', '{"id": ', "\ufeff"]
+)
+_pad = st.text(st.sampled_from(" \t\x0c\x0b\x1c\x85\xa0\u2028\u3000"), max_size=3)
+_body = st.lists(_json_text | _fragments | st.text(max_size=6), min_size=1, max_size=3).map("".join)
+jsonl_lines = st.builds(
+    lambda bom, lead, body, trail: bom + lead + body + trail,
+    st.sampled_from(["", "", "", "\ufeff"]),
+    _pad,
+    _body | _json_text,
+    _pad,
+).filter(lambda line: "\n" not in line and "\r" not in line)
+
+
+def _loads_or_message(line: str):
+    """`json.loads(line)`, or the message `read_jsonl` must raise for it."""
+    try:
+        return json.loads(line), None
+    except json.JSONDecodeError as e:
+        return None, f"invalid JSON ({e.msg})"
+    except RecursionError:
+        return None, "invalid JSON (nested too deeply)"
+
+
+@given(lines=st.lists(jsonl_lines, min_size=1, max_size=3), final_newline=st.booleans())
+@FUZZ
+def test_read_jsonl_yields_json_loads_or_its_message(tmp_path, lines, final_newline):
+    path = tmp_path / "lines.jsonl"
+    path.write_text("\n".join(lines) + ("\n" if final_newline else ""), encoding="utf-8")
+    got = read_jsonl(path)
+    for line_number, line in enumerate(lines, start=1):
+        if line_number < len(lines) or final_newline:
+            line += "\n"
+        if not line.strip():
+            continue
+        want, message = _loads_or_message(line)
+        if message is None:
+            number, value = next(got)
+            assert number == line_number
+            assert repr(value) == repr(want)
+        else:
+            with pytest.raises(MalformedRecord) as excinfo:
+                next(got)
+            assert str(excinfo.value) == f"line {line_number}: {message}"
+            return
+    assert next(got, None) is None
+
+
+record_lines = json_values | objects_with_keys(
+    ("id", "category", "description", "source", "generator")
+) | st.fixed_dictionaries(
+    {"id": json_values, "category": json_values, "description": json_values,
+     "source": st.sampled_from([s.value for s in Source]) | json_values},
+    optional={"generator": json_values},
+)
+label_lines = json_values | st.fixed_dictionaries({"id": json_values, "category": json_values})
+
+
+@pytest.mark.parametrize(
+    "load, lines",
+    [(load_records, record_lines), (load_labels, label_lines)],
+    ids=["records", "labels"],
+)
+@FUZZ
+@given(data=st.data())
+def test_jsonl_parsers_yield_results_or_a_malformed_record(tmp_path, load, lines, data):
+    drawn = data.draw(st.lists(lines, max_size=4))
+    path = tmp_path / "fuzz.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in drawn))
+    try:
+        parsed = load(path)
+    except MalformedRecord:
+        return
+    assert len(parsed) == len(drawn)
 
 
 @pytest.fixture(scope="module")

@@ -129,6 +129,16 @@ class TestRecordsFile:
         save_records(path, records)
         assert load_records(path) == records
 
+    def test_rows_share_category_and_generator_strings(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        save_records(path, make_records(3, category="heron") + [
+            KnowledgeRecord("g", "heron", "d", Source.MLLM_DATA, generator="gen-4"),
+            KnowledgeRecord("h", "heron", "d", Source.MLLM_DATA, generator="gen-4"),
+        ])
+        records = load_records(path)
+        assert len({id(r.category) for r in records}) == 1
+        assert records[3].generator is records[4].generator
+
     # Text that exercises every escape the JSON encoder makes: quotes,
     # backslashes, control characters, and text outside the BMP. Characters
     # are UTF-8-encodable: a lone surrogate cannot be written to the file.
@@ -268,6 +278,11 @@ class TestIngestRows:
         assert mixed.tobytes() == before.tobytes()
         assert not np.shares_memory(out, mixed)
 
+    def test_owned_array_normalized_in_place(self, mixed):
+        want = _whole_matrix_ingest(mixed)
+        assert _ingest_rows(mixed, owned=True) is mixed
+        assert mixed.tobytes() == want.tobytes()
+
     def test_unit_rows_pass_through_uncopied(self, mixed):
         unit = _whole_matrix_ingest(mixed)
         assert _ingest_rows(unit) is unit
@@ -288,10 +303,10 @@ class TestIngestRows:
 
 
 def test_build_and_export_hold_no_full_size_temporaries(tmp_path):
-    # Ingest keeps the float32 payload plus at most one normalized copy; the
-    # records' Python objects come on top. Whole-matrix float64 temporaries
-    # (8 bytes per value, twice over) would push the build peak to about 7x
-    # the float32 payload, and an export that copies the payload before
+    # Build normalizes the float32 payload it read in place, so it holds one
+    # payload; the records' Python objects come on top. A normalized copy
+    # would add 1x and whole-matrix float64 temporaries (8 bytes per value,
+    # twice over) about 4x more. An export that copies the payload before
     # buffering it adds 2x on top of the knowledge base.
     rows, dim = 20_000, 128
     records = [
@@ -312,5 +327,5 @@ def test_build_and_export_hold_no_full_size_temporaries(tmp_path):
         _, export_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert build_peak < 5.0 * payload
+    assert build_peak < 2.5 * payload
     assert export_peak - held < 1.75 * payload
