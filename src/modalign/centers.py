@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MissingCategory
 from .kb import KnowledgeBase, Source
-from .serialize import atomic_write_bytes, is_int, read_header, require_key
+from .serialize import INTEGER, LIST, STRING, atomic_write_bytes, field_problem, is_int, read_header
 from .ubem import read_ubem_file_stream, write_ubem_stream
 from .vectors import EmbeddingMatrix, top_k
 
@@ -216,10 +216,10 @@ def _is_cosine(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and -1 <= value <= 1
 
 
-# Every key of a center-set category entry: the check its JSON value must
-# pass, and what that check means.
-_ENTRY_KEYS = {
-    "category": (lambda v: isinstance(v, str), "a string"),
+_HEADER_FIELDS = {"k": INTEGER, "categories": LIST, "prompt_template": STRING}
+# The field table of one center-set category entry.
+_ENTRY_FIELDS = {
+    "category": STRING,
     "member_rows": (
         lambda v: isinstance(v, list) and all(is_int(r) and r >= 0 for r in v),
         "a list of non-negative integers",
@@ -228,7 +228,7 @@ _ENTRY_KEYS = {
         lambda v: isinstance(v, list) and all(_is_cosine(x) for x in v),
         "a list of cosines in [-1, 1]",
     ),
-    "k_requested": (is_int, "an integer"),
+    "k_requested": INTEGER,
 }
 
 
@@ -240,24 +240,18 @@ def load_center_set(path) -> CenterSet:
         members = read_ubem_file_stream(f, path)
         prompt_matrix = read_ubem_file_stream(f, path)
 
-    where = f"{path}: center-set header"
-    k = require_key(header, "k", where)
-    entries = require_key(header, "categories", where)
+    problem = field_problem(header, _HEADER_FIELDS, ("k", "categories"))
+    if problem is not None:
+        raise ValueError(f"{path}: center-set header: {problem}")
     template = header.get("prompt_template", DEFAULT_PROMPT_TEMPLATE)
-    if not is_int(k):
-        raise ValueError(f"{where}: 'k' must be an integer, got {k!r}")
-    if not isinstance(entries, list):
-        raise ValueError(f"{where}: 'categories' must be a list")
-    if not isinstance(template, str):
-        raise ValueError(f"{where}: 'prompt_template' must be a string")
     labels = members.labels or [""] * members.rows
     centers: dict[str, EmbeddingCenter] = {}
     offset = 0
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(header["categories"]):
         where = f"{path}: center-set category {i}"
-        for key, (check, expected) in _ENTRY_KEYS.items():
-            if not check(require_key(entry, key, where)):
-                raise ValueError(f"{where}: {key!r} must be {expected}, got {entry[key]!r}")
+        problem = field_problem(entry, _ENTRY_FIELDS, _ENTRY_FIELDS)
+        if problem is not None:
+            raise ValueError(f"{where}: {problem}")
         category, rows, scores = entry["category"], entry["member_rows"], entry["member_scores"]
         if len(scores) != len(rows):
             raise ValueError(f"{where}: 'member_scores' must hold one score per member row")
@@ -270,4 +264,4 @@ def load_center_set(path) -> CenterSet:
         offset = end
     if offset != members.rows:
         raise ValueError(f"{path}: center-set member blob does not match header counts")
-    return CenterSet(centers, prompts_from_matrix(prompt_matrix), k, template)
+    return CenterSet(centers, prompts_from_matrix(prompt_matrix), header["k"], template)

@@ -12,12 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .centers import (
+    DEFAULT_K,
     DEFAULT_PROMPT_TEMPLATE,
     PromptSet,
     load_center_set,
@@ -27,8 +29,9 @@ from .centers import (
     sweep_k,
 )
 from .diagnostics import alignment_diagnostics
-from .errors import MalformedRecord, ModalignError
+from .errors import ModalignError
 from .evaluation import (
+    DEFAULT_RETRIEVAL_KS,
     ScoringMode,
     category_relevance,
     evaluate_classification,
@@ -40,9 +43,10 @@ from .pipeline import (
     load_labels,
     load_pairs_file,
     load_pipeline_config,
+    load_relevance,
     run_pipeline,
 )
-from .serialize import atomic_write_text, fixed_json, read_jsonl
+from .serialize import atomic_write_text, fixed_json
 from .synthetic import SyntheticSpec, generate_synthetic
 from .training import (
     LinearAdapter,
@@ -191,14 +195,7 @@ def cmd_eval_retrieval(args) -> int:
     gallery = read_ubem(args.gallery)
     ks = _parse_int_list(args.ks)
     if args.relevance:
-        relevance: dict[str, set[str]] = {}
-        for line_number, obj in read_jsonl(args.relevance):
-            try:
-                relevance[str(obj["query_id"])] = {str(g) for g in obj["relevant"]}
-            except (KeyError, TypeError) as e:
-                raise MalformedRecord(
-                    line_number, f"expected fields 'query_id' and 'relevant' ({e})"
-                ) from e
+        relevance = load_relevance(args.relevance)
     elif args.labels:
         labels = load_labels(args.labels)
         relevance = category_relevance(
@@ -217,17 +214,7 @@ def cmd_eval_retrieval(args) -> int:
 
 
 def cmd_synth_generate(args) -> int:
-    spec = SyntheticSpec(
-        categories=args.categories,
-        modalities=args.modalities,
-        samples_per_class=args.samples,
-        dim=args.dim,
-        class_separation=args.class_separation,
-        modality_offset=args.modality_offset,
-        noise_sigma=args.noise_sigma,
-        descriptions_per_class=args.descriptions_per_class,
-        seed=args.seed,
-    )
+    spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
     bundle = generate_synthetic(spec, args.out)
     print(
         f"generated bundle: {spec.categories} classes x {spec.modalities} modalities "
@@ -299,7 +286,7 @@ def build_parser() -> _Parser:
     p = centers_sub.add_parser("localize", help="select top-k prompt-similar descriptions per category")
     p.add_argument("--kb", required=True)
     p.add_argument("--prompts", required=True, help="UBEM with labels = category names")
-    p.add_argument("--k", type=int, default=50)
+    p.add_argument("--k", type=int, default=DEFAULT_K)
     p.add_argument("--source", choices=[s.value for s in Source], default=None)
     p.add_argument("--template", default=DEFAULT_PROMPT_TEMPLATE)
     p.add_argument("--out", required=True)
@@ -328,7 +315,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dim-out", type=int, default=None)
     p.add_argument("--batch", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--temperature", type=float, default=0.07)
+    p.add_argument("--temperature", type=float, default=TrainConfig.temperature)
     p.add_argument("--symmetric", action="store_true")
     p.set_defaults(func=cmd_gradcheck)
 
@@ -347,7 +334,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gallery", required=True)
     p.add_argument("--relevance", default=None, help="JSONL of query_id/relevant lists")
     p.add_argument("--labels", default=None, help="JSONL id/category labels for class-level relevance")
-    p.add_argument("--ks", default="1,5,10,20")
+    p.add_argument("--ks", default=",".join(map(str, DEFAULT_RETRIEVAL_KS)))
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_eval_retrieval)
 
@@ -355,15 +342,9 @@ def build_parser() -> _Parser:
     synth_sub = synth.add_subparsers(dest="subcommand", parser_class=_Parser)
     p = synth_sub.add_parser("generate", help="write a synthetic bundle")
     p.add_argument("--out", required=True)
-    p.add_argument("--categories", type=int, default=10)
-    p.add_argument("--modalities", type=int, default=2)
-    p.add_argument("--samples", type=int, default=20, help="samples per class per modality")
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--class-separation", type=float, default=1.0)
-    p.add_argument("--modality-offset", type=float, default=1.0)
-    p.add_argument("--noise-sigma", type=float, default=0.3)
-    p.add_argument("--descriptions-per-class", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    for f in fields(SyntheticSpec):  # one flag per field; --samples sets samples_per_class
+        flag = "samples" if f.name == "samples_per_class" else f.name.replace("_", "-")
+        p.add_argument(f"--{flag}", type=type(f.default), default=f.default, dest=f.name)
     p.set_defaults(func=cmd_synth_generate)
 
     pipe = top.add_parser("pipeline", help="end-to-end orchestration")

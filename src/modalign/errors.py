@@ -30,11 +30,12 @@ class DuplicateId(ModalignError):
 
 
 class MalformedRecord(ModalignError):
-    """A records/labels line could not be parsed or failed field validation."""
+    """A JSONL line could not be parsed or failed field validation."""
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
+    def __init__(self, line_number: int, problem: str, path=None):
+        where = f"line {line_number}" if path is None else f"{path}: line {line_number}"
+        super().__init__(f"{where}: {problem}")
+        self.line_number, self.problem, self.path = line_number, problem, path
 
 
 class UnknownSample(ModalignError):

@@ -33,6 +33,9 @@ from .vectors import (
     top_k,
 )
 
+# The recall cut-offs of a retrieval evaluation that sets none.
+DEFAULT_RETRIEVAL_KS = (1, 5, 10, 20)
+
 
 class ScoringMode(str, Enum):
     CENTER_MAX = "center_max"

@@ -132,7 +132,10 @@ def _parse_record(line_number: int, obj) -> KnowledgeRecord:
 
 def load_records(path) -> list[KnowledgeRecord]:
     """Parse a records JSONL file; blank lines are skipped."""
-    return [_parse_record(line_number, obj) for line_number, obj in read_jsonl(path)]
+    try:
+        return [_parse_record(line_number, obj) for line_number, obj in read_jsonl(path)]
+    except MalformedRecord as e:  # _parse_record is not given the file
+        raise MalformedRecord(e.line_number, e.problem, path) from e
 
 
 def save_records(path, records: list[KnowledgeRecord]) -> None:

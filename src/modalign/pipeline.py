@@ -13,15 +13,17 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .centers import CenterSet, localize, prompts_from_matrix, save_center_set
+from .centers import DEFAULT_K, CenterSet, localize, prompts_from_matrix, save_center_set
 from .diagnostics import alignment_diagnostics
 from .errors import MalformedRecord, StageError, UnknownSample
 from .evaluation import (
+    DEFAULT_RETRIEVAL_KS,
     ScoringMode,
     category_relevance,
     evaluate_classification,
@@ -29,11 +31,14 @@ from .evaluation import (
 )
 from .kb import KnowledgeBase, Source, build, write_kb_dir
 from .serialize import (
+    BOOLEAN,
+    INTEGER,
+    STRING,
     atomic_write_text,
+    field_problem,
     fixed_json,
     is_int,
-    read_jsonl,
-    require_key,
+    read_jsonl_objects,
     sha256_file,
     sha256_text,
 )
@@ -63,27 +68,18 @@ class PipelineConfig:
     labels: Path
     modalities: dict[str, ModalityInput]
     out_dir: Path
-    k: int = 50
-    retrieval_ks: tuple[int, ...] = (1, 5, 10, 20)
+    k: int = DEFAULT_K
+    retrieval_ks: tuple[int, ...] = DEFAULT_RETRIEVAL_KS
     train: TrainConfig = field(default_factory=TrainConfig)
     source_filter: Source | None = None
     dump_projection: bool = False
 
     def input_paths(self) -> dict[str, Path]:
-        paths = {
-            "records": self.records,
-            "embeddings": self.embeddings,
-            "prompts": self.prompts,
-            "labels": self.labels,
-        }
+        paths = {key: getattr(self, key) for key in _PATH_KEYS}
         for name, mod in self.modalities.items():
             paths[f"visual:{name}"] = mod.visual
             paths[f"pairs:{name}"] = mod.pairs
         return paths
-
-
-def _is_path(value) -> bool:
-    return isinstance(value, str)
 
 
 def _is_ascending_positive_ints(value) -> bool:
@@ -97,135 +93,119 @@ def _is_ascending_positive_ints(value) -> bool:
 
 _SOURCES = [s.value for s in Source]
 _PATH_KEYS = ("records", "embeddings", "prompts", "labels")
-_REQUIRED_KEYS = _PATH_KEYS + ("modalities",)
-# Every top-level config key: the check its JSON value must pass, and what
-# that check means. Values are checked, not converted.
-_CONFIG_KEYS = {
-    **{key: (_is_path, "a path string") for key in _PATH_KEYS + ("out_dir",)},
+# The pipeline config's field table; `out_dir` may come from the caller.
+_CONFIG_FIELDS = {
+    **dict.fromkeys(_PATH_KEYS + ("out_dir",), STRING),
     "modalities": (lambda v: isinstance(v, dict), "an object mapping names to inputs"),
     "k": (lambda v: is_int(v) and v >= 1, "a positive integer"),
     "retrieval_ks": (_is_ascending_positive_ints, "an ascending list of positive integers"),
     "train": (lambda v: isinstance(v, dict), "an object"),
     "source_filter": (lambda v: v is None or v in _SOURCES, f"null or one of {_SOURCES}"),
-    "dump_projection": (lambda v: isinstance(v, bool), "true or false"),
+    "dump_projection": BOOLEAN,
 }
+_MODALITY_FIELDS = {"visual": STRING, "pairs": STRING}
 
 
 def load_pipeline_config(path, out_dir=None) -> PipelineConfig:
     """Parse a pipeline config JSON; relative paths resolve against the file.
 
     Invalid JSON, an unknown or missing key, and a value of the wrong type
-    raise ValueError naming the file (and the key).
-    """
+    raise ValueError naming the file (and the key); keys left out keep
+    PipelineConfig's defaults."""
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, RecursionError) as e:
         raise ValueError(f"{path}: invalid JSON ({e})") from e
-    for key in _REQUIRED_KEYS:
-        require_key(obj, key, f"{path}: config")
-    for key, value in obj.items():
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}: unknown config key {key!r}")
-        check, expected = _CONFIG_KEYS[key]
-        if not check(value):
-            raise ValueError(f"{path}: config key {key!r} must be {expected}, got {value!r}")
-    base = path.parent
-
-    def resolve(p: str) -> Path:
-        p = Path(p)
-        return p if p.is_absolute() else base / p
-
-    modalities: dict[str, ModalityInput] = {}
+    problem = field_problem(obj, _CONFIG_FIELDS, _PATH_KEYS + ("modalities",), closed=True)
+    if problem is not None:
+        raise ValueError(f"{path}: config: {problem}")
     for name, entry in obj["modalities"].items():
-        where = f"{path}: modality {name!r}"
-        visual, pairs = require_key(entry, "visual", where), require_key(entry, "pairs", where)
-        for key in entry:
-            if key not in ("visual", "pairs"):
-                raise ValueError(f"{where}: unknown key {key!r}")
-        if not (_is_path(visual) and _is_path(pairs)):
-            raise ValueError(f"{where}: 'visual' and 'pairs' must be path strings")
-        modalities[name] = ModalityInput(resolve(visual), resolve(pairs))
-    paths = {key: resolve(obj[key]) for key in _PATH_KEYS}
-    resolved_out = out_dir or obj.get("out_dir")
-    if resolved_out is None:
-        raise ValueError(f"{path}: config must set out_dir or the caller must supply one")
-    source_filter = obj.get("source_filter")
-    try:
-        train = train_config_from_dict(obj.get("train", {}))
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from e
-    return PipelineConfig(
-        **paths,
-        modalities=modalities,
-        out_dir=Path(resolved_out),
-        k=obj.get("k", 50),
-        retrieval_ks=tuple(obj.get("retrieval_ks", (1, 5, 10, 20))),
-        train=train,
-        source_filter=Source(source_filter) if source_filter else None,
-        dump_projection=obj.get("dump_projection", False),
-    )
-
-
-def _canonical_config(config: PipelineConfig) -> dict:
-    return {
-        "records": str(config.records),
-        "embeddings": str(config.embeddings),
-        "prompts": str(config.prompts),
-        "labels": str(config.labels),
-        "modalities": {
-            name: {"visual": str(m.visual), "pairs": str(m.pairs)}
-            for name, m in sorted(config.modalities.items())
+        problem = field_problem(entry, _MODALITY_FIELDS, _MODALITY_FIELDS, closed=True)
+        if problem is not None:
+            raise ValueError(f"{path}: modality {name!r}: {problem}")
+    base = path.parent  # `base / p` is `p` itself when `p` is absolute
+    convert = {
+        **dict.fromkeys(_PATH_KEYS, base.joinpath),
+        "modalities": lambda m: {
+            name: ModalityInput(base / e["visual"], base / e["pairs"]) for name, e in m.items()
         },
-        "k": config.k,
-        "retrieval_ks": list(config.retrieval_ks),
-        "train": {**asdict(config.train), "optimizer": config.train.optimizer.value},
-        "source_filter": config.source_filter.value if config.source_filter else None,
-        "dump_projection": config.dump_projection,
+        "retrieval_ks": tuple,
+        "train": train_config_from_dict,
+        "source_filter": lambda v: v and Source(v),
+    }
+    out_dir = out_dir or obj.get("out_dir")
+    if out_dir is None:
+        raise ValueError(f"{path}: config must set out_dir or the caller must supply one")
+    try:
+        values = {key: convert.get(key, lambda v: v)(value) for key, value in obj.items()}
+    except ValueError as e:  # a train config problem
+        raise ValueError(f"{path}: {e}") from e
+    return PipelineConfig(**{**values, "out_dir": Path(out_dir)})
+
+
+def _json_items(items) -> dict:
+    """`asdict`'s dict factory for JSON: paths as strings, enums as values."""
+    return {
+        key: str(v) if isinstance(v, Path) else v.value if isinstance(v, Enum) else v
+        for key, v in items
     }
 
 
+def _canonical_config(config: PipelineConfig) -> dict:
+    """The config as the manifest hashes it: without `out_dir`, so a run's
+    location never changes its hash, and with modalities sorted by name."""
+    canonical = asdict(config, dict_factory=_json_items)
+    del canonical["out_dir"]
+    canonical["modalities"] = dict(sorted(canonical["modalities"].items()))
+    return canonical
+
+
+_LABEL_FIELDS = {"id": STRING, "category": STRING}
+_PAIR_FIELDS = {"sample_id": STRING, "visual_row": INTEGER}
+_RELEVANCE_FIELDS = {
+    "query_id": STRING,
+    "relevant": (
+        lambda v: isinstance(v, list) and all(isinstance(g, str) for g in v),
+        "a list of strings",
+    ),
+}
+
+
 def load_labels(path) -> dict[str, str]:
-    """Parse a labels JSONL ({"id": ..., "category": ...} per line)."""
-    labels: dict[str, str] = {}
-    for line_number, obj in read_jsonl(path):
-        if not isinstance(obj, dict) or "id" not in obj or "category" not in obj:
-            raise MalformedRecord(line_number, "expected fields 'id' and 'category'")
-        sample_id = str(obj["id"])
-        if sample_id in labels:
-            raise MalformedRecord(line_number, f"duplicate id {sample_id!r}")
-        labels[sample_id] = str(obj["category"])
-    return labels
+    """Parse a labels JSONL ({"id": ..., "category": ...} per line): two JSON
+    strings, each id at most once, or MalformedRecord naming file and line."""
+    return {obj["id"]: obj["category"] for _, obj in read_jsonl_objects(path, _LABEL_FIELDS, "id")}
 
 
 def load_pairs_file(path) -> list[tuple[str, int]]:
     """Parse a pairs JSONL ({"sample_id": ..., "visual_row": ...} per line).
 
-    A `visual_row` that is not a JSON integer, a repeated `sample_id`, and a
-    `visual_row` already paired with another `sample_id` raise
-    MalformedRecord naming the line.
+    A `sample_id` that is not a JSON string, a `visual_row` that is not a
+    JSON integer, a repeated `sample_id`, and a `visual_row` already paired
+    with another `sample_id` raise MalformedRecord naming the file and line.
     """
-    pairs: list[tuple[str, int]] = []
-    seen: set[str] = set()
-    row_owner: dict[int, str] = {}
-    for line_number, obj in read_jsonl(path):
-        if not isinstance(obj, dict) or "sample_id" not in obj or "visual_row" not in obj:
-            raise MalformedRecord(line_number, "expected fields 'sample_id' and 'visual_row'")
-        sample_id = str(obj["sample_id"])
-        if sample_id in seen:
-            raise MalformedRecord(line_number, f"duplicate sample_id {sample_id!r}")
-        seen.add(sample_id)
+    row_owner: dict[int, str] = {}  # in line order
+    for line_number, obj in read_jsonl_objects(path, _PAIR_FIELDS, "sample_id"):
         row = obj["visual_row"]
-        if not is_int(row):
-            raise MalformedRecord(line_number, f"visual_row must be an integer, got {row!r}")
         if row in row_owner:
             raise MalformedRecord(
                 line_number,
                 f"visual_row {row} is already paired with sample_id {row_owner[row]!r}",
+                path,
             )
-        row_owner[row] = sample_id
-        pairs.append((sample_id, row))
-    return pairs
+        row_owner[row] = obj["sample_id"]
+    return [(sample_id, row) for row, sample_id in row_owner.items()]
+
+
+def load_relevance(path) -> dict[str, set[str]]:
+    """Parse a relevance JSONL ({"query_id": ..., "relevant": [...]} per line):
+    a JSON string and a list of them, each query_id at most once, or
+    MalformedRecord naming the file and line."""
+    return {
+        obj["query_id"]: set(obj["relevant"])
+        for _, obj in read_jsonl_objects(path, _RELEVANCE_FIELDS, "query_id")
+    }
 
 
 def categories_for(ids: list[str], labels: dict[str, str]) -> list[str]:

@@ -1,5 +1,5 @@
-"""Serialization helpers: JSONL reading, binary-file header lines, diffable
-report JSON, atomic writes, file hashing."""
+"""Serialization helpers: JSONL reading, binary-file header lines, field-table
+checks, diffable report JSON, atomic writes, file hashing."""
 
 from __future__ import annotations
 
@@ -44,15 +44,62 @@ def read_jsonl(path) -> Iterator[tuple[int, object]]:
                 # U+FEFF is neither JSON whitespace nor the start of a value,
                 # so a line that opens with it always fails to decode.
                 msg = _BOM_MSG if line.startswith("\ufeff") else e.msg
-                raise MalformedRecord(line_number, f"invalid JSON ({msg})") from e
+                raise MalformedRecord(line_number, f"invalid JSON ({msg})", path) from e
             except RecursionError:
-                raise MalformedRecord(line_number, "invalid JSON (nested too deeply)") from None
+                msg = "nested too deeply"
+                raise MalformedRecord(line_number, f"invalid JSON ({msg})", path) from None
             yield line_number, obj
+
+
+def read_jsonl_objects(path, fields: dict, unique: str) -> Iterator[tuple[int, dict]]:
+    """`read_jsonl`, each line an object holding every key of `fields`.
+
+    A line that breaks the table (see `field_problem`), or repeats an earlier
+    line's `unique` value, raises MalformedRecord naming the file and line.
+    """
+    seen = set()
+    for line_number, obj in read_jsonl(path):
+        problem = field_problem(obj, fields, fields)
+        if problem is None and obj[unique] in seen:
+            problem = f"duplicate {unique} {obj[unique]!r}"
+        if problem is not None:
+            raise MalformedRecord(line_number, problem, path)
+        seen.add(obj[unique])
+        yield line_number, obj
 
 
 def is_int(value) -> bool:
     """True for a JSON integer: a Python int that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The field checks most tables share: (check, what passing it means).
+STRING = (lambda v: isinstance(v, str), "a string")
+INTEGER = (is_int, "an integer")
+BOOLEAN = (lambda v: isinstance(v, bool), "true or false")
+LIST = (lambda v: isinstance(v, list), "a list")
+
+
+def field_problem(obj, fields: dict, required=(), closed: bool = False) -> str | None:
+    """The first way a parsed JSON value breaks a field table, or None.
+
+    `fields` maps each known key to `(check, expected)`: its value must pass
+    `check`, which `expected` describes. Keys in `required` must be present,
+    and a `closed` table refuses unknown keys. Nothing is converted.
+    """
+    if not isinstance(obj, dict):
+        return f"must be a JSON object, got {obj!r}"
+    for key in required:
+        if key not in obj:
+            return f"missing key {key!r}"
+    for key, value in obj.items():
+        if key in fields:
+            check, expected = fields[key]
+            if not check(value):
+                return f"{key!r} must be {expected}, got {value!r}"
+        elif closed:
+            return f"unknown key {key!r}"
+    return None
 
 
 def read_header(f, path, kind: str) -> dict:
@@ -69,13 +116,6 @@ def read_header(f, path, kind: str) -> dict:
     if not (is_int(version) and version == 1 and header.get("format") == kind):
         raise ValueError(f"{path}: not a version-1 {kind} file")
     return header
-
-
-def require_key(mapping, key: str, where: str):
-    """`mapping[key]`, or ValueError "<where> has no key '<key>'" when absent."""
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ValueError(f"{where} has no key {key!r}")
-    return mapping[key]
 
 
 def fixed_json(obj, indent: int = 2) -> str:

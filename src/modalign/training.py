@@ -28,7 +28,7 @@ from .errors import (
 )
 from .kb import KnowledgeBase
 from .optim import SGD, Adam
-from .serialize import atomic_write_bytes, read_header, require_key
+from .serialize import BOOLEAN, INTEGER, STRING, atomic_write_bytes, field_problem, read_header
 from .ubem import read_ubem_file_stream, write_ubem_stream
 from .vectors import ZERO_NORM, EmbeddingMatrix, as_vectors, normalize_rows
 
@@ -311,16 +311,19 @@ def gradient_check_arrays(
 
 # --- persistence -----------------------------------------------------------
 
-# TrainConfig's settable keys and the JSON types each accepts. Values are
-# checked, not converted, except that `optimizer` becomes the enum.
-_CONFIG_KEYS = {
-    "temperature": ((int, float), "a number"),
-    "learning_rate": ((int, float), "a number"),
-    "batch_size": (int, "an integer"),
-    "epochs": (int, "an integer"),
-    "seed": (int, "an integer"),
-    "optimizer": (str, "a string"),
-    "symmetric_loss": (bool, "true or false"),
+_NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
+_OPTIMIZERS = [o.value for o in OptimizerKind]
+# The train config's field table: one entry per TrainConfig field, each optional.
+_CONFIG_FIELDS = {
+    "temperature": _NUMBER,
+    "learning_rate": _NUMBER,
+    "batch_size": INTEGER,
+    "epochs": INTEGER,
+    "seed": INTEGER,
+    "optimizer": (
+        lambda v: isinstance(v, str) and v.lower() in _OPTIMIZERS, f"one of {_OPTIMIZERS}"
+    ),
+    "symmetric_loss": BOOLEAN,
 }
 
 
@@ -331,21 +334,12 @@ def train_config_from_dict(obj) -> TrainConfig:
     Unknown keys and values of the wrong JSON type raise ValueError naming
     the key.
     """
-    if not isinstance(obj, dict):
-        raise ValueError(f"train config must be a JSON object, got {obj!r}")
-    values = dict(obj)
-    for key, value in values.items():
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown train config key {key!r}")
-        json_types, expected = _CONFIG_KEYS[key]
-        if isinstance(value, bool) != (json_types is bool) or not isinstance(value, json_types):
-            raise ValueError(f"train config key {key!r} must be {expected}, got {value!r}")
-    if "optimizer" in values:
-        try:
-            values["optimizer"] = OptimizerKind(values["optimizer"].lower())
-        except ValueError:
-            raise ValueError(f"optimizer must be one of {[o.value for o in OptimizerKind]}") from None
-    return TrainConfig(**values)
+    problem = field_problem(obj, _CONFIG_FIELDS, closed=True)
+    if problem is not None:
+        raise ValueError(f"train config: {problem}")
+    if "optimizer" in obj:
+        obj = {**obj, "optimizer": OptimizerKind(obj["optimizer"].lower())}
+    return TrainConfig(**obj)
 
 
 def load_train_config(path) -> TrainConfig:
@@ -377,19 +371,21 @@ def save_adapter(path, adapter: LinearAdapter) -> None:
     atomic_write_bytes(Path(path), buf.getvalue())
 
 
+_HEADER_FIELDS = {"dim_in": INTEGER, "dim_out": INTEGER, "modality": STRING}
+
+
 def load_adapter(path) -> LinearAdapter:
     """Read an adapter file; a malformed header or blob raises ValueError
-    naming the file (and, for a missing key, the key)."""
+    naming the file (and, for a bad header key, the key)."""
     with open(path, "rb") as f:
         header = read_header(f, path, "linear-adapter")
         weight = read_ubem_file_stream(f, path).vectors
         bias = read_ubem_file_stream(f, path).vectors
-    where = f"{path}: adapter header"
-    dim_out = require_key(header, "dim_out", where)
-    dim_in = require_key(header, "dim_in", where)
+    problem = field_problem(header, _HEADER_FIELDS, ("dim_in", "dim_out"))
+    if problem is not None:
+        raise ValueError(f"{path}: adapter header: {problem}")
+    dim_in, dim_out = header["dim_in"], header["dim_out"]
     modality = header.get("modality", "")
-    if not isinstance(modality, str):
-        raise ValueError(f"{where}: 'modality' must be a string, got {modality!r}")
     if weight.shape != (dim_out, dim_in) or bias.shape != (1, dim_out):
         raise ValueError(f"{path}: adapter blob shapes do not match header")
     return LinearAdapter(weight, bias[0], modality)

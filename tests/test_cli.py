@@ -11,7 +11,10 @@ import pytest
 
 import modalign
 from modalign.cli import main
+from modalign.evaluation import ScoringMode, evaluate_classification
 from modalign.kb import KnowledgeRecord, Source, save_records
+from modalign.pipeline import categories_for, load_labels
+from modalign.serialize import fixed_json
 from modalign.synthetic import SyntheticSpec, generate_synthetic
 from modalign.training import default_adapter, load_adapter, save_adapter
 from modalign.ubem import read_ubem, write_ubem
@@ -177,6 +180,32 @@ class TestEvalCommands:
         assert code == 0
         assert json.loads(report.read_text())["mode"] == "prompt_mean"
 
+    def test_zeroshot_prompt_mean_uses_prompt_ensemble(self, bundle, centers_file, tmp_path):
+        # Three prompt rows per category, interleaved, so grouping by label
+        # (not by position) decides each category's block.
+        categories = read_ubem(bundle.prompts).labels
+        rng = np.random.default_rng(11)
+        vectors = rng.standard_normal((3 * len(categories), 10)).astype(np.float32)
+        labels = categories * 3
+        ensemble = tmp_path / "ensemble.ubem"
+        write_ubem(ensemble, EmbeddingMatrix(vectors, labels))
+        report = tmp_path / "report.json"
+        code = main([
+            "eval", "zeroshot",
+            "--centers", str(centers_file),
+            "--queries", str(bundle.visual["mod1"]),
+            "--labels", str(bundle.labels),
+            "--mode", "prompt_mean",
+            "--prompts", str(ensemble),
+            "--report", str(report),
+        ])
+        assert code == 0
+        queries = read_ubem(bundle.visual["mod1"])
+        truth = categories_for(queries.ids, load_labels(bundle.labels))
+        blocks = {c: vectors[[i for i, l in enumerate(labels) if l == c]] for c in categories}
+        expected = evaluate_classification(queries, truth, blocks, ScoringMode.PROMPT_MEAN)
+        assert report.read_text() == fixed_json(expected.to_report())
+
     def test_retrieval_with_label_relevance(self, bundle, tmp_path):
         report = tmp_path / "retrieval.json"
         code = main([
@@ -257,6 +286,16 @@ class TestPipelineAndDiagnostics:
         assert code == 0
         assert (out / "records.jsonl").is_file()
         assert (out / "pipeline_config.json").is_file()
+
+
+def test_synth_generate_without_flags_writes_the_default_spec(tmp_path):
+    # The flags state no defaults of their own, so SyntheticSpec's hold.
+    assert main(["synth", "generate", "--out", str(tmp_path / "cli")]) == 0
+    generate_synthetic(SyntheticSpec(), tmp_path / "lib")
+    written = sorted(p.name for p in (tmp_path / "cli").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "lib").iterdir())
+    for name in written:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
 
 def run_cli(*args):
@@ -346,7 +385,65 @@ def test_non_integer_visual_row_exits_2_naming_line(bundle, tmp_path, value):
     proc = run_cli("pipeline", "run", "--config", path, "--out", tmp_path / "run")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert f"line 2: visual_row must be an integer, got {value!r}" in proc.stderr
+    assert f"{pairs}: line 2: 'visual_row' must be an integer, got {value!r}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "which, line_number, key, value",
+    [("labels", 3, "id", None), ("mod1", 2, "sample_id", 7)],
+    ids=["labels-null-id", "mod1-pairs-integer-sample-id"],
+)
+def test_bad_jsonl_line_in_pipeline_run_names_its_own_file(
+    bundle, tmp_path, which, line_number, key, value
+):
+    source = bundle.labels if which == "labels" else bundle.pairs[which]
+    lines = source.read_text().splitlines()
+    bad = json.loads(lines[line_number - 1])
+    bad[key] = value
+    lines[line_number - 1] = json.dumps(bad)
+    edited = tmp_path / source.name
+    edited.write_text("\n".join(lines) + "\n")
+    config = json.loads(bundle.pipeline_config.read_text())
+    if which == "labels":
+        config["labels"] = str(edited)
+    else:
+        config["modalities"][which]["pairs"] = str(edited)
+    path = bundle.root / f"bad_{which}_line.json"
+    path.write_text(json.dumps(config))
+    proc = run_cli("pipeline", "run", "--config", path, "--out", tmp_path / "run")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{edited}: line {line_number}: {key!r} must be a string, got {value!r}" in proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda lines: lines.append(dict(lines[0], relevant=[lines[1]["query_id"]])),
+         "duplicate query_id"),
+        (lambda lines: lines[1].update(relevant="abc"), "'relevant' must be a list of strings"),
+        (lambda lines: lines[1].update(query_id=None), "'query_id' must be a string"),
+        (lambda lines: lines[1].pop("relevant"), "missing key 'relevant'"),
+    ],
+    ids=["repeated-query-id", "string-relevant", "null-query-id", "no-relevant"],
+)
+def test_bad_relevance_line_exits_2_naming_file_and_line(bundle, tmp_path, edit, problem):
+    ids = read_ubem(bundle.visual["mod0"]).labels
+    lines = [{"query_id": qid, "relevant": [qid]} for qid in ids]
+    edit(lines)
+    relevance = tmp_path / "relevance.jsonl"
+    relevance.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    line_number = len(ids) + 1 if problem == "duplicate query_id" else 2
+    proc = run_cli(
+        "eval", "retrieval", "--queries", bundle.visual["mod0"],
+        "--gallery", bundle.visual["mod0"], "--relevance", relevance,
+        "--ks", "1", "--report", tmp_path / "r.json",
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{relevance}: line {line_number}: {problem}" in proc.stderr
+    assert not (tmp_path / "r.json").exists()
 
 
 def run_train(bundle, kb_dir, config, out):

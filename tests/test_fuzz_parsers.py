@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from modalign.centers import CenterSet, load_center_set, localize, save_center_set
 from modalign.errors import MalformedRecord, ModalignError
 from modalign.kb import KnowledgeRecord, Source, from_parts, load_records
-from modalign.pipeline import PipelineConfig, load_labels, load_pairs_file, load_pipeline_config
+from modalign.pipeline import (
+    PipelineConfig,
+    load_labels,
+    load_pairs_file,
+    load_pipeline_config,
+    load_relevance,
+)
 from modalign.serialize import read_jsonl
 from modalign.training import (
     LinearAdapter,
@@ -110,7 +116,7 @@ def test_pairs_file_yields_pairs_or_a_malformed_record(tmp_path, lines):
     if pairs is not None:
         # Every row is taken as written, never converted.
         assert all(type(line["visual_row"]) is int for line in lines)
-        assert pairs == [(str(line["sample_id"]), line["visual_row"]) for line in lines]
+        assert pairs == [(line["sample_id"], line["visual_row"]) for line in lines]
         assert len({s for s, _ in pairs}) == len({row for _, row in pairs}) == len(pairs)
 
 
@@ -194,7 +200,7 @@ def test_read_jsonl_yields_json_loads_or_its_message(tmp_path, lines, final_newl
         else:
             with pytest.raises(MalformedRecord) as excinfo:
                 next(got)
-            assert str(excinfo.value) == f"line {line_number}: {message}"
+            assert str(excinfo.value) == f"{path}: line {line_number}: {message}"
             return
     assert next(got, None) is None
 
@@ -207,24 +213,40 @@ record_lines = json_values | objects_with_keys(
     optional={"generator": json_values},
 )
 label_lines = json_values | st.fixed_dictionaries({"id": json_values, "category": json_values})
+relevance_lines = json_values | st.fixed_dictionaries(
+    {"query_id": json_values, "relevant": json_values | st.lists(st.text(max_size=4), max_size=3)}
+)
 
 
 @pytest.mark.parametrize(
-    "load, lines",
-    [(load_records, record_lines), (load_labels, label_lines)],
-    ids=["records", "labels"],
+    "load, lines, written",
+    [
+        (load_records, record_lines, None),
+        (load_labels, label_lines, lambda drawn: {x["id"]: x["category"] for x in drawn}),
+        (
+            load_relevance,
+            relevance_lines,
+            lambda drawn: {x["query_id"]: set(x["relevant"]) for x in drawn},
+        ),
+    ],
+    ids=["records", "labels", "relevance"],
 )
 @FUZZ
 @given(data=st.data())
-def test_jsonl_parsers_yield_results_or_a_malformed_record(tmp_path, load, lines, data):
+def test_jsonl_parsers_yield_results_or_a_malformed_record(tmp_path, load, lines, written, data):
     drawn = data.draw(st.lists(lines, max_size=4))
     path = tmp_path / "fuzz.jsonl"
     path.write_text("".join(json.dumps(line) + "\n" for line in drawn))
     try:
         parsed = load(path)
-    except MalformedRecord:
+    except MalformedRecord as e:
+        assert str(e).startswith(f"{path}: line ")
         return
     assert len(parsed) == len(drawn)
+    if written is not None:
+        # Ids, categories and relevant items are the JSON strings written,
+        # never converted.
+        assert parsed == written(drawn)
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,14 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from modalign import pipeline, training
 from modalign.errors import MalformedRecord, StageError
 from modalign.pipeline import (
+    ModalityInput,
+    PipelineConfig,
     load_labels,
     load_pairs_file,
     load_pipeline_config,
@@ -12,7 +16,7 @@ from modalign.pipeline import (
     run_pipeline,
 )
 from modalign.synthetic import SyntheticSpec, generate_synthetic
-from modalign.training import LinearAdapter, load_adapter
+from modalign.training import LinearAdapter, TrainConfig, load_adapter
 
 
 SPEC = SyntheticSpec(
@@ -203,6 +207,13 @@ class TestJsonlInputs:
             MalformedRecord, match="line 3: visual_row 4 is already paired with sample_id 's'"
         ):
             load_pairs_file(path)
+
+
+def test_closed_field_tables_match_their_dataclasses():
+    # A config file can set exactly the fields of the dataclass it builds.
+    assert set(pipeline._CONFIG_FIELDS) == {f.name for f in fields(PipelineConfig)}
+    assert set(pipeline._MODALITY_FIELDS) == {f.name for f in fields(ModalityInput)}
+    assert set(training._CONFIG_FIELDS) == {f.name for f in fields(TrainConfig)}
 
 
 class TestConfigParsing:

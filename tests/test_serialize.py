@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from modalign.serialize import fixed_json, sha256_file, sha256_text
+from modalign.serialize import INTEGER, STRING, field_problem, fixed_json, sha256_file, sha256_text
 
 
 def test_floats_rendered_fixed_point():
@@ -74,3 +74,22 @@ def test_sha256_file_spanning_several_buffers(tmp_path):
     path = tmp_path / "blob.bin"
     path.write_bytes(data)
     assert sha256_file(path) == hashlib.sha256(data).hexdigest()
+
+
+TABLE = {"id": STRING, "row": INTEGER}
+
+
+@pytest.mark.parametrize(
+    "obj, closed, problem",
+    [
+        ({"id": "a", "row": 1, "extra": None}, False, None),
+        ({"id": "a", "row": 1, "extra": None}, True, "unknown key 'extra'"),
+        ({"row": 1}, False, "missing key 'id'"),
+        ({"id": "a", "row": True}, False, "'row' must be an integer, got True"),
+        ({"id": None, "row": 1.0}, False, "'id' must be a string, got None"),
+        (["id", "row"], False, "must be a JSON object, got ['id', 'row']"),
+    ],
+    ids=["open", "closed", "missing", "bool-for-int", "first-problem", "not-an-object"],
+)
+def test_field_problem_names_the_first_bad_key(obj, closed, problem):
+    assert field_problem(obj, TABLE, required=("id",), closed=closed) == problem
