@@ -35,7 +35,9 @@ def accuracy_by_k(spec, ks, workdir):
     labels = load_labels(bundle.labels)
     categories = [labels[i] for i in queries.labels]
     return {
-        k: evaluate_classification(queries, categories, cs, ScoringMode.CENTER_MAX).top1_accuracy
+        k: evaluate_classification(
+            queries, categories, cs.member_blocks(), ScoringMode.CENTER_MAX
+        ).top1_accuracy
         for k, cs in sweeps.items()
     }
 

@@ -13,6 +13,7 @@ from .centers import (
     CenterSet,
     EmbeddingCenter,
     PromptSet,
+    group_rows,
     load_center_set,
     localize,
     prompts_from_matrix,
@@ -83,6 +84,7 @@ __all__ = [
     "evaluate_retrieval",
     "generate_synthetic",
     "gradient_check_arrays",
+    "group_rows",
     "info_nce_loss",
     "load_adapter",
     "load_center_set",

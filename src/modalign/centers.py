@@ -6,7 +6,9 @@ cosine similarity to the category's prompt embedding and the top k become
 the category's anchor set. `sweep_k` is the one ranking path: it ranks each
 category once, to the largest k requested, and slices a prefix per k, which
 makes k-sweeps cheap and guarantees that growing k never reorders earlier
-members. `localize` is its one-k case.
+members. `localize` is its one-k case. A CenterSet holds its file's two
+blobs; `member_blocks()` and `group_rows(prompts)` give the `{category:
+rows}` anchors of the anchor-max and prompt-mean scoring rules.
 """
 
 from __future__ import annotations
@@ -52,10 +54,8 @@ class PromptSet:
 class EmbeddingCenter:
     """One category's anchor set, ordered by similarity to its prompt."""
 
-    category: str
     member_rows: list[int]
     member_scores: list[float]
-    member_embeddings: EmbeddingMatrix
     k_requested: int
 
     @property
@@ -65,28 +65,47 @@ class EmbeddingCenter:
 
 @dataclass
 class CenterSet:
-    """Anchor sets for every classification category, plus their prompts."""
+    """Anchor sets for every category, held as the file holds them: `members`
+    concatenates the categories' member rows in `centers` order (labeled with
+    record ids), and `prompts` has one row per category (labeled with its name)."""
 
     centers: dict[str, EmbeddingCenter]
-    prompt_embeddings: dict[str, np.ndarray]
+    members: EmbeddingMatrix
+    prompts: EmbeddingMatrix
     k: int
     prompt_template: str = DEFAULT_PROMPT_TEMPLATE
 
-    @property
-    def dim(self) -> int:
-        first = next(iter(self.centers.values()))
-        return first.member_embeddings.dim
+    def member_blocks(self) -> dict[str, np.ndarray]:
+        """Each category's member rows, as views of `members`."""
+        blocks: dict[str, np.ndarray] = {}
+        offset = 0
+        for category, center in self.centers.items():
+            blocks[category] = self.members.vectors[offset : offset + center.size]
+            offset += center.size
+        return blocks
 
 
-def prompts_from_matrix(matrix: EmbeddingMatrix) -> dict[str, np.ndarray]:
-    """Interpret a labeled matrix as one prompt embedding per category."""
+def group_rows(matrix: EmbeddingMatrix, path=None) -> dict[str, np.ndarray]:
+    """A labeled prompt matrix's rows grouped by label, in order of first
+    appearance. An unlabeled matrix raises ValueError, naming `path` if given."""
+    where = f"{path}: " if path else ""
     if matrix.labels is None:
-        raise ValueError("prompt matrix must carry category labels")
+        raise ValueError(f"{where}prompt matrix must carry category labels")
+    grouped: dict[str, list[int]] = {}
+    for i, label in enumerate(matrix.labels):
+        grouped.setdefault(label, []).append(i)
+    return {label: matrix.vectors[rows] for label, rows in grouped.items()}
+
+
+def prompts_from_matrix(matrix: EmbeddingMatrix, path=None) -> dict[str, np.ndarray]:
+    """Interpret a labeled matrix as one prompt embedding per category; a
+    missing or repeated label raises ValueError, naming `path` if given."""
+    where = f"{path}: " if path else ""
     prompts: dict[str, np.ndarray] = {}
-    for label, row in zip(matrix.labels, matrix.vectors):
-        if label in prompts:
-            raise ValueError(f"duplicate prompt for category {label!r}")
-        prompts[label] = np.asarray(row, dtype=np.float64)
+    for label, rows in group_rows(matrix, path).items():
+        if rows.shape[0] != 1:
+            raise ValueError(f"{where}duplicate prompt for category {label!r}")
+        prompts[label] = rows[0].astype(np.float64)
     return prompts
 
 
@@ -145,70 +164,53 @@ def sweep_k(
     if any(k < 1 for k in k_values):
         raise ValueError(f"every k must be >= 1, got {k_values}")
     width = max(k_values)
-    centers: dict[int, dict[str, EmbeddingCenter]] = {k: {} for k in sorted(set(k_values))}
-    prompts: dict[str, np.ndarray] = {}
-    for category in sorted(prompt_embeddings):
-        rows, scores = _rank_category(
-            kb, category, prompt_embeddings[category], source_filter, width
-        )
+    rankings: dict[str, tuple[list[int], list[float]]] = {}
+    for category, prompt in sorted(prompt_embeddings.items()):
+        rows, scores = _rank_category(kb, category, prompt, source_filter, width)
         if len(rows) < width:
             logger.warning(
                 "category %r has only %d descriptions for k=%d", category, len(rows), width
             )
-        for k, by_category in centers.items():
-            members = rows[:k]
-            matrix = EmbeddingMatrix(  # fancy indexing copies the rows
-                kb.embeddings.vectors[members], [kb.records[r].id for r in members]
-            )
-            by_category[category] = EmbeddingCenter(category, members, scores[:k], matrix, k)
-        prompts[category] = np.asarray(prompt_embeddings[category], dtype=np.float64)
-    return {
-        k: CenterSet(by_category, dict(prompts), k, prompt_template)
-        for k, by_category in centers.items()
-    }
+        rankings[category] = rows, scores
+    prompts = EmbeddingMatrix(
+        np.array([prompt_embeddings[c] for c in rankings], dtype=np.float64), list(rankings)
+    )
+    sweeps: dict[int, CenterSet] = {}
+    for k in sorted(set(k_values)):
+        centers = {c: EmbeddingCenter(r[:k], s[:k], k) for c, (r, s) in rankings.items()}
+        member_rows = [r for center in centers.values() for r in center.member_rows]
+        members = EmbeddingMatrix(  # one gather of every category's members
+            kb.embeddings.vectors[member_rows], [kb.records[r].id for r in member_rows]
+        )
+        sweeps[k] = CenterSet(centers, members, prompts, k, prompt_template)
+    return sweeps
 
 
 def save_center_set(path, center_set: CenterSet) -> None:
-    """Write a center-set file: one JSON header line, then two UBEM blobs.
-
-    Blob 1 holds all member embeddings concatenated in category order; blob 2
-    holds the per-category prompt embeddings.
-    """
+    """Write a center-set file: one JSON header line, then the set's
+    `members` and `prompts` as two UBEM blobs."""
     header = {
         "format": "center-set",
         "version": 1,
         "k": center_set.k,
-        "dim": center_set.dim,
+        "dim": center_set.members.dim,
         "prompt_template": center_set.prompt_template,
         "categories": [
             {
-                "category": c.category,
-                "prompt_text": PromptSet(basic_template=center_set.prompt_template).fill(
-                    c.category
-                ),
+                "category": category,
+                "prompt_text": PromptSet(basic_template=center_set.prompt_template).fill(category),
                 "k_requested": c.k_requested,
                 "member_rows": c.member_rows,
                 "member_scores": c.member_scores,
             }
-            for c in center_set.centers.values()
+            for category, c in center_set.centers.items()
         ],
     }
-    member_vectors = np.concatenate(
-        [c.member_embeddings.vectors for c in center_set.centers.values()], axis=0
-    )
-    member_labels: list[str] = []
-    for c in center_set.centers.values():
-        member_labels.extend(c.member_embeddings.labels or [""] * c.size)
-    prompt_labels = list(center_set.centers)
-    prompt_vectors = np.stack(
-        [center_set.prompt_embeddings[cat] for cat in prompt_labels]
-    ).astype(np.float32)
-
     buf = io.BytesIO()
     buf.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
     buf.write(b"\n")
-    write_ubem_stream(buf, EmbeddingMatrix(member_vectors, member_labels))
-    write_ubem_stream(buf, EmbeddingMatrix(prompt_vectors, prompt_labels))
+    write_ubem_stream(buf, center_set.members)
+    write_ubem_stream(buf, center_set.prompts)
     atomic_write_bytes(Path(path), buf.getvalue())
 
 
@@ -238,15 +240,13 @@ def load_center_set(path) -> CenterSet:
     with open(path, "rb") as f:
         header = read_header(f, path, "center-set")
         members = read_ubem_file_stream(f, path)
-        prompt_matrix = read_ubem_file_stream(f, path)
+        prompts = read_ubem_file_stream(f, path)
 
     problem = field_problem(header, _HEADER_FIELDS, ("k", "categories"))
     if problem is not None:
         raise ValueError(f"{path}: center-set header: {problem}")
     template = header.get("prompt_template", DEFAULT_PROMPT_TEMPLATE)
-    labels = members.labels or [""] * members.rows
     centers: dict[str, EmbeddingCenter] = {}
-    offset = 0
     for i, entry in enumerate(header["categories"]):
         where = f"{path}: center-set category {i}"
         problem = field_problem(entry, _ENTRY_FIELDS, _ENTRY_FIELDS)
@@ -257,11 +257,10 @@ def load_center_set(path) -> CenterSet:
             raise ValueError(f"{where}: 'member_scores' must hold one score per member row")
         if category in centers:
             raise ValueError(f"{where}: duplicate category {category!r}")
-        end = offset + len(rows)
-        block = EmbeddingMatrix(members.vectors[offset:end].copy(), labels[offset:end])
         scores = [float(x) for x in scores]
-        centers[category] = EmbeddingCenter(category, rows, scores, block, entry["k_requested"])
-        offset = end
-    if offset != members.rows:
+        centers[category] = EmbeddingCenter(rows, scores, entry["k_requested"])
+    if sum(c.size for c in centers.values()) != members.rows:
         raise ValueError(f"{path}: center-set member blob does not match header counts")
-    return CenterSet(centers, prompts_from_matrix(prompt_matrix), header["k"], template)
+    if prompts.labels != list(centers):
+        raise ValueError(f"{path}: center-set prompt blob labels must be the header's categories")
+    return CenterSet(centers, members, prompts, header["k"], template)

@@ -22,6 +22,7 @@ from .centers import (
     DEFAULT_K,
     DEFAULT_PROMPT_TEMPLATE,
     PromptSet,
+    group_rows,
     load_center_set,
     localize,
     prompts_from_matrix,
@@ -58,7 +59,7 @@ from .training import (
     train,
 )
 from .ubem import read_ubem
-from .vectors import EmbeddingMatrix, normalize_rows
+from .vectors import normalize_rows
 
 
 class _UsageError(Exception):
@@ -79,16 +80,6 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _source(value: str | None) -> Source | None:
     return Source(value) if value else None
-
-
-def _prompt_sets_from_matrix(matrix: EmbeddingMatrix) -> dict[str, np.ndarray]:
-    """Group rows of a labeled matrix into per-category prompt blocks."""
-    if matrix.labels is None:
-        raise ValueError("prompt matrix must carry category labels")
-    grouped: dict[str, list[np.ndarray]] = {}
-    for label, row in zip(matrix.labels, matrix.vectors):
-        grouped.setdefault(label, []).append(row)
-    return {cat: np.stack(rows) for cat, rows in grouped.items()}
 
 
 # --- command handlers --------------------------------------------------------
@@ -117,7 +108,7 @@ def cmd_kb_stats(args) -> int:
 
 def cmd_centers_localize(args) -> int:
     kb = load_kb_dir(args.kb)
-    prompts = prompts_from_matrix(read_ubem(args.prompts))
+    prompts = prompts_from_matrix(read_ubem(args.prompts), args.prompts)
     template = PromptSet(basic_template=args.template).basic_template
     center_set = localize(kb, prompts, args.k, _source(args.source), template)
     save_center_set(args.out, center_set)
@@ -131,7 +122,7 @@ def cmd_centers_localize(args) -> int:
 
 def cmd_centers_sweep(args) -> int:
     kb = load_kb_dir(args.kb)
-    prompts = prompts_from_matrix(read_ubem(args.prompts))
+    prompts = prompts_from_matrix(read_ubem(args.prompts), args.prompts)
     ks = _parse_int_list(args.ks)
     sweeps = sweep_k(kb, prompts, ks, _source(args.source))
     out = Path(args.out)
@@ -157,8 +148,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    dim_out = args.dim if args.dim_out is None else args.dim_out
+    sizes = {"--dim": (args.dim, 1), "--dim-out": (dim_out, 1), "--batch": (args.batch, 2)}
+    for flag, (value, least) in sizes.items():
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     rng = np.random.default_rng(args.seed)
-    dim_out = args.dim_out or args.dim
     adapter = LinearAdapter(
         rng.standard_normal((dim_out, args.dim)) / np.sqrt(args.dim),
         rng.standard_normal(dim_out) * 0.1,
@@ -173,17 +168,17 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_eval_zeroshot(args) -> int:
+    mode = ScoringMode(args.mode)
+    if args.prompts and mode == ScoringMode.CENTER_MAX:
+        raise ValueError("--prompts applies to --mode prompt_mean only")
     centers = load_center_set(args.centers)
     queries = read_ubem(args.queries)
-    labels = load_labels(args.labels)
-    categories = categories_for(queries.ids, labels)
-    mode = ScoringMode(args.mode)
+    categories = categories_for(queries.ids, load_labels(args.labels))
     if mode == ScoringMode.CENTER_MAX:
-        anchors = centers
-    elif args.prompts:
-        anchors = _prompt_sets_from_matrix(read_ubem(args.prompts))
+        anchors = centers.member_blocks()
     else:
-        anchors = {c: p[None, :] for c, p in centers.prompt_embeddings.items()}
+        prompts = read_ubem(args.prompts) if args.prompts else centers.prompts
+        anchors = group_rows(prompts, args.prompts)
     report = evaluate_classification(queries, categories, anchors, mode)
     atomic_write_text(Path(args.report), fixed_json(report.to_report()))
     print(f"top-1 accuracy ({mode.value}): {report.top1_accuracy:.6f} -> {args.report}")

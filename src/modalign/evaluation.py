@@ -2,10 +2,12 @@
 
 Two scoring rules are provided: max cosine over a category's anchor members
 (the anchor-set rule) and cosine against the normalized mean of a category's
-prompt embeddings (the classic prompt-ensemble baseline). Both score every
-query against every category with `similarity_matrix`, and argmax ties break
-by ascending category name so reports are reproducible. Retrieval ranks all
-queries with one batched `top_k` call.
+prompt embeddings (the classic prompt-ensemble baseline). Both take the
+anchors as `{category: rows}` (a CenterSet's `member_blocks()`, or
+`group_rows` of a prompt matrix), score every query against every category
+with `similarity_matrix`, and break argmax ties by ascending category name
+so reports are reproducible. Retrieval ranks all queries with one batched
+`top_k` call.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from enum import Enum
 
 import numpy as np
 
-from .centers import CenterSet
 from .errors import (
     DimensionMismatch,
     EmptyCenterSet,
@@ -67,20 +68,13 @@ class RetrievalReport:
 
 
 def _anchor_blocks(anchors, mode: ScoringMode) -> dict[str, np.ndarray]:
-    """Each category's anchor rows, by ascending name.
-
-    CENTER_MAX uses a CenterSet's members; PROMPT_MEAN reduces each block of
-    a {category: prompt matrix} mapping to its one normalized mean row.
-    """
-    if mode == ScoringMode.CENTER_MAX:
-        raw = {cat: c.member_embeddings.vectors for cat, c in anchors.centers.items()}
-    else:
-        raw = {cat: as_vectors(block) for cat, block in anchors.items()}
-    if not raw:
+    """Each category's anchor rows, by ascending name; PROMPT_MEAN reduces
+    each block to its one normalized mean row."""
+    if not anchors:
         raise EmptyCenterSet("anchor set has no categories")
     blocks: dict[str, np.ndarray] = {}
-    for cat in sorted(raw):
-        block = raw[cat]
+    for cat in sorted(anchors):
+        block = as_vectors(anchors[cat])
         if block.shape[0] == 0:
             raise EmptyCenterSet(f"category {cat!r} has no anchor rows")
         if mode == ScoringMode.PROMPT_MEAN:
@@ -95,10 +89,10 @@ def _anchor_blocks(anchors, mode: ScoringMode) -> dict[str, np.ndarray]:
 def category_scores(queries, anchors, mode: ScoringMode) -> tuple[list[str], np.ndarray]:
     """Every query's score against every category under the chosen rule.
 
-    Returns the category names in ascending order and a (query rows x
-    categories) score matrix whose column j is each query's best cosine
-    against category j's anchor rows. `anchors` is a CenterSet for
-    CENTER_MAX or a {category: prompt matrix} mapping for PROMPT_MEAN.
+    `anchors` maps each category to its anchor rows. Returns the category
+    names in ascending order and a (query rows x categories) score matrix
+    whose column j is each query's best cosine against category j's anchor
+    rows (CENTER_MAX) or against their normalized mean (PROMPT_MEAN).
     """
     blocks = _anchor_blocks(anchors, mode)
     names = list(blocks)
@@ -116,15 +110,12 @@ def evaluate_classification(
 ) -> EvalReport:
     """Exact-count top-1 accuracy with a per-class breakdown.
 
-    `anchors` is a CenterSet for CENTER_MAX or a {category: prompt matrix}
-    mapping for PROMPT_MEAN; every query label must exist in it.
+    `anchors` maps each category to its anchor rows, as in
+    `category_scores`; every query label must be one of its categories.
     """
     if len(categories) != queries.rows:
         raise ValueError(f"{len(categories)} labels for {queries.rows} queries")
-    known = (
-        set(anchors.centers) if isinstance(anchors, CenterSet) else set(anchors)
-    )
-    unknown = sorted(set(categories) - known)
+    unknown = sorted(set(categories) - set(anchors))
     if unknown:
         raise UnknownLabel(f"queries labeled with absent categories: {unknown}")
 

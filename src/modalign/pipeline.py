@@ -19,7 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .centers import DEFAULT_K, CenterSet, localize, prompts_from_matrix, save_center_set
+from .centers import (
+    DEFAULT_K,
+    CenterSet,
+    group_rows,
+    localize,
+    prompts_from_matrix,
+    save_center_set,
+)
 from .diagnostics import alignment_diagnostics
 from .errors import MalformedRecord, StageError, UnknownSample
 from .evaluation import (
@@ -96,7 +103,9 @@ _PATH_KEYS = ("records", "embeddings", "prompts", "labels")
 # The pipeline config's field table; `out_dir` may come from the caller.
 _CONFIG_FIELDS = {
     **dict.fromkeys(_PATH_KEYS + ("out_dir",), STRING),
-    "modalities": (lambda v: isinstance(v, dict), "an object mapping names to inputs"),
+    "modalities": (
+        lambda v: isinstance(v, dict) and len(v) >= 2, "an object of two or more modalities"
+    ),
     "k": (lambda v: is_int(v) and v >= 1, "a positive integer"),
     "retrieval_ks": (_is_ascending_positive_ints, "an ascending list of positive integers"),
     "train": (lambda v: isinstance(v, dict), "an object"),
@@ -260,11 +269,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         ]
         if missing:
             raise FileNotFoundError("missing input file(s): " + ", ".join(missing))
-        if not config.modalities:
-            raise ValueError("pipeline needs at least one modality")
+        if len(config.modalities) < 2:
+            raise ValueError("pipeline needs at least two modalities")
         labels = load_labels(config.labels)
         prompt_matrix = read_ubem(config.prompts)
-        prompts = prompts_from_matrix(prompt_matrix)
+        prompts = prompts_from_matrix(prompt_matrix, config.prompts)
         visual: dict[str, EmbeddingMatrix] = {}
         pair_rows: dict[str, list[tuple[str, int]]] = {}
         for name in sorted(config.modalities):
@@ -304,7 +313,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     # computed once, in its eval stage, and reused by every later stage.
     categories: dict[str, list[str]] = {}
     embedded: dict[str, dict[str, EmbeddingMatrix]] = {}
-    prompt_means = {c: p[None, :] for c, p in centers.prompt_embeddings.items()}
+    anchors = {
+        ScoringMode.CENTER_MAX: centers.member_blocks(),
+        ScoringMode.PROMPT_MEAN: group_rows(centers.prompts),
+    }
     accuracy: dict[str, dict[str, dict[str, float]]] = {}
     for name in names:
         with _stage(f"eval:{name}"):
@@ -317,11 +329,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             accuracy[name] = {}
             for phase, queries in embedded[name].items():
                 accuracy[name][phase] = {}
-                for mode, anchors in (
-                    (ScoringMode.CENTER_MAX, centers),
-                    (ScoringMode.PROMPT_MEAN, prompt_means),
-                ):
-                    report = evaluate_classification(queries, categories[name], anchors, mode)
+                for mode, blocks in anchors.items():
+                    report = evaluate_classification(queries, categories[name], blocks, mode)
                     accuracy[name][phase][mode.value] = report.top1_accuracy
                     atomic_write_text(
                         reports_dir / f"zeroshot_{name}_{phase}_{mode.value}.json",

@@ -28,7 +28,15 @@ from .errors import (
 )
 from .kb import KnowledgeBase
 from .optim import SGD, Adam
-from .serialize import BOOLEAN, INTEGER, STRING, atomic_write_bytes, field_problem, read_header
+from .serialize import (
+    BOOLEAN,
+    INTEGER,
+    STRING,
+    atomic_write_bytes,
+    field_problem,
+    is_int,
+    read_header,
+)
 from .ubem import read_ubem_file_stream, write_ubem_stream
 from .vectors import ZERO_NORM, EmbeddingMatrix, as_vectors, normalize_rows
 
@@ -49,16 +57,10 @@ class TrainConfig:
     symmetric_loss: bool = False
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        problem = field_problem(self.__dict__, _CONFIG_FIELDS)
+        if problem is not None:
+            raise ValueError(f"train config: {problem}")
+        object.__setattr__(self, "optimizer", OptimizerKind(self.optimizer.lower()))
 
 
 @dataclass
@@ -311,15 +313,17 @@ def gradient_check_arrays(
 
 # --- persistence -----------------------------------------------------------
 
-_NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
+_POSITIVE = (
+    lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0, "a number > 0"
+)
 _OPTIMIZERS = [o.value for o in OptimizerKind]
-# The train config's field table: one entry per TrainConfig field, each optional.
+# The train config's field table, each key optional; TrainConfig checks itself against it.
 _CONFIG_FIELDS = {
-    "temperature": _NUMBER,
-    "learning_rate": _NUMBER,
-    "batch_size": INTEGER,
-    "epochs": INTEGER,
-    "seed": INTEGER,
+    "temperature": _POSITIVE,
+    "learning_rate": _POSITIVE,
+    "batch_size": (lambda v: is_int(v) and v >= 2, "an integer >= 2"),
+    "epochs": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+    "seed": (lambda v: is_int(v) and v >= 0, "an integer >= 0"),
     "optimizer": (
         lambda v: isinstance(v, str) and v.lower() in _OPTIMIZERS, f"one of {_OPTIMIZERS}"
     ),
@@ -331,14 +335,12 @@ def train_config_from_dict(obj) -> TrainConfig:
     """Build a TrainConfig from a parsed JSON object: a pipeline config's
     `"train"` entry, or a whole `train --config` file.
 
-    Unknown keys and values of the wrong JSON type raise ValueError naming
-    the key.
+    Unknown keys and values of the wrong JSON type or out of range raise
+    ValueError naming the key.
     """
     problem = field_problem(obj, _CONFIG_FIELDS, closed=True)
     if problem is not None:
         raise ValueError(f"train config: {problem}")
-    if "optimizer" in obj:
-        obj = {**obj, "optimizer": OptimizerKind(obj["optimizer"].lower())}
     return TrainConfig(**obj)
 
 

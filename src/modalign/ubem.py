@@ -17,7 +17,8 @@ header's payload size against the bytes left in the stream, then reads the
 payload with `readinto` straight into one preallocated float32 array; a
 stream that delivers fewer bytes raises ValueError, so no uninitialised
 memory escapes. The writer passes a float32 C-ordered array's own buffer to
-the stream (no `tobytes` copy) and writes the label block in one call.
+the stream (no `tobytes` copy) and writes the label block, grown in one
+bytearray, in one call.
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ def write_ubem_stream(stream, matrix: EmbeddingMatrix) -> None:
     if matrix.labels is None:
         stream.write(b"\x00")
     else:
-        block = [b"\x01"]
+        block = bytearray(b"\x01")  # no per-label objects outlive their row
         for label in matrix.labels:
             raw = label.encode("utf-8")
-            block += (_U32.pack(len(raw)), raw)
-        stream.write(b"".join(block))
+            block += _U32.pack(len(raw))
+            block += raw
+        stream.write(block)
 
 
 def read_ubem_stream(stream) -> EmbeddingMatrix:

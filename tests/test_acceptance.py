@@ -123,20 +123,11 @@ def test_c05_scoring_rule_boundary_divergence():
     def vec(deg):
         return np.array([math.cos(math.radians(deg)), math.sin(math.radians(deg))])
 
-    from modalign.centers import CenterSet, EmbeddingCenter
-
     members = {
         "a": np.stack([vec(0), vec(80)]),
         "b": np.stack([vec(170), vec(190)]),
     }
-    centers = CenterSet(
-        {
-            cat: EmbeddingCenter(cat, [0, 1], [0.0, 0.0], EmbeddingMatrix(block), 2)
-            for cat, block in sorted(members.items())
-        },
-        {cat: block.mean(axis=0) for cat, block in members.items()},
-        2,
-    )
+    centers = members
     query = vec(120)  # a boundary sample of the widely spread class "a"
     true_label = "a"
 
@@ -172,7 +163,7 @@ def test_c06_anchor_size_fifty_beats_one(tmp_path):
         categories = [labels[i] for i in queries.labels]
         for k, bucket in ((1, acc_k1), (50, acc_k50)):
             report = evaluate_classification(
-                queries, categories, sweeps[k], ScoringMode.CENTER_MAX
+                queries, categories, sweeps[k].member_blocks(), ScoringMode.CENTER_MAX
             )
             bucket.append(report.top1_accuracy)
     mean_k1 = float(np.mean(acc_k1))

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -192,7 +193,7 @@ class TestSweepK:
         accuracies = {}
         for k, center_set in sweep_k(kb, anchors, [1, 5, 20]).items():
             report = evaluate_classification(
-                matrix, labels, center_set, ScoringMode.CENTER_MAX
+                matrix, labels, center_set.member_blocks(), ScoringMode.CENTER_MAX
             )
             accuracies[k] = report.top1_accuracy
         assert set(accuracies) == {1, 5, 20}
@@ -208,20 +209,36 @@ class TestCenterSetFile:
         back = load_center_set(path)
         assert back.k == centers.k
         assert list(back.centers) == list(centers.centers)
+        blocks, back_blocks = centers.member_blocks(), back.member_blocks()
         for name in centers.centers:
             a, b = centers.centers[name], back.centers[name]
             assert a.member_rows == b.member_rows
             assert a.member_scores == pytest.approx(b.member_scores, abs=0)
             assert (
-                a.member_embeddings.vectors.astype(np.float32).tobytes()
-                == b.member_embeddings.vectors.tobytes()
+                blocks[name].astype(np.float32).tobytes() == back_blocks[name].tobytes()
             )
-        for name in centers.prompt_embeddings:
+        prompts = prompts_from_matrix(centers.prompts)
+        back_prompts = prompts_from_matrix(back.prompts)
+        for name in prompts:
             assert np.allclose(
-                back.prompt_embeddings[name],
-                centers.prompt_embeddings[name],
+                back_prompts[name],
+                prompts[name],
                 atol=1e-7,
             )
+
+    @pytest.mark.parametrize(
+        "rows, labels",
+        [([1, 0], ["b", "a"]), ([0], ["a"]), ([0, 0], ["a", "a"]), ([0, 1], None)],
+        ids=["reordered", "missing", "duplicate", "unlabeled"],
+    )
+    def test_prompt_blob_must_match_header_categories(self, tmp_path, rows, labels):
+        kb, anchors = synthetic_kb(["a", "b"], 25, 8, seed=9)
+        centers = localize(kb, anchors, k=10)
+        centers.prompts = EmbeddingMatrix(centers.prompts.vectors[rows], labels)
+        path = tmp_path / "centers.cset"
+        save_center_set(path, centers)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: center-set prompt blob"):
+            load_center_set(path)
 
     def test_save_is_deterministic(self, tmp_path):
         kb, anchors = synthetic_kb(["a", "b"], 25, 8, seed=10)

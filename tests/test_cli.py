@@ -319,11 +319,13 @@ def run_cli(*args):
         ("k", lambda c: c.update(k=True)),
         ("retrieval_ks", lambda c: c.update(retrieval_ks="15")),
         ("visuals", lambda c: c["modalities"]["mod1"].update(visuals="mod1.ubem")),
+        ("modalities", lambda c: c["modalities"].pop("mod1")),
+        ("batch_size", lambda c: c["train"].update(batch_size=1)),
     ],
     ids=[
         "unknown-train-key", "string-epochs", "no-records", "modality-without-pairs",
         "unknown-top-level-key", "string-dump-projection", "boolean-k", "string-retrieval-ks",
-        "unknown-modality-key",
+        "unknown-modality-key", "one-modality", "batch-size-below-range",
     ],
 )
 def test_bad_pipeline_config_exits_2_naming_file_and_key(bundle, tmp_path, key, edit):
@@ -569,6 +571,87 @@ def test_truncated_ubem_blob_exits_2_naming_file(bundle, kb_dir, centers_file, t
     assert "Traceback" not in proc.stderr
     assert f"error: {path}: truncated UBEM payload" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "defect, verb",
+    [
+        ("unlabeled", "localize"),
+        ("unlabeled", "sweep"),
+        ("unlabeled", "zeroshot"),
+        ("unlabeled", "pipeline"),
+        ("duplicate", "localize"),
+        ("duplicate", "sweep"),
+        ("duplicate", "pipeline"),
+        ("nan", "zeroshot-queries"),
+    ],
+)
+def test_bad_prompt_or_query_matrix_exits_2_naming_file(
+    bundle, kb_dir, centers_file, tmp_path, defect, verb
+):
+    prompts = read_ubem(bundle.prompts)
+    path = tmp_path / "bad.ubem"
+    if defect == "nan":
+        raw = bytearray(bundle.visual["mod0"].read_bytes())
+        raw[20:24] = struct.pack("<f", float("nan"))  # the first payload float
+        path.write_bytes(bytes(raw))
+        message = "embedding matrix contains NaN or Inf"
+    elif defect == "unlabeled":
+        write_ubem(path, EmbeddingMatrix(prompts.vectors))
+        message = "prompt matrix must carry category labels"
+    else:
+        write_ubem(path, EmbeddingMatrix(prompts.vectors, prompts.labels[:1] + prompts.labels[:-1]))
+        message = f"duplicate prompt for category {prompts.labels[0]!r}"
+    out = tmp_path / "out"
+    zeroshot = [
+        "eval", "zeroshot", "--centers", centers_file, "--labels", bundle.labels, "--report", out,
+    ]
+    if verb == "pipeline":
+        config = json.loads(bundle.pipeline_config.read_text())
+        config["prompts"] = str(path)
+        config_path = bundle.root / f"prompts_{defect}.json"
+        config_path.write_text(json.dumps(config))
+        argv = ["pipeline", "run", "--config", config_path, "--out", out]
+    elif verb == "zeroshot":
+        argv = zeroshot + [
+            "--queries", bundle.visual["mod0"], "--mode", "prompt_mean", "--prompts", path,
+        ]
+    elif verb == "zeroshot-queries":
+        argv = zeroshot + ["--queries", path]
+    else:
+        argv = ["centers", verb, "--kb", kb_dir, "--prompts", path, "--out", out]
+        argv += ["--k", 3] if verb == "localize" else ["--ks", "1,3"]
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{path}: {message}" in proc.stderr
+    assert not out.exists()
+
+
+def test_zeroshot_center_max_rejects_prompts(bundle, centers_file, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code = main([
+        "eval", "zeroshot",
+        "--centers", str(centers_file),
+        "--queries", str(bundle.visual["mod0"]),
+        "--labels", str(bundle.labels),
+        "--mode", "center_max",
+        "--prompts", str(bundle.prompts),
+        "--report", str(report),
+    ])
+    assert code == 2
+    assert "--prompts" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--dim", 0), ("--dim-out", 0), ("--dim-out", -3), ("--batch", 1)]
+)
+def test_gradcheck_rejects_bad_sizes_naming_flag(capsys, flag, value):
+    assert main(["gradcheck", flag, str(value)]) == 2
+    captured = capsys.readouterr()
+    assert f"{flag} must be >=" in captured.err
+    assert "gradcheck" not in captured.out
 
 
 def test_truncated_adapter_blob_error_names_file(tmp_path):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from modalign.centers import CenterSet, EmbeddingCenter
 from modalign.errors import (
     EmptyCenterSet,
     MissingRelevance,
@@ -20,23 +19,6 @@ from modalign.evaluation import (
 from modalign.vectors import BLOCK_ROWS, EmbeddingMatrix, cosine
 
 from test_vectors import exact_unit_vectors
-
-
-def center_set_from_vectors(members_by_category, k=None):
-    """Assemble a CenterSet straight from raw member vectors."""
-    centers = {}
-    prompts = {}
-    for cat in sorted(members_by_category):
-        block = np.asarray(members_by_category[cat], dtype=np.float64)
-        centers[cat] = EmbeddingCenter(
-            category=cat,
-            member_rows=list(range(block.shape[0])),
-            member_scores=[0.0] * block.shape[0],
-            member_embeddings=EmbeddingMatrix(block),
-            k_requested=k or block.shape[0],
-        )
-        prompts[cat] = block.mean(axis=0)
-    return CenterSet(centers, prompts, k or max(b.shape[0] for b in (np.asarray(v) for v in members_by_category.values())))
 
 
 def angle_vec(degrees):
@@ -66,13 +48,13 @@ class TestScoreCenterMax:
         rng = np.random.default_rng(0)
         members = rng.standard_normal((5, 8))
         members /= np.linalg.norm(members, axis=1, keepdims=True)
-        cs = center_set_from_vectors({"airplane": members, "car": -members})
+        cs = {"airplane": members, "car": -members}
         predicted, _, per_category = score_one(members[2], cs, ScoringMode.CENTER_MAX)
         assert predicted == "airplane"
         assert per_category["airplane"] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_single_members(self):
-        cs = center_set_from_vectors({"one": [[1.0, 0.0]], "two": [[0.0, 1.0]]})
+        cs = {"one": [[1.0, 0.0]], "two": [[0.0, 1.0]]}
         predicted, _, per_category = score_one([0.0, 1.0], cs, ScoringMode.CENTER_MAX)
         assert predicted == "two"
         assert per_category == pytest.approx({"one": 0.0, "two": 1.0})
@@ -82,7 +64,7 @@ class TestScoreCenterMax:
         members = {
             f"cat{c}": rng.standard_normal((10, 6)) for c in range(5)
         }
-        cs = center_set_from_vectors(members)
+        cs = members
         queries = rng.standard_normal((100, 6))
         names, scores = category_scores(queries, cs, ScoringMode.CENTER_MAX)
         for query, row in zip(queries, scores):
@@ -92,19 +74,17 @@ class TestScoreCenterMax:
 
     def test_tie_breaks_by_ascending_name(self):
         shared = np.array([[1.0, 0.0]])
-        cs = center_set_from_vectors({"zebra": shared, "aardvark": shared.copy()})
+        cs = {"zebra": shared, "aardvark": shared.copy()}
         predicted, _, _ = score_one([1.0, 0.0], cs, ScoringMode.CENTER_MAX)
         assert predicted == "aardvark"
 
     def test_empty_center_set(self):
         with pytest.raises(EmptyCenterSet):
-            category_scores([[1.0, 0.0]], CenterSet({}, {}, 1), ScoringMode.CENTER_MAX)
+            category_scores([[1.0, 0.0]], {}, ScoringMode.CENTER_MAX)
 
     def test_scale_invariant_prediction(self):
         rng = np.random.default_rng(2)
-        cs = center_set_from_vectors(
-            {f"c{c}": rng.standard_normal((4, 5)) for c in range(3)}
-        )
+        cs = {f"c{c}": rng.standard_normal((4, 5)) for c in range(3)}
         query = rng.standard_normal(5)
         base, _, _ = score_one(query, cs, ScoringMode.CENTER_MAX)
         for scale in (1e-3, 7.0, 1e4):
@@ -117,7 +97,7 @@ class TestScorePromptMean:
         vectors = rng.standard_normal((4, 6))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         singles = {f"c{i}": vectors[i : i + 1] for i in range(4)}
-        cs = center_set_from_vectors(singles, k=1)
+        cs = singles
         queries = rng.standard_normal((25, 6))
         names_a, a = category_scores(queries, cs, ScoringMode.CENTER_MAX)
         names_b, b = category_scores(queries, singles, ScoringMode.PROMPT_MEAN)
@@ -139,7 +119,7 @@ class TestScorePromptMean:
             "a": np.stack([angle_vec(0), angle_vec(80)]),
             "b": np.stack([angle_vec(170), angle_vec(190)]),
         }
-        cs = center_set_from_vectors(members)
+        cs = members
         query = angle_vec(120)
 
         by_members, _, member_scores = score_one(query, cs, ScoringMode.CENTER_MAX)
@@ -157,7 +137,7 @@ class TestCategoryScores:
     def test_shape_and_ascending_names(self):
         members = {"zebra": [[1.0, 0.0]], "ant": [[0.0, 1.0]], "mole": [[1.0, 1.0]]}
         names, scores = category_scores(
-            np.eye(2), center_set_from_vectors(members), ScoringMode.CENTER_MAX
+            np.eye(2), members, ScoringMode.CENTER_MAX
         )
         assert names == ["ant", "mole", "zebra"]
         assert scores.shape == (2, 3)
@@ -165,11 +145,7 @@ class TestCategoryScores:
     @pytest.mark.parametrize("mode", list(ScoringMode))
     def test_category_without_anchor_rows_named(self, mode):
         empty = np.zeros((0, 2))
-        if mode == ScoringMode.CENTER_MAX:
-            anchors = center_set_from_vectors({"full": [[1.0, 0.0]]})
-            anchors.centers["hollow"] = EmbeddingCenter("hollow", [], [], EmbeddingMatrix(empty), 1)
-        else:
-            anchors = {"full": np.array([[1.0, 0.0]]), "hollow": empty}
+        anchors = {"full": np.array([[1.0, 0.0]]), "hollow": empty}
         with pytest.raises(EmptyCenterSet, match="'hollow'"):
             category_scores([[1.0, 0.0]], anchors, mode)
 
@@ -186,9 +162,7 @@ class TestCategoryScores:
         }
         if mode == ScoringMode.PROMPT_MEAN:
             members = {cat: block[:1] for cat, block in members.items()}
-            anchors = members
-        else:
-            anchors = center_set_from_vectors(members)
+        anchors = members
         queries = np.concatenate([vectors, vectors])
         assert len(queries) > BLOCK_ROWS
         names, scores = category_scores(queries, anchors, mode)
@@ -207,7 +181,7 @@ class TestEvaluateClassification:
     def test_exact_members_all_correct(self):
         rng = np.random.default_rng(4)
         members = {f"c{i}": rng.standard_normal((3, 5)) for i in range(4)}
-        cs = center_set_from_vectors(members)
+        cs = members
         queries = np.concatenate([members[f"c{i}"] for i in range(4)])
         labels = [f"c{i}" for i in range(4) for _ in range(3)]
         report = evaluate_classification(
@@ -218,7 +192,7 @@ class TestEvaluateClassification:
         assert all(v == 1.0 for v in report.per_class_accuracy.values())
 
     def test_adversarial_labels_measure_not_error(self):
-        cs = center_set_from_vectors({"x": [[1.0, 0.0]], "y": [[0.0, 1.0]]})
+        cs = {"x": [[1.0, 0.0]], "y": [[0.0, 1.0]]}
         queries = EmbeddingMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
         report = evaluate_classification(
             queries, ["y", "x"], cs, ScoringMode.CENTER_MAX
@@ -228,7 +202,7 @@ class TestEvaluateClassification:
     def test_matches_per_sample_oracle(self):
         rng = np.random.default_rng(5)
         members = {f"c{i}": rng.standard_normal((6, 8)) for i in range(10)}
-        cs = center_set_from_vectors(members)
+        cs = members
         queries = rng.standard_normal((80, 8))
         labels = [f"c{rng.integers(10)}" for _ in range(80)]
         report = evaluate_classification(
@@ -240,7 +214,7 @@ class TestEvaluateClassification:
         assert report.top1_accuracy == correct / 80
 
     def test_unknown_label_rejected(self):
-        cs = center_set_from_vectors({"x": [[1.0, 0.0]]})
+        cs = {"x": [[1.0, 0.0]]}
         with pytest.raises(UnknownLabel):
             evaluate_classification(
                 EmbeddingMatrix(np.eye(2)), ["x", "ghost"], cs, ScoringMode.CENTER_MAX
@@ -376,7 +350,7 @@ class TestCategoryRelevance:
 
 class TestReportShapes:
     def test_eval_report_fixed_keys(self):
-        cs = center_set_from_vectors({"x": [[1.0, 0.0]]})
+        cs = {"x": [[1.0, 0.0]]}
         report = evaluate_classification(
             EmbeddingMatrix(np.array([[1.0, 0.0]])), ["x"], cs, ScoringMode.CENTER_MAX
         )

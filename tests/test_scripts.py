@@ -1,6 +1,8 @@
-"""Smoke tests: each script under scripts/ runs end to end at a tiny size."""
+"""Smoke tests: each script under scripts/ and the README's library sketch
+run end to end at a tiny size."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import modalign
+from modalign.synthetic import SyntheticSpec, generate_synthetic
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.mark.parametrize(
@@ -35,3 +39,17 @@ def test_script_runs(tmp_path, script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_readme_library_sketch_runs(tmp_path, monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library sketch", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    spec = SyntheticSpec(categories=3, samples_per_class=6, dim=8, descriptions_per_class=10)
+    generate_synthetic(spec, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    for report in (namespace["report"], namespace["baseline"]):
+        assert report.sample_count == 18
+        assert 0.0 <= report.top1_accuracy <= 1.0
