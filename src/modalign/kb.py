@@ -10,12 +10,15 @@ round trips lossless.
 
 Ingest memory: `build` normalizes the float32 payload it has just read in
 place, so it holds no second copy. `from_parts` never writes the caller's
-array and makes at most one normalized float32 copy. Either way, norms and
-scaling run in float64 through one block buffer of INGEST_BLOCK_ROWS rows
-allocated once per call, so no full-matrix float64 array exists. Export
-writes the stored matrix as it is and encodes each record field with the C
-JSON string encoder; its bytes equal `json.dumps(record, ensure_ascii=False)`
-line by line.
+array and makes at most one normalized float32 copy. Either way, norms come
+from `vectors.row_norms` and scaling runs in float64 through one block
+buffer of NORM_BLOCK_ROWS rows, so no full-matrix float64 array exists.
+
+Export memory: both files are streamed into their atomic temp files. The
+records go out SAVE_CHUNK_RECORDS lines at a time, each field encoded with
+the C JSON string encoder, so each line's bytes equal
+`json.dumps(record, ensure_ascii=False)`; the embeddings go out as the
+stored float32 buffer itself. No whole-file copy of either exists.
 """
 
 from __future__ import annotations
@@ -35,15 +38,24 @@ from .errors import (
     MalformedRecord,
     ZeroVector,
 )
-from .serialize import atomic_write_text, read_jsonl
+# `atomic_write_text` is unused here; the benchmark tracer binds the name.
+from .serialize import atomic_write_text, atomic_writer, read_jsonl  # noqa: F401
 from .ubem import read_ubem, write_ubem
-from .vectors import UNIT_TOLERANCE, ZERO_NORM, EmbeddingMatrix, as_vectors
+from .vectors import (
+    NORM_BLOCK_ROWS,
+    UNIT_TOLERANCE,
+    ZERO_NORM,
+    EmbeddingMatrix,
+    as_vectors,
+    row_norms,
+)
 
 RECORDS_FILENAME = "records.jsonl"
 EMBEDDINGS_FILENAME = "embeddings.ubem"
-# Rows per float64 norm pass in `_ingest_rows`: a fixed block bounds the
-# float64 buffers whatever the knowledge-base size.
-INGEST_BLOCK_ROWS = 1024
+# Records per encoded chunk in `save_records`. A chunk is held about twice
+# (its lines, then the joined text and its UTF-8 bytes), about 170 KB on the
+# synthetic knowledge bases' 170-byte lines.
+SAVE_CHUNK_RECORDS = 512
 
 
 class Source(str, Enum):
@@ -138,19 +150,24 @@ def load_records(path) -> list[KnowledgeRecord]:
         raise MalformedRecord(e.line_number, e.problem, path) from e
 
 
+def _record_line(r: KnowledgeRecord) -> str:
+    enc = encode_basestring
+    generator = f', "generator": {enc(r.generator)}' if r.generator else ""
+    return (
+        f'{{"id": {enc(r.id)}, "category": {enc(r.category)}, '
+        f'"description": {enc(r.description)}, "source": {enc(r.source.value)}'
+        f"{generator}}}\n"
+    )
+
+
 def save_records(path, records: list[KnowledgeRecord]) -> None:
     """Write one JSON object per record, byte-identical to
-    `json.dumps(obj, ensure_ascii=False)` over the fixed key order."""
-    enc = encode_basestring
-    lines = []
-    for r in records:
-        generator = f', "generator": {enc(r.generator)}' if r.generator else ""
-        lines.append(
-            f'{{"id": {enc(r.id)}, "category": {enc(r.category)}, '
-            f'"description": {enc(r.description)}, "source": {enc(r.source.value)}'
-            f"{generator}}}\n"
-        )
-    atomic_write_text(Path(path), "".join(lines))
+    `json.dumps(obj, ensure_ascii=False)` over the fixed key order, streamed
+    SAVE_CHUNK_RECORDS lines at a time."""
+    with atomic_writer(path) as f:
+        for start in range(0, len(records), SAVE_CHUNK_RECORDS):
+            chunk = records[start : start + SAVE_CHUNK_RECORDS]
+            f.write("".join(map(_record_line, chunk)).encode("utf-8"))
 
 
 def _ingest_rows(vectors: np.ndarray, owned: bool = False) -> np.ndarray:
@@ -158,36 +175,31 @@ def _ingest_rows(vectors: np.ndarray, owned: bool = False) -> np.ndarray:
 
     Rows whose norm is within UNIT_TOLERANCE of 1 pass through untouched so a
     normalize-store-reload cycle is idempotent at the byte level. Norms are
-    taken in float64, INGEST_BLOCK_ROWS rows at a time, with the operations of
-    `np.linalg.norm` into a buffer allocated once per call; each row's norm is
-    its own reduction, so the blocks change no output bit. An `owned` float32
-    array is normalized in place. Otherwise the caller's array is never
-    written: the first row that needs scaling makes the one float32 output
-    copy.
+    `row_norms` in float64; rows that need scaling are divided in float64,
+    NORM_BLOCK_ROWS rows at a time, through one buffer allocated once per
+    call. An `owned` float32 array is normalized in place. Otherwise the
+    caller's array is never written: if any row needs scaling, the one
+    float32 output copy is made first.
     """
     x = np.ascontiguousarray(vectors, dtype=np.float32)
-    out = x if owned or not np.may_share_memory(x, vectors) else None
-    block_rows = min(INGEST_BLOCK_ROWS, x.shape[0])
-    wide, norm_buf = np.empty((block_rows, x.shape[1])), np.empty(block_rows)
-    for start in range(0, x.shape[0], INGEST_BLOCK_ROWS):
-        block = x[start : start + INGEST_BLOCK_ROWS]
-        n = block.shape[0]
-        rows, norms = wide[:n], norm_buf[:n]
-        np.copyto(rows, block)
-        np.add.reduce(np.multiply(rows, rows, out=rows), axis=1, out=norms)
-        np.sqrt(norms, out=norms)
-        zero = np.flatnonzero(norms < ZERO_NORM)
-        if zero.size:
-            row = int(zero[0])
-            raise ZeroVector(f"embedding row {start + row} has norm {norms[row]:.3e}")
-        needs = np.abs(norms - 1.0) > UNIT_TOLERANCE
-        if needs.any():
-            if out is None:
-                out = x.copy()
-            np.copyto(rows, block)
-            np.divide(rows, norms[:, None], out=rows)
-            np.copyto(out[start : start + n], rows, where=needs[:, None])
-    return x if out is None else out
+    norms = row_norms(x, np.float64)
+    zero = np.flatnonzero(norms < ZERO_NORM)
+    if zero.size:
+        row = int(zero[0])
+        raise ZeroVector(f"embedding row {row} has norm {norms[row]:.3e}")
+    needs = np.abs(norms - 1.0) > UNIT_TOLERANCE
+    if not needs.any():
+        return x
+    out = x if owned or not np.may_share_memory(x, vectors) else x.copy()
+    wide = np.empty((min(NORM_BLOCK_ROWS, x.shape[0]), x.shape[1]))
+    for start in range(0, x.shape[0], NORM_BLOCK_ROWS):
+        stop = start + NORM_BLOCK_ROWS
+        keep = needs[start:stop]
+        if keep.any():
+            rows = wide[: keep.size]
+            np.divide(x[start:stop], norms[start:stop, None], out=rows)
+            np.copyto(out[start:stop], rows, where=keep[:, None])
+    return out
 
 
 def _assemble(records: list[KnowledgeRecord], vectors: np.ndarray, owned: bool) -> KnowledgeBase:

@@ -273,15 +273,26 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             raise ValueError("pipeline needs at least two modalities")
         labels = load_labels(config.labels)
         prompt_matrix = read_ubem(config.prompts)
+        if prompt_matrix.rows == 0:
+            raise ValueError(f"{config.prompts}: prompt matrix has no rows")
         prompts = prompts_from_matrix(prompt_matrix, config.prompts)
         visual: dict[str, EmbeddingMatrix] = {}
         pair_rows: dict[str, list[tuple[str, int]]] = {}
+        # Each modality's row categories, reused by every later stage.
+        categories: dict[str, list[str]] = {}
         for name in sorted(config.modalities):
             visual[name] = read_ubem(config.modalities[name].visual)
             pair_rows[name] = load_pairs_file(config.modalities[name].pairs)
             if prompt_matrix.dim != visual[name].dim:
                 raise ValueError(
                     f"modality {name!r} dim {visual[name].dim} != prompt dim {prompt_matrix.dim}"
+                )
+            categories[name] = categories_for(visual[name].ids, labels)
+            unprompted = sorted(set(categories[name]).difference(prompts))
+            if unprompted:
+                raise ValueError(
+                    f"{config.prompts}: no prompt for categories {unprompted} "
+                    f"that label rows of modality {name!r}"
                 )
 
     out = Path(config.out_dir)
@@ -309,9 +320,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             )
             save_adapter(adapters_dir / f"{name}.adapter", adapters[name])
 
-    # Each modality's categories and its pre- and post-training embeddings are
-    # computed once, in its eval stage, and reused by every later stage.
-    categories: dict[str, list[str]] = {}
+    # Each modality's pre- and post-training embeddings are computed once, in
+    # its eval stage, and reused by every later stage.
     embedded: dict[str, dict[str, EmbeddingMatrix]] = {}
     anchors = {
         ScoringMode.CENTER_MAX: centers.member_blocks(),
@@ -320,10 +330,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     accuracy: dict[str, dict[str, dict[str, float]]] = {}
     for name in names:
         with _stage(f"eval:{name}"):
-            ids = visual[name].ids
-            categories[name] = categories_for(ids, labels)
             embedded[name] = {
-                "pre": EmbeddingMatrix(normalize_rows(visual[name]), ids),
+                "pre": EmbeddingMatrix(normalize_rows(visual[name]), visual[name].ids),
                 "post": adapters[name].apply(visual[name]),
             }
             accuracy[name] = {}

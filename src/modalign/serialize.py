@@ -1,5 +1,12 @@
 """Serialization helpers: JSONL reading, binary-file header lines, field-table
-checks, diffable report JSON, atomic writes, file hashing."""
+checks, diffable report JSON, atomic writes, file hashing.
+
+Every file is written atomically through `atomic_writer`: the bytes go to a
+temporary file beside the target, which replaces the target only when the
+write completed. Large outputs (the knowledge base's records and embeddings)
+are streamed into that file piece by piece, so no whole-file copy is held in
+memory; small ones are written in one call by `atomic_write_bytes` and
+`atomic_write_text`."""
 
 from __future__ import annotations
 
@@ -8,7 +15,9 @@ import json
 import os
 import tempfile
 from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO
 
 from .errors import MalformedRecord
 
@@ -179,19 +188,30 @@ def _escape(s: str) -> str:
     return "".join(result)
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+@contextmanager
+def atomic_writer(path) -> Iterator[BinaryIO]:
+    """Yield a binary temp file in `path`'s directory for the block to write.
+
+    The file replaces `path` when the block ends cleanly. If the block raises,
+    the temp file is removed and `path` is left as it was.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write `data` to `path` in one call through `atomic_writer`."""
+    with atomic_writer(path) as f:
+        f.write(data)
 
 
 def atomic_write_text(path: Path, text: str) -> None:

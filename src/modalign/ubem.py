@@ -18,18 +18,20 @@ payload with `readinto` straight into one preallocated float32 array; a
 stream that delivers fewer bytes raises ValueError, so no uninitialised
 memory escapes. The writer passes a float32 C-ordered array's own buffer to
 the stream (no `tobytes` copy) and writes the label block, grown in one
-bytearray, in one call.
+bytearray, in one call. `write_ubem` streams the header, payload and label
+block straight into the atomic temp file, so writing a matrix to disk holds
+no copy of its payload.
 """
 
 from __future__ import annotations
 
 import io
 import struct
-from pathlib import Path
 
 import numpy as np
 
-from .serialize import atomic_write_bytes
+# `atomic_write_bytes` is unused here; the benchmark tracer binds the name.
+from .serialize import atomic_write_bytes, atomic_writer  # noqa: F401
 from .vectors import EmbeddingMatrix
 
 MAGIC = b"UBEM"
@@ -103,9 +105,8 @@ def read_ubem_stream(stream) -> EmbeddingMatrix:
 
 
 def write_ubem(path, matrix: EmbeddingMatrix) -> None:
-    buf = io.BytesIO()
-    write_ubem_stream(buf, matrix)
-    atomic_write_bytes(Path(path), buf.getvalue())
+    with atomic_writer(path) as f:
+        write_ubem_stream(f, matrix)
 
 
 def read_ubem_file_stream(stream, path) -> EmbeddingMatrix:

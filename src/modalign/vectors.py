@@ -6,6 +6,10 @@ them. All similarity math runs in float64 regardless of storage dtype, and
 cosine scores are clamped to [-1, 1] after the fact; floating-point drift
 must never leak out-of-range values into downstream argmax/softmax.
 
+Row norms come from `row_norms`, which equals `np.linalg.norm(m, axis=1)`
+bit for bit but squares NORM_BLOCK_ROWS rows at a time into one reused
+buffer, so a norm never costs a full-size temporary.
+
 What the kernels guarantee is the documented tie-breaks and byte-identical
 output for identical inputs. They do not guarantee bit-identical scores
 across batch shapes: a row scored inside a block of queries may differ in
@@ -28,6 +32,8 @@ UNIT_TOLERANCE = 1e-6
 # Query rows `top_k` scores per `similarity_matrix` call. A small block keeps
 # the score and sort temporaries small, so ranking adds nothing to peak memory.
 BLOCK_ROWS = 16
+# Rows `row_norms` squares per pass: bounds its buffer whatever the row count.
+NORM_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -87,14 +93,49 @@ def normalize(vector) -> np.ndarray:
     return v / norm
 
 
+def row_norms(matrix, dtype=None) -> np.ndarray:
+    """`np.linalg.norm(m, axis=1)` bit for bit, squared NORM_BLOCK_ROWS rows
+    at a time into one reused buffer.
+
+    With `dtype`, the rows are squared and summed in that dtype, as
+    `np.linalg.norm(m.astype(dtype), axis=1)` would. Each row's norm is its
+    own reduction, so the blocks change no output bit as long as every block
+    sums its rows in the order the whole array would: the buffer takes the
+    input's memory order (numpy sums along a C-ordered row pairwise and down
+    the columns of an F-ordered one), and no block is a lone row, which
+    numpy sums pairwise whatever the layout.
+    """
+    m = as_vectors(matrix)
+    if dtype is None:
+        dtype = m.dtype if np.issubdtype(m.dtype, np.inexact) else np.float64
+    rows = m.shape[0]
+    out = np.empty(rows, dtype)
+    order = "F" if abs(m.strides[0]) < abs(m.strides[1]) else "C"
+    buf = np.empty((min(NORM_BLOCK_ROWS, rows), m.shape[1]), dtype, order=order)
+    for start in range(0, rows, NORM_BLOCK_ROWS):
+        start = max(0, min(start, rows - 2))  # a lone last row joins the one before
+        block = m[start : start + NORM_BLOCK_ROWS]
+        squares = buf[: block.shape[0]]
+        np.multiply(block, block, out=squares, dtype=dtype)
+        np.add.reduce(squares, axis=1, out=out[start : start + block.shape[0]])
+    return np.sqrt(out, out=out)
+
+
 def normalize_rows(matrix) -> np.ndarray:
-    """Row-wise unit normalization in float64. Raises ZeroVector naming the row."""
-    m = np.asarray(as_vectors(matrix), dtype=np.float64)
-    norms = np.linalg.norm(m, axis=1)
+    """Row-wise unit normalization in float64. Raises ZeroVector naming the row.
+
+    A float64 input is never written. Any other input is converted to a fresh
+    float64 copy, which is divided in place.
+    """
+    source = as_vectors(matrix)
+    m = np.asarray(source, dtype=np.float64)
+    norms = row_norms(m)
     bad = np.flatnonzero(norms < ZERO_NORM)
     if bad.size:
         raise ZeroVector(f"row {int(bad[0])} has norm {norms[bad[0]]:.3e}")
-    return m / norms[:, None]
+    if m is source:
+        return m / norms[:, None]
+    return np.divide(m, norms[:, None], out=m)
 
 
 def cosine(a, b) -> float:

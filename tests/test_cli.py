@@ -341,6 +341,30 @@ def test_bad_pipeline_config_exits_2_naming_file_and_key(bundle, tmp_path, key, 
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "drop, problem",
+    [
+        ({"cat000"}, "no prompt for categories ['cat000'] that label rows of modality 'mod0'"),
+        ({"cat000", "cat001", "cat002", "cat003"}, "prompt matrix has no rows"),
+    ],
+    ids=["category-without-prompt", "no-prompt-rows"],
+)
+def test_prompts_not_covering_the_labels_exit_2_before_writing(bundle, tmp_path, drop, problem):
+    prompts = read_ubem(bundle.prompts)
+    keep = [i for i, label in enumerate(prompts.labels) if label not in drop]
+    edited = tmp_path / "prompts.ubem"
+    write_ubem(edited, EmbeddingMatrix(prompts.vectors[keep], [prompts.labels[i] for i in keep]))
+    config = json.loads(bundle.pipeline_config.read_text())
+    config["prompts"] = str(edited)
+    path = bundle.root / f"prompts_without_{len(drop)}.json"
+    path.write_text(json.dumps(config))
+    proc = run_cli("pipeline", "run", "--config", path, "--out", tmp_path / "run")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"stage 'validate': {edited}: {problem}" in proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
 def test_diverging_training_exits_2_naming_epoch_and_batch(bundle, tmp_path):
     # A learning rate near the float64 maximum overflows the weights after
     # one SGD step, so a later batch's loss is NaN.

@@ -13,7 +13,6 @@ from modalign.errors import (
     ZeroVector,
 )
 from modalign.kb import (
-    INGEST_BLOCK_ROWS,
     KnowledgeRecord,
     Source,
     build,
@@ -25,7 +24,7 @@ from modalign.kb import (
     _ingest_rows,
 )
 from modalign.ubem import write_ubem
-from modalign.vectors import UNIT_TOLERANCE, EmbeddingMatrix
+from modalign.vectors import NORM_BLOCK_ROWS, UNIT_TOLERANCE, EmbeddingMatrix
 
 
 def make_records(n, category="fish", source=Source.LLM_CATEGORY, prefix="rec"):
@@ -266,7 +265,7 @@ class TestIngestRows:
     @pytest.fixture
     def mixed(self):
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((2 * INGEST_BLOCK_ROWS + 37, 24)).astype(np.float32)
+        x = rng.standard_normal((2 * NORM_BLOCK_ROWS + 37, 24)).astype(np.float32)
         # Every third row already unit-norm, so blocks mix both kinds.
         x[::3] = _whole_matrix_ingest(x[::3])
         return x
@@ -294,7 +293,7 @@ class TestIngestRows:
         assert out.tobytes() == _whole_matrix_ingest(mixed).tobytes()
 
     def test_zero_row_in_later_block_named_by_absolute_index(self, mixed):
-        row = INGEST_BLOCK_ROWS + 5
+        row = NORM_BLOCK_ROWS + 5
         mixed[row] = 0.0
         before = mixed.copy()
         with pytest.raises(ZeroVector, match=f"embedding row {row} has norm"):
@@ -329,3 +328,27 @@ def test_build_and_export_hold_no_full_size_temporaries(tmp_path):
         tracemalloc.stop()
     assert build_peak < 2.5 * payload
     assert export_peak - held < 1.75 * payload
+
+
+def test_save_records_streams_in_chunks(tmp_path):
+    # Records shaped like the synthetic generator's (about 170 bytes a line).
+    records = [
+        KnowledgeRecord(
+            f"desc_cat{i % 8:03d}_{i:05d}",
+            f"cat{i % 8:03d}",
+            f"synthetic category description {i} for cat{i % 8:03d}",
+            Source.LLM_CATEGORY,
+            "synthetic",
+        )
+        for i in range(10_000)
+    ]
+    path = tmp_path / "records.jsonl"
+    tracemalloc.start()
+    try:
+        save_records(path, records)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < size / 4
+    assert load_records(path) == records

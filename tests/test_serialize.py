@@ -3,7 +3,15 @@ import json
 
 import pytest
 
-from modalign.serialize import INTEGER, STRING, field_problem, fixed_json, sha256_file, sha256_text
+from modalign.serialize import (
+    INTEGER,
+    STRING,
+    atomic_writer,
+    field_problem,
+    fixed_json,
+    sha256_file,
+    sha256_text,
+)
 
 
 def test_floats_rendered_fixed_point():
@@ -93,3 +101,24 @@ TABLE = {"id": STRING, "row": INTEGER}
 )
 def test_field_problem_names_the_first_bad_key(obj, closed, problem):
     assert field_problem(obj, TABLE, required=("id",), closed=closed) == problem
+
+
+def test_atomic_writer_replaces_the_file_when_the_block_ends(tmp_path):
+    path = tmp_path / "sub" / "out.bin"
+    with atomic_writer(path) as f:
+        f.write(b"first ")
+        f.write(b"second")
+        assert not path.exists()
+    assert path.read_bytes() == b"first second"
+    assert sorted(p.name for p in path.parent.iterdir()) == ["out.bin"]
+
+
+def test_atomic_writer_failing_midway_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"previous contents")
+    with pytest.raises(RuntimeError, match="midway"):
+        with atomic_writer(path) as f:
+            f.write(b"partial new contents")
+            raise RuntimeError("midway")
+    assert path.read_bytes() == b"previous contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]

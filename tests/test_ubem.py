@@ -1,5 +1,6 @@
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,3 +212,22 @@ def test_float64_input_stored_as_float32(tmp_path):
     back = read_ubem(path)
     assert back.vectors.dtype == np.float32
     assert np.allclose(back.vectors, m.vectors, atol=1e-7)
+
+
+def test_write_ubem_streams_the_payload_without_copying_it(tmp_path):
+    # 8 MB of float32 plus labels: a writer that buffers the file, or
+    # copies the payload, traces at least the payload's size.
+    matrix = EmbeddingMatrix(
+        np.random.default_rng(0).standard_normal((8192, 256)).astype(np.float32),
+        [f"row{i:05d}" for i in range(8192)],
+    )
+    tracemalloc.start()
+    try:
+        write_ubem(tmp_path / "m.ubem", matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    back = read_ubem(tmp_path / "m.ubem")
+    assert back.vectors.tobytes() == matrix.vectors.tobytes()
+    assert back.labels == matrix.labels

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ from hypothesis.extra.numpy import arrays
 from modalign.errors import DimensionMismatch, EmptyKeys, ZeroVector
 from modalign.vectors import (
     BLOCK_ROWS,
+    NORM_BLOCK_ROWS,
     EmbeddingMatrix,
     cosine,
     normalize,
+    normalize_rows,
+    row_norms,
     similarity_matrix,
     top_k,
 )
@@ -255,3 +259,87 @@ class TestEmbeddingMatrix:
     def test_shape_accessors(self):
         m = EmbeddingMatrix(np.ones((5, 3)))
         assert (m.rows, m.dim) == (5, 3)
+
+
+def _layouts(m):
+    """The same values as C-ordered, F-ordered and row-strided arrays."""
+    strided = np.empty((2 * m.shape[0], m.shape[1]), m.dtype)
+    strided[::2] = m
+    return {"C": m, "F": np.asfortranarray(m), "row-strided": strided[::2]}
+
+
+def _scaled_rows(rows, dtype, seed=0, dim=256):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((rows, dim)) * np.exp(rng.standard_normal((rows, 1)) * 4)
+    if rows:  # one row whose squares come within a few powers of ten of overflow
+        m[rows // 2] = rng.standard_normal(dim) * (1e150 if dtype == np.float64 else 1e17)
+    return m.astype(dtype)
+
+
+class TestRowNorms:
+    # np.linalg.norm sums a C-ordered row pairwise and an F-ordered one
+    # column by column, so each layout has its own reference bits; a block of
+    # one row from an F-ordered matrix (1025 rows) would be summed pairwise.
+    @pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 3000])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_identical_to_linalg_norm(self, rows, dtype):
+        assert NORM_BLOCK_ROWS == 1024
+        for layout, m in _layouts(_scaled_rows(rows, dtype)).items():
+            want = np.linalg.norm(m, axis=1)
+            got = row_norms(m)
+            assert got.dtype == want.dtype, layout
+            assert got.tobytes() == want.tobytes(), layout
+
+    @pytest.mark.parametrize("rows", [1, 1025])
+    def test_float64_dtype_on_float32_input(self, rows):
+        for layout, m in _layouts(_scaled_rows(rows, np.float32)).items():
+            want = np.linalg.norm(m.astype(np.float64), axis=1)
+            assert row_norms(m, np.float64).tobytes() == want.tobytes(), layout
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_layouts_sum_in_different_orders(self, dtype):
+        # Guards the premise above, on the data the tests use: the two
+        # layouts give different bits, also for the last of 1025 rows, which
+        # row_norms must not sum as a lone row.
+        for m in (_scaled_rows(1025, dtype), _scaled_rows(1025, dtype).astype(np.float64)):
+            c = np.linalg.norm(m, axis=1)
+            f = np.linalg.norm(np.asfortranarray(m), axis=1)
+            assert c[-1] != f[-1]
+
+
+def _whole_matrix_normalize_rows(m):
+    """Reference: the whole-matrix formula."""
+    m = np.asarray(m, dtype=np.float64)
+    return m / np.linalg.norm(m, axis=1)[:, None]
+
+
+class TestNormalizeRows:
+    @pytest.mark.parametrize("rows", [1, 1025, 3000])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bytes_equal_the_whole_matrix_formula(self, rows, dtype):
+        for layout, m in _layouts(_scaled_rows(rows, dtype, seed=3)).items():
+            got = normalize_rows(m)
+            want = _whole_matrix_normalize_rows(m)
+            assert got.dtype == np.float64, layout
+            assert got.tobytes() == want.tobytes(), layout
+
+    def test_never_writes_a_float64_input(self):
+        m = _scaled_rows(1500, np.float64, seed=4)
+        before = m.copy()
+        for arg in (m, m[::2], m[10:900], EmbeddingMatrix(m)):
+            out = normalize_rows(arg)
+            assert not np.shares_memory(out, m)
+            assert m.tobytes() == before.tobytes()
+
+    def test_float32_input_needs_only_its_float64_copy_and_one_block(self):
+        m = np.random.default_rng(5).standard_normal((8192, 256)).astype(np.float32)
+        copy_bytes = m.size * 8
+        block_bytes = NORM_BLOCK_ROWS * m.shape[1] * 8
+        tracemalloc.start()
+        try:
+            out = normalize_rows(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= copy_bytes + block_bytes + 1_000_000
+        assert out.tobytes() == _whole_matrix_normalize_rows(m).tobytes()
