@@ -15,14 +15,16 @@ from `vectors.row_norms` and scaling runs in float64 through one block
 buffer of NORM_BLOCK_ROWS rows, so no full-matrix float64 array exists.
 
 Export memory: both files are streamed into their atomic temp files. The
-records go out SAVE_CHUNK_RECORDS lines at a time, each field encoded with
-the C JSON string encoder, so each line's bytes equal
-`json.dumps(record, ensure_ascii=False)`; the embeddings go out as the
-stored float32 buffer itself. No whole-file copy of either exists.
+records go out line by line through a text wrapper whose own buffer batches
+the UTF-8 encoding, each field encoded with the C JSON string encoder, so
+each line's bytes equal `json.dumps(record, ensure_ascii=False)`; the
+embeddings go out as the stored float32 buffer itself. No whole-file copy of
+either exists.
 """
 
 from __future__ import annotations
 
+import io
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -52,10 +54,6 @@ from .vectors import (
 
 RECORDS_FILENAME = "records.jsonl"
 EMBEDDINGS_FILENAME = "embeddings.ubem"
-# Records per encoded chunk in `save_records`. A chunk is held about twice
-# (its lines, then the joined text and its UTF-8 bytes), about 170 KB on the
-# synthetic knowledge bases' 170-byte lines.
-SAVE_CHUNK_RECORDS = 512
 
 
 class Source(str, Enum):
@@ -163,11 +161,9 @@ def _record_line(r: KnowledgeRecord) -> str:
 def save_records(path, records: list[KnowledgeRecord]) -> None:
     """Write one JSON object per record, byte-identical to
     `json.dumps(obj, ensure_ascii=False)` over the fixed key order, streamed
-    SAVE_CHUNK_RECORDS lines at a time."""
-    with atomic_writer(path) as f:
-        for start in range(0, len(records), SAVE_CHUNK_RECORDS):
-            chunk = records[start : start + SAVE_CHUNK_RECORDS]
-            f.write("".join(map(_record_line, chunk)).encode("utf-8"))
+    line by line into the atomic temp file."""
+    with atomic_writer(path) as raw, io.TextIOWrapper(raw, "utf-8", newline="") as f:
+        f.writelines(map(_record_line, records))
 
 
 def _ingest_rows(vectors: np.ndarray, owned: bool = False) -> np.ndarray:

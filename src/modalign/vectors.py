@@ -124,18 +124,17 @@ def row_norms(matrix, dtype=None) -> np.ndarray:
 def normalize_rows(matrix) -> np.ndarray:
     """Row-wise unit normalization in float64. Raises ZeroVector naming the row.
 
-    A float64 input is never written. Any other input is converted to a fresh
-    float64 copy, which is divided in place.
+    Norms are taken from the input in float64 first, so their block buffer
+    is freed before the one fresh float64 copy of the input is made; that
+    copy is divided in place, and the input is never written.
     """
-    source = as_vectors(matrix)
-    m = np.asarray(source, dtype=np.float64)
-    norms = row_norms(m)
+    m = as_vectors(matrix)
+    norms = row_norms(m, np.float64)
     bad = np.flatnonzero(norms < ZERO_NORM)
     if bad.size:
         raise ZeroVector(f"row {int(bad[0])} has norm {norms[bad[0]]:.3e}")
-    if m is source:
-        return m / norms[:, None]
-    return np.divide(m, norms[:, None], out=m)
+    out = np.array(m, dtype=np.float64)
+    return np.divide(out, norms[:, None], out=out)
 
 
 def cosine(a, b) -> float:
