@@ -9,6 +9,15 @@ makes k-sweeps cheap and guarantees that growing k never reorders earlier
 members. `localize` is its one-k case. A CenterSet holds its file's two
 blobs; `member_blocks()` and `group_rows(prompts)` give the `{category:
 rows}` anchors of the anchor-max and prompt-mean scoring rules.
+
+A category's candidates are gathered and scored NORM_BLOCK_ROWS rows at a
+time and the blocks' winners merged, so ranking holds one block's float32
+gather and float64 copy at a time, never a copy of every candidate. The
+merge is exact: members and tie-break are those of one `top_k` over every
+candidate given the same scores. A score is computed within its block, so,
+as `vectors` says of query blocks, it can differ in the last bits from the
+score one call over all candidates gives where the BLAS splits the two
+products differently.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from .errors import DimensionMismatch, MissingCategory
 from .kb import KnowledgeBase, Source
 from .serialize import INTEGER, LIST, STRING, atomic_write_bytes, field_problem, is_int, read_header
 from .ubem import read_ubem_file_stream, write_ubem_stream
-from .vectors import EmbeddingMatrix, top_k
+from .vectors import NORM_BLOCK_ROWS, EmbeddingMatrix, top_k
 
 logger = logging.getLogger(__name__)
 
@@ -116,7 +125,14 @@ def _rank_category(
     source_filter: Source | None,
     width: int,
 ) -> tuple[list[int], list[float]]:
-    """The `width` candidate rows of a category most similar to its prompt."""
+    """The `width` candidate rows of a category most similar to its prompt,
+    with their scores, best first and ties to the lower row.
+
+    Each block of NORM_BLOCK_ROWS candidates is gathered and ranked by its
+    own `top_k` call. A row in the overall top `width` is in its block's top
+    `width`, so one stable sort of the blocks' winners, concatenated in row
+    order, gives the same rows, order and tie-break as ranking all of them.
+    """
     rows = kb.category_rows(category, source_filter)
     if not rows:
         raise MissingCategory(f"category {category!r} has no candidate descriptions")
@@ -125,9 +141,21 @@ def _rank_category(
         raise DimensionMismatch(
             f"prompt for {category!r} has dim {prompt.shape[0]}, knowledge base has {kb.dim}"
         )
-    candidates = kb.embeddings.vectors[rows]
-    order, scores = top_k(prompt[None, :], candidates, width)
-    return [rows[i] for i in order[0].tolist()], scores[0].tolist()
+    vectors = kb.embeddings.vectors
+    winners, winner_scores = [], []
+    start = 0
+    while start < len(rows):
+        stop = start + NORM_BLOCK_ROWS
+        if stop == len(rows) - 1:
+            stop += 1  # a lone last row joins this block: one row alone sums differently
+        block = rows[start:stop]
+        order, scores = top_k(prompt[None, :], vectors[block], width)
+        winners += [block[i] for i in order[0].tolist()]
+        winner_scores.append(scores[0])
+        start = stop
+    scores = np.concatenate(winner_scores)
+    keep = np.argsort(-scores, kind="stable")[:width]
+    return [winners[i] for i in keep.tolist()], scores[keep].tolist()
 
 
 def localize(

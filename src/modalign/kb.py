@@ -13,6 +13,8 @@ place, so it holds no second copy. `from_parts` never writes the caller's
 array and makes at most one normalized float32 copy. Either way, norms come
 from `vectors.row_norms` and scaling runs in float64 through one block
 buffer of NORM_BLOCK_ROWS rows, so no full-matrix float64 array exists.
+`EmbeddingMatrix` checks finiteness through the payload's min and max, so
+no full-size bool array exists either.
 
 Export memory: both files are streamed into their atomic temp files. The
 records go out line by line through a text wrapper whose own buffer batches

@@ -14,7 +14,9 @@ What the kernels guarantee is the documented tie-breaks and byte-identical
 output for identical inputs. They do not guarantee bit-identical scores
 across batch shapes: a row scored inside a block of queries may differ in
 the last bits from the same row scored alone, because the matrix product
-may sum in a different order.
+may sum in a different order. The same holds for key rows: the BLAS sums a
+lone key row in another order, and splits a wide product among its threads
+at points that depend on the number of keys.
 """
 
 from __future__ import annotations
@@ -32,13 +34,19 @@ UNIT_TOLERANCE = 1e-6
 # Query rows `top_k` scores per `similarity_matrix` call. A small block keeps
 # the score and sort temporaries small, so ranking adds nothing to peak memory.
 BLOCK_ROWS = 16
-# Rows `row_norms` squares per pass: bounds its buffer whatever the row count.
+# Rows per pass of `row_norms`, KB ingest and anchor ranking: bounds their
+# buffers whatever the row count.
 NORM_BLOCK_ROWS = 1024
 
 
 @dataclass
 class EmbeddingMatrix:
-    """A (rows x dim) block of embeddings with optional per-row labels."""
+    """A (rows x dim) block of embeddings with optional per-row labels.
+
+    Construction rejects NaN and Inf without a full-size temporary: NaN
+    propagates through `min` and `max`, so both are finite exactly when
+    every entry is.
+    """
 
     vectors: np.ndarray
     labels: list[str] | None = None
@@ -47,7 +55,8 @@ class EmbeddingMatrix:
         self.vectors = np.asarray(self.vectors)
         if self.vectors.ndim != 2:
             raise ValueError(f"expected a 2-D array, got shape {self.vectors.shape}")
-        if not np.isfinite(self.vectors).all():
+        v = self.vectors
+        if v.size and not (np.isfinite(v.min()) and np.isfinite(v.max())):
             raise ValueError("embedding matrix contains NaN or Inf")
         if self.labels is not None:
             if len(self.labels) != self.vectors.shape[0]:

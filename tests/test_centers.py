@@ -1,5 +1,7 @@
+import itertools
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from modalign.centers import (
 )
 from modalign.errors import DimensionMismatch, MissingCategory
 from modalign.kb import KnowledgeRecord, Source, from_parts
-from modalign.vectors import EmbeddingMatrix, cosine, top_k
+from modalign.vectors import NORM_BLOCK_ROWS, EmbeddingMatrix, cosine, top_k
 
 
 def synthetic_kb(categories, per_category, dim, seed=0, source=Source.LLM_CATEGORY):
@@ -125,6 +127,54 @@ class TestLocalize:
             for row in kb.category_rows(name):
                 if row not in member_set:
                     assert cosine(anchors[name], kb.embeddings.vectors[row]) <= floor
+
+    def test_exact_ties_straddling_blocks_equal_one_top_k(self):
+        # 42 exact copies of one row near the prompt, placed so the ties
+        # straddle both block boundaries (1024 and 2048) of 2600 candidates.
+        kb, anchors = synthetic_kb(["a"], 2600, 32, seed=5)
+        prompt = anchors["a"]
+        rows = kb.category_rows("a")
+        vectors = kb.embeddings.vectors
+        copy = prompt + 0.05 * np.random.default_rng(6).standard_normal(32)
+        planted = [3, *range(1000, 1030), *range(2040, 2050), 2599]
+        vectors[[rows[p] for p in planted]] = (copy / np.linalg.norm(copy)).astype(np.float32)
+        order, scores = top_k(prompt[None, :], vectors[rows], len(rows))
+        assert order[0][:42].tolist() == planted  # the copies tie, lowest row first
+        assert len(set(scores[0][:42].tolist())) == 1
+        for k in (1, 10, 25, 43, 50, 2600):
+            center = localize(kb, anchors, k=k).centers["a"]
+            assert center.member_rows == [rows[i] for i in order[0][:k].tolist()]
+            assert center.member_scores == scores[0][:k].tolist()
+        sweep = sweep_k(kb, anchors, [10, 43, 1030, 2600])
+        for small, large in itertools.pairwise([10, 43, 1030, 2600]):
+            a, b = sweep[small].centers["a"], sweep[large].centers["a"]
+            assert b.member_rows[:small] == a.member_rows
+            assert b.member_scores[:small] == a.member_scores
+
+    def test_lone_last_row_is_scored_with_its_block(self):
+        # A product with one key row sums in a different order from a wide
+        # one, so a lone last row would score differently in its own block.
+        kb, anchors = synthetic_kb(["a", "b", "c", "d"], NORM_BLOCK_ROWS + 1, 256, seed=8)
+        centers = localize(kb, anchors, k=NORM_BLOCK_ROWS + 1)
+        for name, center in centers.centers.items():
+            rows = kb.category_rows(name)
+            order, scores = top_k(anchors[name][None, :], kb.embeddings.vectors[rows], len(rows))
+            assert center.member_rows == [rows[i] for i in order[0].tolist()]
+            assert center.member_scores == scores[0].tolist()
+
+    def test_ranks_in_blocks_without_a_full_size_copy(self):
+        # One top_k over every candidate makes a float64 copy of them all
+        # (2x the float32 candidates) plus scores and sort order; ranking
+        # block by block holds a block's worth of those at a time.
+        kb, anchors = synthetic_kb(["a"], 8 * NORM_BLOCK_ROWS, 32, seed=9)
+        candidate_bytes = kb.embeddings.vectors.nbytes
+        tracemalloc.start()
+        try:
+            localize(kb, anchors, k=50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0 * candidate_bytes
 
     def test_deterministic(self):
         kb, anchors = synthetic_kb(["a", "b"], 50, 8, seed=13)

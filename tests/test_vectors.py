@@ -252,6 +252,31 @@ class TestEmbeddingMatrix:
         with pytest.raises(ValueError):
             EmbeddingMatrix(bad)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, 2 * 7 + 3, 5 * 7 - 1])
+    def test_rejects_each_non_finite_value_anywhere(self, dtype, value, position):
+        bad = np.linspace(-1.0, 1.0, 5 * 7).astype(dtype).reshape(5, 7)
+        bad.flat[position] = value
+        with pytest.raises(ValueError, match="embedding matrix contains NaN or Inf"):
+            EmbeddingMatrix(bad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_accepts_zero_rows(self, dtype):
+        assert EmbeddingMatrix(np.empty((0, 4), dtype)).rows == 0
+
+    def test_finiteness_check_needs_no_full_size_temporary(self):
+        # `np.isfinite(v).all()` would allocate one bool per value: 0.25x a
+        # float32 payload.
+        payload = np.random.default_rng(0).standard_normal((4096, 256)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            EmbeddingMatrix(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * payload.nbytes
+
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             EmbeddingMatrix(np.ones(4))
