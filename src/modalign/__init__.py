@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .centers import (
     CenterSet,
     EmbeddingCenter,
-    PromptSet,
     group_rows,
     load_center_set,
     localize,
@@ -68,7 +67,6 @@ __all__ = [
     "LinearAdapter",
     "ModalignError",
     "PipelineConfig",
-    "PromptSet",
     "RetrievalReport",
     "ScoringMode",
     "Source",

@@ -43,22 +43,6 @@ DEFAULT_PROMPT_TEMPLATE = "A photo of a [Category]"
 _PLACEHOLDER = "[Category]"
 
 
-@dataclass(frozen=True)
-class PromptSet:
-    """The basic prompt template, which drives anchor localization."""
-
-    basic_template: str = DEFAULT_PROMPT_TEMPLATE
-
-    def __post_init__(self):
-        if self.basic_template.count(_PLACEHOLDER) != 1:
-            raise ValueError(
-                f"basic template must contain exactly one {_PLACEHOLDER!r} placeholder"
-            )
-
-    def fill(self, category: str) -> str:
-        return self.basic_template.replace(_PLACEHOLDER, category)
-
-
 @dataclass
 class EmbeddingCenter:
     """One category's anchor set, ordered by similarity to its prompt."""
@@ -216,17 +200,25 @@ def sweep_k(
 
 def save_center_set(path, center_set: CenterSet) -> None:
     """Write a center-set file: one JSON header line, then the set's
-    `members` and `prompts` as two UBEM blobs."""
+    `members` and `prompts` as two UBEM blobs.
+
+    Each category's `prompt_text` is the set's prompt template with the
+    category in place of its one `[Category]` placeholder; a template with
+    none or several raises ValueError before anything is written.
+    """
+    template = center_set.prompt_template
+    if template.count(_PLACEHOLDER) != 1:
+        raise ValueError(f"basic template must contain exactly one {_PLACEHOLDER!r} placeholder")
     header = {
         "format": "center-set",
         "version": 1,
         "k": center_set.k,
         "dim": center_set.members.dim,
-        "prompt_template": center_set.prompt_template,
+        "prompt_template": template,
         "categories": [
             {
                 "category": category,
-                "prompt_text": PromptSet(basic_template=center_set.prompt_template).fill(category),
+                "prompt_text": template.replace(_PLACEHOLDER, category),
                 "k_requested": c.k_requested,
                 "member_rows": c.member_rows,
                 "member_scores": c.member_scores,

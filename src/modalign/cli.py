@@ -21,7 +21,6 @@ from . import __version__
 from .centers import (
     DEFAULT_K,
     DEFAULT_PROMPT_TEMPLATE,
-    PromptSet,
     group_rows,
     load_center_set,
     localize,
@@ -109,8 +108,7 @@ def cmd_kb_stats(args) -> int:
 def cmd_centers_localize(args) -> int:
     kb = load_kb_dir(args.kb)
     prompts = prompts_from_matrix(read_ubem(args.prompts), args.prompts)
-    template = PromptSet(basic_template=args.template).basic_template
-    center_set = localize(kb, prompts, args.k, _source(args.source), template)
+    center_set = localize(kb, prompts, args.k, _source(args.source), args.template)
     save_center_set(args.out, center_set)
     sizes = [c.size for c in center_set.centers.values()]
     print(

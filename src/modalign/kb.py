@@ -8,13 +8,13 @@ Embeddings are unit-normalized once at ingest; rows already within tolerance
 of unit norm are stored byte-for-byte untouched, which keeps export -> build
 round trips lossless.
 
-Ingest memory: `build` normalizes the float32 payload it has just read in
-place, so it holds no second copy. `from_parts` never writes the caller's
-array and makes at most one normalized float32 copy. Either way, norms come
-from `vectors.row_norms` and scaling runs in float64 through one block
-buffer of NORM_BLOCK_ROWS rows, so no full-matrix float64 array exists.
-`EmbeddingMatrix` checks finiteness through the payload's min and max, so
-no full-size bool array exists either.
+Ingest memory: ingest has one path. The knowledge base takes ownership of
+one float32 `EmbeddingMatrix` and normalizes its rows in place: `build`
+hands over the matrix `read_ubem` returns, whose reader already checked it
+for NaN and Inf, and `from_parts` makes exactly one float32 copy of the
+caller's array, which it never writes. Norms come from `vectors.row_norms`
+and scaling runs in float64 through one block buffer of NORM_BLOCK_ROWS
+rows, so no full-matrix float64 array exists.
 
 Export memory: both files are streamed into their atomic temp files. The
 records go out line by line through a text wrapper whose own buffer batches
@@ -109,15 +109,6 @@ class KnowledgeBase:
     def categories(self) -> list[str]:
         return sorted(self.category_index)
 
-    def export(self, records_path, embeddings_path) -> None:
-        """Write the records JSONL and the (normalized) embeddings UBEM.
-
-        The embeddings are written as they are: `from_parts` labels their rows
-        with the record ids.
-        """
-        save_records(records_path, self.records)
-        write_ubem(embeddings_path, self.embeddings)
-
 
 def _parse_record(line_number: int, obj) -> KnowledgeRecord:
     if not isinstance(obj, dict):
@@ -168,27 +159,24 @@ def save_records(path, records: list[KnowledgeRecord]) -> None:
         f.writelines(map(_record_line, records))
 
 
-def _ingest_rows(vectors: np.ndarray, owned: bool = False) -> np.ndarray:
-    """Unit-normalize rows, keeping already-unit rows bit-identical.
+def _ingest_rows(x: np.ndarray) -> None:
+    """Unit-normalize the rows of a float32 array in place, leaving
+    already-unit rows bit-identical.
 
-    Rows whose norm is within UNIT_TOLERANCE of 1 pass through untouched so a
+    Rows whose norm is within UNIT_TOLERANCE of 1 are not touched, so a
     normalize-store-reload cycle is idempotent at the byte level. Norms are
     `row_norms` in float64; rows that need scaling are divided in float64,
     NORM_BLOCK_ROWS rows at a time, through one buffer allocated once per
-    call. An `owned` float32 array is normalized in place. Otherwise the
-    caller's array is never written: if any row needs scaling, the one
-    float32 output copy is made first.
+    call, and only when some row needs it.
     """
-    x = np.ascontiguousarray(vectors, dtype=np.float32)
-    norms = row_norms(x, np.float64)
+    norms = row_norms(x)
     zero = np.flatnonzero(norms < ZERO_NORM)
     if zero.size:
         row = int(zero[0])
         raise ZeroVector(f"embedding row {row} has norm {norms[row]:.3e}")
     needs = np.abs(norms - 1.0) > UNIT_TOLERANCE
     if not needs.any():
-        return x
-    out = x if owned or not np.may_share_memory(x, vectors) else x.copy()
+        return
     wide = np.empty((min(NORM_BLOCK_ROWS, x.shape[0]), x.shape[1]))
     for start in range(0, x.shape[0], NORM_BLOCK_ROWS):
         stop = start + NORM_BLOCK_ROWS
@@ -196,22 +184,22 @@ def _ingest_rows(vectors: np.ndarray, owned: bool = False) -> np.ndarray:
         if keep.any():
             rows = wide[: keep.size]
             np.divide(x[start:stop], norms[start:stop, None], out=rows)
-            np.copyto(out[start:stop], rows, where=keep[:, None])
-    return out
+            np.copyto(x[start:stop], rows, where=keep[:, None])
 
 
-def _assemble(records: list[KnowledgeRecord], vectors: np.ndarray, owned: bool) -> KnowledgeBase:
-    if len(records) != vectors.shape[0]:
-        raise CountMismatch(
-            f"{len(records)} records but {vectors.shape[0]} embedding rows"
-        )
+def _assemble(records: list[KnowledgeRecord], matrix: EmbeddingMatrix) -> KnowledgeBase:
+    """Index `records` over `matrix`, which the knowledge base takes over:
+    its rows are relabeled with the record ids and normalized in place."""
+    if len(records) != matrix.rows:
+        raise CountMismatch(f"{len(records)} records but {matrix.rows} embedding rows")
+    matrix.labels = [r.id for r in records]
     seen: set[str] = set()
     for r in records:
         if r.id in seen:
             raise DuplicateId(f"record id {r.id!r} appears more than once")
         seen.add(r.id)
+    _ingest_rows(matrix.vectors)
 
-    matrix = EmbeddingMatrix(_ingest_rows(vectors, owned), [r.id for r in records])
     category_index: dict[str, list[int]] = {}
     pair_index: dict[str, int] = {}
     mllm_data = Source.MLLM_DATA  # one enum attribute lookup, not one per row
@@ -225,19 +213,21 @@ def _assemble(records: list[KnowledgeRecord], vectors: np.ndarray, owned: bool) 
 def from_parts(records: list[KnowledgeRecord], embeddings) -> KnowledgeBase:
     """Assemble and validate a knowledge base from in-memory pieces.
 
-    `embeddings` is never written; the knowledge base gets at most one
-    normalized copy of it.
+    The knowledge base gets exactly one float32 copy of `embeddings`, which
+    is never written.
     """
-    return _assemble(records, as_vectors(embeddings), owned=False)
+    vectors = np.array(as_vectors(embeddings), np.float32, order="C")
+    return _assemble(records, EmbeddingMatrix(vectors))
 
 
 def build(records_path, embeddings_path) -> KnowledgeBase:
     """Load, validate, and index a knowledge base from its two files.
 
-    The payload just read belongs to no one else, so it is normalized in place.
+    The matrix `read_ubem` returns belongs to no one else, so the knowledge
+    base takes it over as read; its finiteness was checked by the reader.
     """
     records = load_records(records_path)
-    return _assemble(records, read_ubem(embeddings_path).vectors, owned=True)
+    return _assemble(records, read_ubem(embeddings_path))
 
 
 def load_kb_dir(kb_dir) -> KnowledgeBase:
@@ -246,6 +236,9 @@ def load_kb_dir(kb_dir) -> KnowledgeBase:
 
 
 def write_kb_dir(kb: KnowledgeBase, kb_dir) -> None:
+    """Write the records JSONL and the normalized embeddings UBEM, whose rows
+    carry the record ids."""
     kb_dir = Path(kb_dir)
     kb_dir.mkdir(parents=True, exist_ok=True)
-    kb.export(kb_dir / RECORDS_FILENAME, kb_dir / EMBEDDINGS_FILENAME)
+    save_records(kb_dir / RECORDS_FILENAME, kb.records)
+    write_ubem(kb_dir / EMBEDDINGS_FILENAME, kb.embeddings)

@@ -124,7 +124,7 @@ def load_pipeline_config(path, out_dir=None) -> PipelineConfig:
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # invalid JSON or UTF-8, or nested too deeply
         raise ValueError(f"{path}: invalid JSON ({e})") from e
     problem = field_problem(obj, _CONFIG_FIELDS, _PATH_KEYS + ("modalities",), closed=True)
     if problem is not None:

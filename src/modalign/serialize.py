@@ -39,25 +39,47 @@ def read_jsonl(path) -> Iterator[tuple[int, object]]:
     value, so it yields exactly `json.loads(line)`. A line that is not valid
     JSON, or is nested too deeply to parse, raises MalformedRecord naming it
     with `json.loads`'s own message ("Extra data" for a second value,
-    "Unexpected UTF-8 BOM" for a line that starts with U+FEFF).
+    "Unexpected UTF-8 BOM" for a line that starts with U+FEFF). A file that
+    is not UTF-8 raises MalformedRecord naming its first bad line.
     """
     with open(path, "r", encoding="utf-8") as f:
+        try:
+            for line_number, line in enumerate(f, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj, end = _decode(line, _skip_ws(line).end())
+                    if line[end:].strip(_JSON_WS):
+                        raise json.JSONDecodeError("Extra data", line, _skip_ws(line, end).end())
+                except json.JSONDecodeError as e:
+                    # U+FEFF is neither JSON whitespace nor the start of a value,
+                    # so a line that opens with it always fails to decode.
+                    msg = _BOM_MSG if line.startswith("\ufeff") else e.msg
+                    raise MalformedRecord(line_number, f"invalid JSON ({msg})", path) from e
+                except RecursionError:
+                    msg = "nested too deeply"
+                    raise MalformedRecord(line_number, f"invalid JSON ({msg})", path) from None
+                yield line_number, obj
+        except UnicodeDecodeError:
+            _raise_bad_utf8_line(path)
+            raise
+
+
+def _raise_bad_utf8_line(path) -> None:
+    """Raise MalformedRecord for the first line of `path` that is not UTF-8.
+
+    Latin-1 decodes each byte to one character, so the file splits into the
+    lines the UTF-8 read numbered (no UTF-8 sequence holds a CR or LF byte);
+    each line's bytes are then decoded on their own.
+    """
+    with open(path, "r", encoding="latin-1") as f:
         for line_number, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
+            raw = line.encode("latin-1")
             try:
-                obj, end = _decode(line, _skip_ws(line).end())
-                if line[end:].strip(_JSON_WS):
-                    raise json.JSONDecodeError("Extra data", line, _skip_ws(line, end).end())
-            except json.JSONDecodeError as e:
-                # U+FEFF is neither JSON whitespace nor the start of a value,
-                # so a line that opens with it always fails to decode.
-                msg = _BOM_MSG if line.startswith("\ufeff") else e.msg
-                raise MalformedRecord(line_number, f"invalid JSON ({msg})", path) from e
-            except RecursionError:
-                msg = "nested too deeply"
-                raise MalformedRecord(line_number, f"invalid JSON ({msg})", path) from None
-            yield line_number, obj
+                raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                problem = f"byte 0x{raw[e.start]:02x} at offset {e.start}: {e.reason}"
+                raise MalformedRecord(line_number, f"invalid UTF-8 ({problem})", path) from None
 
 
 def read_jsonl_objects(path, fields: dict, unique: str) -> Iterator[tuple[int, dict]]:

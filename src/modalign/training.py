@@ -106,9 +106,6 @@ class LinearAdapter:
         labels = visual.labels if isinstance(visual, EmbeddingMatrix) else None
         return EmbeddingMatrix(_unit_map(self.weight, self.bias, v)[0], labels)
 
-    def copy(self) -> "LinearAdapter":
-        return LinearAdapter(self.weight.copy(), self.bias.copy(), self.modality)
-
 
 @dataclass(frozen=True)
 class GradCheckReport:
@@ -185,18 +182,18 @@ def train(
     text_rows: np.ndarray,
     kb: KnowledgeBase,
     config: TrainConfig,
-    init: LinearAdapter | None = None,
     modality: str = "",
 ) -> tuple[LinearAdapter, list[float]]:
     """Fit one adapter by seeded mini-batch contrastive training.
 
     `visual` holds one raw embedding per pair and `text_rows` the KB row of
-    its paired description, as `resolve_pairs` returns them. Returns the
-    trained adapter and the per-epoch mean loss. Inputs are never mutated;
-    the caller's `init` adapter, the visual embeddings, and the KB all come
-    back untouched. A batch whose loss is NaN or Inf, or whose adapted rows'
-    norms overflow (the loss is then NaN), raises NonFiniteParameter naming
-    the modality, the epoch and the batch (both counted from 1).
+    its paired description, as `resolve_pairs` returns them. Training starts
+    from `default_adapter(dim_in, kb.dim, config.seed, modality)`. Returns
+    the trained adapter and the per-epoch mean loss. Inputs are never
+    mutated; the visual embeddings and the KB come back untouched. A batch
+    whose loss is NaN or Inf, or whose adapted rows' norms overflow (the
+    loss is then NaN), raises NonFiniteParameter naming the modality, the
+    epoch and the batch (both counted from 1).
     """
     visual = np.asarray(as_vectors(visual), dtype=np.float64)
     text_rows = np.asarray(text_rows)
@@ -209,18 +206,7 @@ def train(
     texts = normalize_rows(kb.embeddings.vectors[text_rows])
 
     n, dim_in = visual.shape
-    dim_out = kb.dim
-    if init is not None:
-        adapter = init.copy()
-        adapter.require_finite()
-        if adapter.dim_in != dim_in or adapter.dim_out != dim_out:
-            raise DimensionMismatch(
-                f"init adapter is {adapter.dim_out}x{adapter.dim_in}, "
-                f"data needs {dim_out}x{dim_in}"
-            )
-    else:
-        adapter = default_adapter(dim_in, dim_out, config.seed)
-    adapter.modality = modality or adapter.modality
+    adapter = default_adapter(dim_in, kb.dim, config.seed, modality)
 
     params = [adapter.weight, adapter.bias]
     if config.optimizer == OptimizerKind.ADAM:

@@ -6,9 +6,10 @@ them. All similarity math runs in float64 regardless of storage dtype, and
 cosine scores are clamped to [-1, 1] after the fact; floating-point drift
 must never leak out-of-range values into downstream argmax/softmax.
 
-Row norms come from `row_norms`, which equals `np.linalg.norm(m, axis=1)`
-bit for bit but squares NORM_BLOCK_ROWS rows at a time into one reused
-buffer, so a norm never costs a full-size temporary.
+Row norms come from `row_norms`, which sums squares in float64 and equals
+`np.linalg.norm(m.astype(np.float64), axis=1)` bit for bit, but squares
+NORM_BLOCK_ROWS rows at a time into one reused buffer, so a norm never
+costs a full-size temporary.
 
 What the kernels guarantee is the documented tie-breaks and byte-identical
 output for identical inputs. They do not guarantee bit-identical scores
@@ -63,7 +64,6 @@ class EmbeddingMatrix:
                 raise ValueError(
                     f"{len(self.labels)} labels for {self.vectors.shape[0]} rows"
                 )
-            self.labels = [str(l) for l in self.labels]
 
     @property
     def rows(self) -> int:
@@ -102,30 +102,26 @@ def normalize(vector) -> np.ndarray:
     return v / norm
 
 
-def row_norms(matrix, dtype=None) -> np.ndarray:
-    """`np.linalg.norm(m, axis=1)` bit for bit, squared NORM_BLOCK_ROWS rows
-    at a time into one reused buffer.
+def row_norms(matrix) -> np.ndarray:
+    """`np.linalg.norm(m.astype(np.float64), axis=1)` bit for bit, squared
+    NORM_BLOCK_ROWS rows at a time into one reused float64 buffer.
 
-    With `dtype`, the rows are squared and summed in that dtype, as
-    `np.linalg.norm(m.astype(dtype), axis=1)` would. Each row's norm is its
-    own reduction, so the blocks change no output bit as long as every block
-    sums its rows in the order the whole array would: the buffer takes the
-    input's memory order (numpy sums along a C-ordered row pairwise and down
-    the columns of an F-ordered one), and no block is a lone row, which
-    numpy sums pairwise whatever the layout.
+    Each row's norm is its own reduction, so the blocks change no output bit
+    as long as every block sums its rows in the order the whole array would:
+    the buffer takes the input's memory order (numpy sums along a C-ordered
+    row pairwise and down the columns of an F-ordered one), and no block is
+    a lone row, which numpy sums pairwise whatever the layout.
     """
     m = as_vectors(matrix)
-    if dtype is None:
-        dtype = m.dtype if np.issubdtype(m.dtype, np.inexact) else np.float64
     rows = m.shape[0]
-    out = np.empty(rows, dtype)
+    out = np.empty(rows)
     order = "F" if abs(m.strides[0]) < abs(m.strides[1]) else "C"
-    buf = np.empty((min(NORM_BLOCK_ROWS, rows), m.shape[1]), dtype, order=order)
+    buf = np.empty((min(NORM_BLOCK_ROWS, rows), m.shape[1]), order=order)
     for start in range(0, rows, NORM_BLOCK_ROWS):
         start = max(0, min(start, rows - 2))  # a lone last row joins the one before
         block = m[start : start + NORM_BLOCK_ROWS]
         squares = buf[: block.shape[0]]
-        np.multiply(block, block, out=squares, dtype=dtype)
+        np.multiply(block, block, out=squares, dtype=np.float64)
         np.add.reduce(squares, axis=1, out=out[start : start + block.shape[0]])
     return np.sqrt(out, out=out)
 
@@ -138,7 +134,7 @@ def normalize_rows(matrix) -> np.ndarray:
     copy is divided in place, and the input is never written.
     """
     m = as_vectors(matrix)
-    norms = row_norms(m, np.float64)
+    norms = row_norms(m)
     bad = np.flatnonzero(norms < ZERO_NORM)
     if bad.size:
         raise ZeroVector(f"row {int(bad[0])} has norm {norms[bad[0]]:.3e}")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import logging
 import re
 import tracemalloc
@@ -8,7 +9,6 @@ import pytest
 
 import modalign.centers
 from modalign.centers import (
-    PromptSet,
     load_center_set,
     localize,
     prompts_from_matrix,
@@ -38,16 +38,30 @@ def synthetic_kb(categories, per_category, dim, seed=0, source=Source.LLM_CATEGO
 
 
 class TestPromptSet:
-    def test_fill(self):
-        assert PromptSet().fill("water snake") == "A photo of a water snake"
+    """A center set's prompt template, which `save_center_set` fills with
+    each category to write its `prompt_text`."""
 
-    def test_placeholder_required(self):
-        with pytest.raises(ValueError):
-            PromptSet(basic_template="no placeholder here")
+    def saved_header(self, tmp_path, category="a", **template):
+        kb, anchors = synthetic_kb([category], 3, 8)
+        path = tmp_path / "centers.cset"
+        save_center_set(path, localize(kb, anchors, k=2, **template))
+        return json.loads(path.read_bytes().split(b"\n", 1)[0])
 
-    def test_single_placeholder_only(self):
-        with pytest.raises(ValueError):
-            PromptSet(basic_template="[Category] and [Category]")
+    def refuses(self, tmp_path, template):
+        message = "basic template must contain exactly one '[Category]' placeholder"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.saved_header(tmp_path, prompt_template=template)
+        assert not (tmp_path / "centers.cset").exists()
+
+    def test_fill(self, tmp_path):
+        header = self.saved_header(tmp_path, "water snake")  # the default template
+        assert [c["prompt_text"] for c in header["categories"]] == ["A photo of a water snake"]
+
+    def test_placeholder_required(self, tmp_path):
+        self.refuses(tmp_path, "no placeholder here")
+
+    def test_single_placeholder_only(self, tmp_path):
+        self.refuses(tmp_path, "[Category] and [Category]")
 
 
 class TestLocalize:

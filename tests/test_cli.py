@@ -608,6 +608,7 @@ def test_truncated_ubem_blob_exits_2_naming_file(bundle, kb_dir, centers_file, t
         ("duplicate", "sweep"),
         ("duplicate", "pipeline"),
         ("nan", "zeroshot-queries"),
+        ("nan", "kb-build"),
     ],
 )
 def test_bad_prompt_or_query_matrix_exits_2_naming_file(
@@ -616,7 +617,8 @@ def test_bad_prompt_or_query_matrix_exits_2_naming_file(
     prompts = read_ubem(bundle.prompts)
     path = tmp_path / "bad.ubem"
     if defect == "nan":
-        raw = bytearray(bundle.visual["mod0"].read_bytes())
+        source = bundle.kb_embeddings if verb == "kb-build" else bundle.visual["mod0"]
+        raw = bytearray(source.read_bytes())
         raw[20:24] = struct.pack("<f", float("nan"))  # the first payload float
         path.write_bytes(bytes(raw))
         message = "embedding matrix contains NaN or Inf"
@@ -642,6 +644,8 @@ def test_bad_prompt_or_query_matrix_exits_2_naming_file(
         ]
     elif verb == "zeroshot-queries":
         argv = zeroshot + ["--queries", path]
+    elif verb == "kb-build":
+        argv = ["kb", "build", "--records", bundle.records, "--embeddings", path, "--out", out]
     else:
         argv = ["centers", verb, "--kb", kb_dir, "--prompts", path, "--out", out]
         argv += ["--k", 3] if verb == "localize" else ["--ks", "1,3"]
@@ -649,6 +653,67 @@ def test_bad_prompt_or_query_matrix_exits_2_naming_file(
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"{path}: {message}" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ["records", "labels", "pairs", "relevance", "config"])
+def test_invalid_utf8_exits_2_naming_file_and_line(
+    bundle, kb_dir, centers_file, tmp_path, which
+):
+    visual = bundle.visual["mod0"]
+    if which == "relevance":
+        source = tmp_path / "source.jsonl"
+        source.write_text(
+            "".join(json.dumps({"query_id": q, "relevant": [q]}) + "\n"
+                    for q in read_ubem(visual).labels)
+        )
+    else:
+        source = {
+            "records": bundle.records, "labels": bundle.labels,
+            "pairs": bundle.pairs["mod0"], "config": bundle.pipeline_config,
+        }[which]
+    lines = source.read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b'"', b'"\xff', 1)  # inside the line's first string
+    path = tmp_path / f"bad_{source.name}"
+    path.write_bytes(b"\n".join(lines))
+    out = tmp_path / "out"
+    argv = {
+        "records": [
+            "kb", "build", "--records", path, "--embeddings", bundle.kb_embeddings, "--out",
+        ],
+        "labels": [
+            "eval", "zeroshot", "--centers", centers_file, "--queries", visual,
+            "--labels", path, "--report",
+        ],
+        "pairs": [
+            "train", "--kb", kb_dir, "--pairs", path, "--visual", visual,
+            "--modality", "mod0", "--out",
+        ],
+        "relevance": [
+            "eval", "retrieval", "--queries", visual, "--gallery", visual,
+            "--relevance", path, "--ks", "1", "--report",
+        ],
+        "config": ["pipeline", "run", "--config", path, "--out"],
+    }[which]
+    proc = run_cli(*argv, out)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    if which == "config":
+        assert f"error: {path}: invalid JSON" in proc.stderr
+    else:
+        assert f"error: {path}: line 2: invalid UTF-8 (byte 0xff" in proc.stderr
+    assert not out.exists()
+
+
+def test_localize_template_without_placeholder_exits_2(bundle, kb_dir, tmp_path):
+    out = tmp_path / "centers.cset"
+    proc = run_cli(
+        "centers", "localize", "--kb", kb_dir, "--prompts", bundle.prompts,
+        "--template", "no placeholder", "--out", out,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "basic template must contain exactly one '[Category]' placeholder" in proc.stderr
     assert not out.exists()
 
 

@@ -271,26 +271,29 @@ class TestIngestRows:
         return x
 
     def test_blocks_bit_identical_to_whole_matrix(self, mixed):
-        before = mixed.copy()
-        out = _ingest_rows(mixed)
-        assert out.tobytes() == _whole_matrix_ingest(before).tobytes()
-        assert mixed.tobytes() == before.tobytes()
-        assert not np.shares_memory(out, mixed)
-
-    def test_owned_array_normalized_in_place(self, mixed):
         want = _whole_matrix_ingest(mixed)
-        assert _ingest_rows(mixed, owned=True) is mixed
+        _ingest_rows(mixed)  # in place
         assert mixed.tobytes() == want.tobytes()
 
     def test_unit_rows_pass_through_uncopied(self, mixed):
         unit = _whole_matrix_ingest(mixed)
-        assert _ingest_rows(unit) is unit
+        before = unit.tobytes()
+        _ingest_rows(unit)
+        assert unit.tobytes() == before
 
     def test_float64_input_converted(self, mixed):
+        # from_parts is the ingest path for in-memory arrays of any dtype.
         wide = mixed.astype(np.float64)
-        out = _ingest_rows(wide)
-        assert out.dtype == np.float32
-        assert out.tobytes() == _whole_matrix_ingest(mixed).tobytes()
+        kb = from_parts(make_records(mixed.shape[0]), wide)
+        assert kb.embeddings.vectors.dtype == np.float32
+        assert kb.embeddings.vectors.tobytes() == _whole_matrix_ingest(mixed).tobytes()
+
+    def test_from_parts_never_writes_the_callers_array(self, mixed):
+        before = mixed.copy()
+        kb = from_parts(make_records(mixed.shape[0]), mixed)
+        assert kb.embeddings.vectors.tobytes() == _whole_matrix_ingest(before).tobytes()
+        assert mixed.tobytes() == before.tobytes()
+        assert not np.shares_memory(kb.embeddings.vectors, mixed)
 
     def test_zero_row_in_later_block_named_by_absolute_index(self, mixed):
         row = NORM_BLOCK_ROWS + 5

@@ -3,12 +3,14 @@ import json
 
 import pytest
 
+from modalign.errors import MalformedRecord
 from modalign.serialize import (
     INTEGER,
     STRING,
     atomic_writer,
     field_problem,
     fixed_json,
+    read_jsonl,
     sha256_file,
     sha256_text,
 )
@@ -122,3 +124,20 @@ def test_atomic_writer_failing_midway_keeps_the_previous_file(tmp_path):
             raise RuntimeError("midway")
     assert path.read_bytes() == b"previous contents"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+
+@pytest.mark.parametrize(
+    "ends, line_number",
+    [([b"\n", b"\n"], 3), ([b"\r\n", b"\r"], 3), ([b"\r", b"\r\r\n"], 4)],
+    ids=["lf", "crlf-cr", "cr-cr-crlf"],
+)
+def test_read_jsonl_names_the_line_of_invalid_utf8(tmp_path, ends, line_number):
+    # The line numbers are those of the text-mode read, which ends a line at
+    # LF, CR or CRLF; a blank line still counts.
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"a": 1}' + ends[0] + b"{}" + ends[1] + b'{"b": "x\xc3("}\n{}\n')
+    with pytest.raises(MalformedRecord) as info:
+        list(read_jsonl(path))
+    assert info.value.line_number == line_number
+    problem = "invalid UTF-8 (byte 0xc3 at offset 8: invalid continuation byte)"
+    assert str(info.value) == f"{path}: line {line_number}: {problem}"

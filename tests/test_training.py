@@ -123,38 +123,6 @@ class TestTrain:
         assert a1.weight.tobytes() == a2.weight.tobytes()
         assert a1.bias.tobytes() == a2.bias.tobytes()
 
-    def test_identity_init_beats_random_when_aligned(self):
-        # visual embeddings equal the text embeddings: identity is optimal
-        rng = np.random.default_rng(6)
-        records = [
-            KnowledgeRecord(f"s{i}", f"c{i % 4}", "d", Source.MLLM_DATA)
-            for i in range(32)
-        ]
-        texts = rng.standard_normal((32, 8))
-        kb = from_parts(records, texts)
-        visual = EmbeddingMatrix(
-            kb.embeddings.vectors.astype(np.float64), [r.id for r in records]
-        )
-        vectors, text_rows = resolve_pairs(all_pairs(visual), visual, kb)
-        config = TrainConfig(epochs=1, batch_size=8, seed=0, learning_rate=1e-9)
-        identity = LinearAdapter(np.eye(8), np.zeros(8))
-        _, identity_history = train(vectors, text_rows, kb, config, init=identity)
-        for seed in range(5):
-            adapter_rng = np.random.default_rng(seed)
-            random_init = LinearAdapter(
-                adapter_rng.standard_normal((8, 8)), adapter_rng.standard_normal(8)
-            )
-            _, random_history = train(vectors, text_rows, kb, config, init=random_init)
-            assert identity_history[0] <= random_history[0]
-
-    def test_init_adapter_not_mutated(self):
-        kb, visual = paired_kb(40, 6, seed=8, categories=4)
-        vectors, text_rows = resolve_pairs(all_pairs(visual), visual, kb)
-        init = default_adapter(6, 6, seed=0)
-        before = init.weight.copy()
-        train(vectors, text_rows, kb, TrainConfig(epochs=2, batch_size=8, seed=0), init=init)
-        assert np.array_equal(init.weight, before)
-
     def test_inputs_not_mutated(self):
         kb, visual = paired_kb(40, 6, seed=9, categories=4)
         kb_bytes = kb.embeddings.vectors.tobytes()
