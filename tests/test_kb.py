@@ -275,6 +275,15 @@ class TestIngestRows:
         _ingest_rows(mixed)  # in place
         assert mixed.tobytes() == want.tobytes()
 
+    def test_owned_array_normalized_in_place(self, mixed):
+        # The knowledge base owns the array it is given: ingest writes the
+        # normalized rows into that same buffer and hands back nothing new.
+        want = _whole_matrix_ingest(mixed)
+        view = mixed[NORM_BLOCK_ROWS:]
+        assert _ingest_rows(mixed) is None
+        assert mixed.tobytes() == want.tobytes()
+        assert view.tobytes() == want[NORM_BLOCK_ROWS:].tobytes()
+
     def test_unit_rows_pass_through_uncopied(self, mixed):
         unit = _whole_matrix_ingest(mixed)
         before = unit.tobytes()

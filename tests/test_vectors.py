@@ -317,6 +317,14 @@ class TestRowNorms:
             assert got.dtype == np.float64, layout
             assert got.tobytes() == want.tobytes(), layout
 
+    @pytest.mark.parametrize("rows", [1, 1025])
+    def test_float64_dtype_on_float32_input(self, rows):
+        for layout, m in _layouts(_scaled_rows(rows, np.float32)).items():
+            want = np.linalg.norm(m.astype(np.float64), axis=1)
+            got = row_norms(m)
+            assert got.dtype == np.float64, layout
+            assert got.tobytes() == want.tobytes(), layout
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_layouts_sum_in_different_orders(self, dtype):
         # Guards the premise above, on the data the tests use: the two
