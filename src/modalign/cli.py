@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -374,10 +373,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except ModalignError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (ModalignError, ValueError, OSError) as e:  # a JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

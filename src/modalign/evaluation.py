@@ -6,8 +6,8 @@ prompt embeddings (the classic prompt-ensemble baseline). Both take the
 anchors as `{category: rows}` (a CenterSet's `member_blocks()`, or
 `group_rows` of a prompt matrix), score every query against every category
 with `similarity_matrix`, and break argmax ties by ascending category name
-so reports are reproducible. Retrieval ranks all queries with one batched
-`top_k` call.
+so reports are reproducible. Retrieval counts each query's rank over
+BLOCK_ROWS-row `similarity_matrix` blocks and sorts nothing.
 """
 
 from __future__ import annotations
@@ -25,14 +25,15 @@ from .errors import (
     ZeroVector,
 )
 from .vectors import (
+    BLOCK_ROWS,
     ZERO_NORM,
     EmbeddingMatrix,
     as_vectors,
     normalize,
     normalize_rows,
     similarity_matrix,
-    top_k,
 )
+from .vectors import top_k  # noqa: F401  (unused here; the benchmark tracer binds it)
 
 # The recall cut-offs of a retrieval evaluation that sets none.
 DEFAULT_RETRIEVAL_KS = (1, 5, 10, 20)
@@ -153,8 +154,9 @@ def evaluate_retrieval(
 ) -> RetrievalReport:
     """Recall@k over cosine-ranked galleries.
 
-    A query counts toward R@k when any of its relevant gallery ids appears in
-    its k best-ranked gallery rows (ties by ascending gallery row index).
+    A query's rank is the count of gallery rows scoring above its best
+    relevant row, plus those tying it at a lower row index: that row's place
+    in the stable descending sort. R@k is the share of ranks below k.
     """
     if not ks or sorted(ks) != list(ks) or ks[0] < 1:
         raise ValueError(f"ks must be ascending positive integers, got {ks}")
@@ -162,22 +164,25 @@ def evaluate_retrieval(
         raise DimensionMismatch(
             f"queries have dim {queries.dim}, gallery has dim {gallery.dim}"
         )
+    columns: dict[str, list[int]] = {}  # a repeated gallery id keeps every column
+    for j, gid in enumerate(gallery.ids):
+        columns.setdefault(gid, []).append(j)
     query_ids = queries.ids
-    gallery_ids = gallery.ids
-    gallery_id_set = set(gallery_ids)
-    for qid in query_ids:
-        relevant = relevance.get(qid)
-        if not relevant:
-            raise MissingRelevance(f"query {qid!r} has no relevant gallery items")
-        if not (relevant & gallery_id_set):
-            raise MissingRelevance(
-                f"query {qid!r} has no relevant items present in the gallery"
-            )
-
-    ranked, _ = top_k(queries, gallery, ks[-1])
-    # Each query's rank of its first relevant row; ks[-1] when none is ranked.
-    first_hits = [
-        next((r for r, j in enumerate(row.tolist()) if gallery_ids[j] in relevance[qid]), ks[-1])
-        for qid, row in zip(query_ids, ranked)
-    ]
-    return RetrievalReport({k: sum(f < k for f in first_hits) / queries.rows for k in ks})
+    ranks = np.empty(queries.rows, dtype=np.intp)
+    for start in range(0, queries.rows, BLOCK_ROWS):
+        block_ids = query_ids[start : start + BLOCK_ROWS]
+        relevant = np.zeros((len(block_ids), gallery.rows), dtype=bool)
+        for i, qid in enumerate(block_ids):
+            wanted = relevance.get(qid)
+            hits = [j for gid in wanted or () for j in columns.get(gid, ())]
+            if not hits:
+                where = "items present in the gallery" if wanted else "gallery items"
+                raise MissingRelevance(f"query {qid!r} has no relevant {where}")
+            relevant[i, hits] = True
+        scores = similarity_matrix(queries.vectors[start : start + BLOCK_ROWS], gallery.vectors)
+        best = np.where(relevant, scores, -np.inf).max(axis=1, keepdims=True)
+        tied = scores == best
+        first = (tied & relevant).argmax(axis=1, keepdims=True)  # lowest relevant row at best
+        ahead = (scores > best) | (tied & (np.arange(gallery.rows) < first))
+        ranks[start : start + BLOCK_ROWS] = ahead.sum(axis=1)
+    return RetrievalReport({k: int((ranks < k).sum()) / queries.rows for k in ks})

@@ -227,7 +227,14 @@ def build(records_path, embeddings_path) -> KnowledgeBase:
     base takes it over as read; its finiteness was checked by the reader.
     """
     records = load_records(records_path)
-    return _assemble(records, read_ubem(embeddings_path))
+    try:
+        return _assemble(records, read_ubem(embeddings_path))
+    except DuplicateId as e:  # name the repeating line, reading the file again only now
+        first: dict[str, int] = {}
+        for line_number, obj in read_jsonl(records_path):
+            if first.setdefault(obj["id"], line_number) < line_number:
+                raise DuplicateId(f"{records_path}: line {line_number}: {e}") from None
+        raise
 
 
 def load_kb_dir(kb_dir) -> KnowledgeBase:

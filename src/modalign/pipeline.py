@@ -357,18 +357,12 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 pair_key = f"{a}_to_{b}"
                 retrieval[pair_key] = {}
                 for phase in ("pre", "post"):
-                    report = evaluate_retrieval(
-                        embedded[a][phase],
-                        embedded[b][phase],
-                        relevance,
-                        list(config.retrieval_ks),
-                    )
-                    retrieval[pair_key][phase] = {
-                        str(k): v for k, v in sorted(report.recall_at.items())
-                    }
+                    shaped = evaluate_retrieval(
+                        embedded[a][phase], embedded[b][phase], relevance, list(config.retrieval_ks)
+                    ).to_report()
+                    retrieval[pair_key][phase] = shaped["recall_at"]
                     atomic_write_text(
-                        reports_dir / f"retrieval_{pair_key}_{phase}.json",
-                        fixed_json(report.to_report()),
+                        reports_dir / f"retrieval_{pair_key}_{phase}.json", fixed_json(shaped)
                     )
 
     with _stage("diagnostics"):

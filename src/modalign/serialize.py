@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -74,12 +75,15 @@ def _raise_bad_utf8_line(path) -> None:
     """
     with open(path, "r", encoding="latin-1") as f:
         for line_number, line in enumerate(f, start=1):
-            raw = line.encode("latin-1")
             try:
-                raw.decode("utf-8")
+                line.encode("latin-1").decode("utf-8")
             except UnicodeDecodeError as e:
-                problem = f"byte 0x{raw[e.start]:02x} at offset {e.start}: {e.reason}"
-                raise MalformedRecord(line_number, f"invalid UTF-8 ({problem})", path) from None
+                raise MalformedRecord(line_number, _bad_utf8(e), path) from None
+
+
+def _bad_utf8(e: UnicodeDecodeError) -> str:
+    """The one message for bytes that are not UTF-8, naming the first bad byte."""
+    return f"invalid UTF-8 (byte 0x{e.object[e.start]:02x} at offset {e.start}: {e.reason})"
 
 
 def read_jsonl_objects(path, fields: dict, unique: str) -> Iterator[tuple[int, dict]]:
@@ -198,16 +202,13 @@ def _render(obj, out: list[str], indent: int, level: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
+# `"`, `\` and the C0 controls, each with its escape; all else passes through.
+_ESCAPES = {'"': '\\"', "\\": "\\\\", **{chr(c): f"\\u{c:04x}" for c in range(0x20)}}
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+
+
 def _escape(s: str) -> str:
-    result = []
-    for ch in s:
-        if ch in ('"', "\\"):
-            result.append("\\" + ch)
-        elif ord(ch) < 0x20:
-            result.append(f"\\u{ord(ch):04x}")
-        else:
-            result.append(ch)
-    return "".join(result)
+    return _NEEDS_ESCAPE.sub(lambda m: _ESCAPES[m.group()], s)
 
 
 @contextmanager

@@ -31,7 +31,7 @@ import struct
 import numpy as np
 
 # `atomic_write_bytes` is unused here; the benchmark tracer binds the name.
-from .serialize import atomic_write_bytes, atomic_writer  # noqa: F401
+from .serialize import _bad_utf8, atomic_write_bytes, atomic_writer  # noqa: F401
 from .vectors import EmbeddingMatrix
 
 MAGIC = b"UBEM"
@@ -90,7 +90,7 @@ def read_ubem_stream(stream) -> EmbeddingMatrix:
     flag = stream.read(1)
     if flag == b"\x01":
         labels = []
-        for _ in range(rows):
+        for row in range(rows):
             raw_len = stream.read(_U32.size)
             if len(raw_len) != _U32.size:
                 raise ValueError("truncated UBEM label block")
@@ -98,7 +98,10 @@ def read_ubem_stream(stream) -> EmbeddingMatrix:
             raw = stream.read(n)
             if len(raw) != n:
                 raise ValueError("truncated UBEM label string")
-            labels.append(raw.decode("utf-8"))
+            try:
+                labels.append(raw.decode("utf-8"))
+            except UnicodeDecodeError as e:
+                raise ValueError(f"label of row {row}: {_bad_utf8(e)}") from None
     elif flag not in (b"", b"\x00"):
         raise ValueError(f"bad UBEM label flag {flag!r}")
     return EmbeddingMatrix(vectors, labels)

@@ -1,10 +1,10 @@
 """Dense vector primitives: normalization, cosine similarity, top-k search.
 
-`similarity_matrix` is the one similarity kernel and `top_k` the one ranking
-kernel; zero-shot scoring, retrieval and anchor localization all go through
-them. All similarity math runs in float64 regardless of storage dtype, and
-cosine scores are clamped to [-1, 1] after the fact; floating-point drift
-must never leak out-of-range values into downstream argmax/softmax.
+`similarity_matrix` is the one similarity kernel, under zero-shot scoring,
+retrieval and anchor localization; `top_k`, the one ranking kernel, serves
+localization, while retrieval counts ranks and sorts nothing. All similarity
+math runs in float64 whatever the storage dtype, and cosine scores are clamped
+to [-1, 1] after the fact, so drift never leaks out-of-range values downstream.
 
 Row norms come from `row_norms`, which sums squares in float64 and equals
 `np.linalg.norm(m.astype(np.float64), axis=1)` bit for bit, but squares
@@ -32,8 +32,8 @@ from .errors import DimensionMismatch, EmptyKeys, ZeroVector
 ZERO_NORM = 1e-12
 # Rows within this of unit norm are considered already normalized.
 UNIT_TOLERANCE = 1e-6
-# Query rows `top_k` scores per `similarity_matrix` call. A small block keeps
-# the score and sort temporaries small, so ranking adds nothing to peak memory.
+# Query rows per `similarity_matrix` call in `top_k` and retrieval. A small block
+# keeps score and rank temporaries small, so ranking adds nothing to peak memory.
 BLOCK_ROWS = 16
 # Rows per pass of `row_norms`, KB ingest and anchor ranking: bounds their
 # buffers whatever the row count.

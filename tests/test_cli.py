@@ -705,6 +705,43 @@ def test_invalid_utf8_exits_2_naming_file_and_line(
     assert not out.exists()
 
 
+def test_label_that_is_not_utf8_exits_2_naming_file_and_row(bundle, kb_dir, tmp_path):
+    prompts = read_ubem(bundle.prompts)
+    path = tmp_path / "badlabel.ubem"
+    write_ubem(path, EmbeddingMatrix(prompts.vectors, prompts.labels[:-1] + ["\u00ff"]))
+    raw = path.read_bytes()
+    assert raw.endswith(b"\xc3\xbf")
+    path.write_bytes(raw[:-2] + b"\xff\xbf")  # U+00FF's lead byte replaced
+    out = tmp_path / "centers.cset"
+    proc = run_cli("centers", "localize", "--kb", kb_dir, "--prompts", path, "--k", 3, "--out", out)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    row = prompts.rows - 1
+    assert proc.stderr == (
+        f"error: {path}: label of row {row}: "
+        "invalid UTF-8 (byte 0xff at offset 0: invalid start byte)\n"
+    )
+    assert not out.exists()
+
+
+def test_duplicate_record_id_exits_2_naming_file_and_line(bundle, tmp_path):
+    lines = bundle.records.read_text(encoding="utf-8").splitlines(keepends=True)
+    path = tmp_path / "records.jsonl"
+    # Line 4 becomes a blank line and a copy of line 2: still one record per row.
+    path.write_text("".join(lines[:3] + ["\n", lines[1]] + lines[4:]), encoding="utf-8")
+    record_id = json.loads(lines[1])["id"]
+    out = tmp_path / "kb"
+    proc = run_cli(
+        "kb", "build", "--records", path, "--embeddings", bundle.kb_embeddings, "--out", out
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        f"error: {path}: line 5: record id {record_id!r} appears more than once\n"
+    )
+    assert not out.exists()
+
+
 def test_localize_template_without_placeholder_exits_2(bundle, kb_dir, tmp_path):
     out = tmp_path / "centers.cset"
     proc = run_cli(

@@ -339,6 +339,40 @@ class TestEvaluateRetrieval:
             queries, qids, gallery, gids, relevance, ks
         )
 
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_several_gallery_rows_tie_the_best_relevant_score(self, labeled):
+        # The gallery holds every exact unit vector twice, so each query meets
+        # itself twice at cosine 1 and eight rows per copy at cosine 0.5; all
+        # scores are exact. Two of a query's 0.5 rows are relevant: the 2nd and
+        # 4th of the first copy for an even query (rank 3: both copies of
+        # itself and the 1st tie come first), the 1st and 6th for an odd one
+        # (rank 2). A labeled gallery repeats each id in its second copy, so a
+        # relevant id names both copies.
+        vectors = exact_unit_vectors()
+        n = len(vectors)
+        gallery = np.concatenate([vectors, vectors])
+        queries = vectors[np.arange(2 * BLOCK_ROWS + 3) % n]
+        qids = [f"q{i}" if labeled else str(i) for i in range(len(queries))]
+        gids = [f"g{j % n}" if labeled else str(j) for j in range(2 * n)]
+        relevance = {}
+        for i, (qid, query) in enumerate(zip(qids, queries)):
+            ties = np.flatnonzero(vectors @ query == 0.5)
+            assert len(ties) == 8
+            picks = ties[[1, 3]] if i % 2 == 0 else ties[[0, 5]]
+            relevance[qid] = {gids[j] for j in picks}
+        ks = [1, 2, 3, 4]
+        report = evaluate_retrieval(
+            EmbeddingMatrix(queries, qids if labeled else None),
+            EmbeddingMatrix(gallery, gids if labeled else None),
+            relevance,
+            ks,
+        )
+        odd = len(queries) // 2
+        assert report.recall_at == {1: 0.0, 2: 0.0, 3: odd / len(queries), 4: 1.0}
+        assert report.recall_at == brute_force_recall(
+            queries, qids, gallery, gids, relevance, ks
+        )
+
 
 class TestCategoryRelevance:
     def test_class_level_sets(self):

@@ -83,6 +83,16 @@ class TestBuild:
         with pytest.raises(DuplicateId):
             build(*paths)
 
+    def test_duplicate_id_names_the_file_and_line(self, tmp_path):
+        records = make_records(3)
+        records[2] = records[0]._replace(description="again")
+        paths = write_kb_files(tmp_path, records, np.ones((3, 4)))
+        text = paths[0].read_text(encoding="utf-8")
+        paths[0].write_text("\n" + text, encoding="utf-8")  # blank lines still count
+        with pytest.raises(DuplicateId) as info:
+            build(*paths)
+        assert str(info.value) == f"{paths[0]}: line 4: record id 'rec_0' appears more than once"
+
     def test_zero_vector_row_reported(self, tmp_path):
         vectors = np.ones((3, 4))
         vectors[1] = 0.0

@@ -51,6 +51,20 @@ def test_string_escaping():
     assert parsed["text"] == 'quote " backslash \\ newline \n'
 
 
+def test_string_escaping_is_byte_exact():
+    controls = "".join(chr(c) for c in range(0x20))
+    escaped = (
+        "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+        "\\u0008\\u0009\\u000a\\u000b\\u000c\\u000d\\u000e\\u000f"
+        "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+        "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
+    )
+    untouched = "\x7f\u2028\U0001f600 plain"  # DEL, LINE SEPARATOR, a non-BMP emoji
+    text = fixed_json({'k"\\': '"\\' + controls + untouched})
+    assert text == '{\n  "k\\"\\\\": "\\"\\\\' + escaped + untouched + '"\n}\n'
+    assert json.loads(text) == {'k"\\': '"\\' + controls + untouched}
+
+
 def test_bools_not_rendered_as_ints():
     text = fixed_json({"on": True, "off": False})
     assert '"on": true' in text

@@ -178,6 +178,17 @@ def test_two_blobs_in_one_stream():
     assert second.vectors.shape == (1, 5)
 
 
+def test_label_that_is_not_utf8_names_its_row(tmp_path):
+    path = tmp_path / "bad.ubem"
+    raw = roundtrip_bytes(EmbeddingMatrix(np.ones((3, 2), dtype=np.float32), ["a", "b", "c"]))
+    path.write_bytes(raw[:-1] + b"\xff")  # the last label's one byte
+    with pytest.raises(ValueError) as info:
+        read_ubem(path)
+    assert str(info.value) == (
+        f"{path}: label of row 2: invalid UTF-8 (byte 0xff at offset 0: invalid start byte)"
+    )
+
+
 def test_unicode_labels(tmp_path):
     m = EmbeddingMatrix(np.ones((2, 2), dtype=np.float32), ["naïve", "猫の写真"])
     path = tmp_path / "m.ubem"
