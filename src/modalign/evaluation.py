@@ -168,7 +168,7 @@ def evaluate_retrieval(
     for j, gid in enumerate(gallery.ids):
         columns.setdefault(gid, []).append(j)
     query_ids = queries.ids
-    ranks = np.empty(queries.rows, dtype=np.intp)
+    ranks = np.empty(queries.rows)
     for start in range(0, queries.rows, BLOCK_ROWS):
         block_ids = query_ids[start : start + BLOCK_ROWS]
         relevant = np.zeros((len(block_ids), gallery.rows), dtype=bool)
@@ -182,7 +182,8 @@ def evaluate_retrieval(
         scores = similarity_matrix(queries.vectors[start : start + BLOCK_ROWS], gallery.vectors)
         best = np.where(relevant, scores, -np.inf).max(axis=1, keepdims=True)
         tied = scores == best
-        first = (tied & relevant).argmax(axis=1, keepdims=True)  # lowest relevant row at best
-        ahead = (scores > best) | (tied & (np.arange(gallery.rows) < first))
-        ranks[start : start + BLOCK_ROWS] = ahead.sum(axis=1)
-    return RetrievalReport({k: int((ranks < k).sum()) / queries.rows for k in ks})
+        # Ties rank ahead up to the first relevant one. Counts are float64 sums: a
+        # bool sum would page in numpy code no other stage runs, raising peak RSS.
+        ahead = (scores > best) | (tied & ~np.logical_or.accumulate(tied & relevant, axis=1))
+        ranks[start : start + BLOCK_ROWS] = np.where(ahead, 1.0, 0.0).sum(axis=1)
+    return RetrievalReport({k: int(np.count_nonzero(ranks < k)) / queries.rows for k in ks})
