@@ -10,9 +10,10 @@ members. `localize` is its one-k case. A CenterSet holds its file's two
 blobs; `member_blocks()` and `group_rows(prompts)` give the `{category:
 rows}` anchors of the anchor-max and prompt-mean scoring rules.
 
-A category's candidates are gathered and scored NORM_BLOCK_ROWS rows at a
-time and the blocks' winners merged, so ranking holds one block's float32
-gather and float64 copy at a time, never a copy of every candidate. The
+A category's candidates are gathered and scored one `vectors.row_blocks`
+block at a time (NORM_BLOCK_ROWS rows; a lone last row joins the block
+before it) and the blocks' winners merged, so ranking holds one block's
+float32 gather and float64 copy at a time, never a copy of every candidate. The
 merge is exact: members and tie-break are those of one `top_k` over every
 candidate given the same scores. A score is computed within its block, so,
 as `vectors` says of query blocks, it can differ in the last bits from the
@@ -34,7 +35,7 @@ from .errors import DimensionMismatch, MissingCategory
 from .kb import KnowledgeBase, Source
 from .serialize import INTEGER, LIST, STRING, atomic_write_bytes, field_problem, is_int, read_header
 from .ubem import read_ubem_file_stream, write_ubem_stream
-from .vectors import NORM_BLOCK_ROWS, EmbeddingMatrix, top_k
+from .vectors import EmbeddingMatrix, row_blocks, top_k
 
 logger = logging.getLogger(__name__)
 
@@ -112,8 +113,8 @@ def _rank_category(
     """The `width` candidate rows of a category most similar to its prompt,
     with their scores, best first and ties to the lower row.
 
-    Each block of NORM_BLOCK_ROWS candidates is gathered and ranked by its
-    own `top_k` call. A row in the overall top `width` is in its block's top
+    Each `row_blocks` block of candidates is gathered and ranked by its own
+    `top_k` call. A row in the overall top `width` is in its block's top
     `width`, so one stable sort of the blocks' winners, concatenated in row
     order, gives the same rows, order and tie-break as ranking all of them.
     """
@@ -127,16 +128,11 @@ def _rank_category(
         )
     vectors = kb.embeddings.vectors
     winners, winner_scores = [], []
-    start = 0
-    while start < len(rows):
-        stop = start + NORM_BLOCK_ROWS
-        if stop == len(rows) - 1:
-            stop += 1  # a lone last row joins this block: one row alone sums differently
-        block = rows[start:stop]
+    for block_rows in row_blocks(len(rows)):
+        block = rows[block_rows]
         order, scores = top_k(prompt[None, :], vectors[block], width)
         winners += [block[i] for i in order[0].tolist()]
         winner_scores.append(scores[0])
-        start = stop
     scores = np.concatenate(winner_scores)
     keep = np.argsort(-scores, kind="stable")[:width]
     return [winners[i] for i in keep.tolist()], scores[keep].tolist()

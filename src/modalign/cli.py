@@ -170,6 +170,8 @@ def cmd_eval_zeroshot(args) -> int:
         raise ValueError("--prompts applies to --mode prompt_mean only")
     centers = load_center_set(args.centers)
     queries = read_ubem(args.queries)
+    if queries.rows == 0:
+        raise ValueError(f"{args.queries}: query matrix has no rows")
     categories = categories_for(queries.ids, load_labels(args.labels))
     if mode == ScoringMode.CENTER_MAX:
         anchors = centers.member_blocks()
@@ -184,6 +186,8 @@ def cmd_eval_zeroshot(args) -> int:
 
 def cmd_eval_retrieval(args) -> int:
     queries = read_ubem(args.queries)
+    if queries.rows == 0:
+        raise ValueError(f"{args.queries}: query matrix has no rows")
     gallery = read_ubem(args.gallery)
     ks = _parse_int_list(args.ks)
     if args.relevance:

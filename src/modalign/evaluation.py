@@ -5,9 +5,11 @@ Two scoring rules are provided: max cosine over a category's anchor members
 prompt embeddings (the classic prompt-ensemble baseline). Both take the
 anchors as `{category: rows}` (a CenterSet's `member_blocks()`, or
 `group_rows` of a prompt matrix), score every query against every category
-with `similarity_matrix`, and break argmax ties by ascending category name
-so reports are reproducible. Retrieval counts each query's rank over
-BLOCK_ROWS-row `similarity_matrix` blocks and sorts nothing.
+with one whole-matrix `similarity_matrix` product per category, and break
+argmax ties by ascending category name so reports are reproducible.
+Retrieval counts each query's rank over the query blocks of
+`vectors.score_blocks`, which checks the dims and normalizes the gallery
+once, and sorts nothing; it cuts no blocks of its own.
 """
 
 from __future__ import annotations
@@ -17,20 +19,14 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyCenterSet,
-    MissingRelevance,
-    UnknownLabel,
-    ZeroVector,
-)
+from .errors import EmptyCenterSet, MissingRelevance, UnknownLabel, ZeroVector
 from .vectors import (
-    BLOCK_ROWS,
     ZERO_NORM,
     EmbeddingMatrix,
     as_vectors,
     normalize,
     normalize_rows,
+    score_blocks,
     similarity_matrix,
 )
 from .vectors import top_k  # noqa: F401  (unused here; the benchmark tracer binds it)
@@ -113,7 +109,10 @@ def evaluate_classification(
 
     `anchors` maps each category to its anchor rows, as in
     `category_scores`; every query label must be one of its categories.
+    A query matrix with no rows raises ValueError.
     """
+    if queries.rows == 0:
+        raise ValueError("query matrix has no rows")
     if len(categories) != queries.rows:
         raise ValueError(f"{len(categories)} labels for {queries.rows} queries")
     unknown = sorted(set(categories) - set(anchors))
@@ -156,21 +155,20 @@ def evaluate_retrieval(
 
     A query's rank is the count of gallery rows scoring above its best
     relevant row, plus those tying it at a lower row index: that row's place
-    in the stable descending sort. R@k is the share of ranks below k.
+    in the stable descending sort. R@k is the share of ranks below k. A
+    query matrix with no rows raises ValueError.
     """
     if not ks or sorted(ks) != list(ks) or ks[0] < 1:
         raise ValueError(f"ks must be ascending positive integers, got {ks}")
-    if queries.dim != gallery.dim:
-        raise DimensionMismatch(
-            f"queries have dim {queries.dim}, gallery has dim {gallery.dim}"
-        )
+    if queries.rows == 0:
+        raise ValueError("query matrix has no rows")
     columns: dict[str, list[int]] = {}  # a repeated gallery id keeps every column
     for j, gid in enumerate(gallery.ids):
         columns.setdefault(gid, []).append(j)
     query_ids = queries.ids
     ranks = np.empty(queries.rows)
-    for start in range(0, queries.rows, BLOCK_ROWS):
-        block_ids = query_ids[start : start + BLOCK_ROWS]
+    for rows, scores in score_blocks(queries, gallery):
+        block_ids = query_ids[rows]
         relevant = np.zeros((len(block_ids), gallery.rows), dtype=bool)
         for i, qid in enumerate(block_ids):
             wanted = relevance.get(qid)
@@ -179,11 +177,10 @@ def evaluate_retrieval(
                 where = "items present in the gallery" if wanted else "gallery items"
                 raise MissingRelevance(f"query {qid!r} has no relevant {where}")
             relevant[i, hits] = True
-        scores = similarity_matrix(queries.vectors[start : start + BLOCK_ROWS], gallery.vectors)
         best = np.where(relevant, scores, -np.inf).max(axis=1, keepdims=True)
         tied = scores == best
         # Ties rank ahead up to the first relevant one. Counts are float64 sums: a
         # bool sum would page in numpy code no other stage runs, raising peak RSS.
         ahead = (scores > best) | (tied & ~np.logical_or.accumulate(tied & relevant, axis=1))
-        ranks[start : start + BLOCK_ROWS] = np.where(ahead, 1.0, 0.0).sum(axis=1)
+        ranks[rows] = np.where(ahead, 1.0, 0.0).sum(axis=1)
     return RetrievalReport({k: int(np.count_nonzero(ranks < k)) / queries.rows for k in ks})

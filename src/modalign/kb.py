@@ -13,8 +13,8 @@ one float32 `EmbeddingMatrix` and normalizes its rows in place: `build`
 hands over the matrix `read_ubem` returns, whose reader already checked it
 for NaN and Inf, and `from_parts` makes exactly one float32 copy of the
 caller's array, which it never writes. Norms come from `vectors.row_norms`
-and scaling runs in float64 through one block buffer of NORM_BLOCK_ROWS
-rows, so no full-matrix float64 array exists.
+and scaling runs in float64 over `vectors.row_blocks` blocks through one
+buffer of NORM_BLOCK_ROWS + 1 rows, so no full-matrix float64 array exists.
 
 Export memory: both files are streamed into their atomic temp files. The
 records go out line by line through a text wrapper whose own buffer batches
@@ -51,6 +51,7 @@ from .vectors import (
     ZERO_NORM,
     EmbeddingMatrix,
     as_vectors,
+    row_blocks,
     row_norms,
 )
 
@@ -166,7 +167,7 @@ def _ingest_rows(x: np.ndarray) -> None:
     Rows whose norm is within UNIT_TOLERANCE of 1 are not touched, so a
     normalize-store-reload cycle is idempotent at the byte level. Norms are
     `row_norms` in float64; rows that need scaling are divided in float64,
-    NORM_BLOCK_ROWS rows at a time, through one buffer allocated once per
+    one `row_blocks` block at a time, through one buffer allocated once per
     call, and only when some row needs it.
     """
     norms = row_norms(x)
@@ -177,14 +178,13 @@ def _ingest_rows(x: np.ndarray) -> None:
     needs = np.abs(norms - 1.0) > UNIT_TOLERANCE
     if not needs.any():
         return
-    wide = np.empty((min(NORM_BLOCK_ROWS, x.shape[0]), x.shape[1]))
-    for start in range(0, x.shape[0], NORM_BLOCK_ROWS):
-        stop = start + NORM_BLOCK_ROWS
-        keep = needs[start:stop]
+    wide = np.empty((min(NORM_BLOCK_ROWS + 1, x.shape[0]), x.shape[1]))
+    for rows in row_blocks(x.shape[0]):
+        keep = needs[rows]
         if keep.any():
-            rows = wide[: keep.size]
-            np.divide(x[start:stop], norms[start:stop, None], out=rows)
-            np.copyto(x[start:stop], rows, where=keep[:, None])
+            scaled = wide[: keep.size]
+            np.divide(x[rows], norms[rows, None], out=scaled)
+            np.copyto(x[rows], scaled, where=keep[:, None])
 
 
 def _assemble(records: list[KnowledgeRecord], matrix: EmbeddingMatrix) -> KnowledgeBase:

@@ -1,15 +1,23 @@
-"""Dense vector primitives: normalization, cosine similarity, top-k search.
+"""Dense vector primitives: normalization, cosine similarity, top-k search,
+and the one place rows are cut into blocks.
 
-`similarity_matrix` is the one similarity kernel, under zero-shot scoring,
-retrieval and anchor localization; `top_k`, the one ranking kernel, serves
-localization, while retrieval counts ranks and sorts nothing. All similarity
-math runs in float64 whatever the storage dtype, and cosine scores are clamped
-to [-1, 1] after the fact, so drift never leaks out-of-range values downstream.
+`similarity_matrix` is the one similarity kernel. `score_blocks` runs it over
+BLOCK_ROWS-row query blocks against keys it normalizes once per call, each
+block bit-identical to `similarity_matrix` of those rows; `top_k`, the one
+ranking kernel, and retrieval reduce its blocks, and retrieval counts ranks
+and sorts nothing. Zero-shot scoring keeps one whole-matrix product per
+category. All similarity math runs in float64 whatever the storage dtype, and
+cosine scores are clamped to [-1, 1] after the fact, so drift never leaks
+out-of-range values downstream.
 
+`row_blocks` cuts NORM_BLOCK_ROWS-row slices for `row_norms`, KB ingest and
+anchor ranking. A lone last row joins the block before it, so a block holds
+up to NORM_BLOCK_ROWS + 1 rows: numpy sums a lone row's squares pairwise
+whatever the layout, and the BLAS sums a lone key row in another order.
 Row norms come from `row_norms`, which sums squares in float64 and equals
-`np.linalg.norm(m.astype(np.float64), axis=1)` bit for bit, but squares
-NORM_BLOCK_ROWS rows at a time into one reused buffer, so a norm never
-costs a full-size temporary.
+`np.linalg.norm(m.astype(np.float64), axis=1)` bit for bit, but squares one
+block at a time into one reused buffer, so a norm never costs a full-size
+temporary.
 
 What the kernels guarantee is the documented tie-breaks and byte-identical
 output for identical inputs. They do not guarantee bit-identical scores
@@ -32,11 +40,11 @@ from .errors import DimensionMismatch, EmptyKeys, ZeroVector
 ZERO_NORM = 1e-12
 # Rows within this of unit norm are considered already normalized.
 UNIT_TOLERANCE = 1e-6
-# Query rows per `similarity_matrix` call in `top_k` and retrieval. A small block
-# keeps score and rank temporaries small, so ranking adds nothing to peak memory.
+# Query rows per `score_blocks` block. A small block keeps score and rank
+# temporaries small, so ranking adds nothing to peak memory.
 BLOCK_ROWS = 16
-# Rows per pass of `row_norms`, KB ingest and anchor ranking: bounds their
-# buffers whatever the row count.
+# Rows per `row_blocks` block (one more for a lone last row): bounds the
+# buffers of `row_norms`, KB ingest and anchor ranking whatever the row count.
 NORM_BLOCK_ROWS = 1024
 
 
@@ -102,9 +110,22 @@ def normalize(vector) -> np.ndarray:
     return v / norm
 
 
+def row_blocks(rows: int):
+    """Yield slices of NORM_BLOCK_ROWS rows that cover range(rows) in order.
+
+    A lone last row joins the block before it, which then has
+    NORM_BLOCK_ROWS + 1 rows; a single row is a block only when it is all
+    there is.
+    """
+    starts = list(range(0, rows, NORM_BLOCK_ROWS))
+    if len(starts) > 1 and starts[-1] == rows - 1:
+        starts.pop()
+    yield from map(slice, starts, starts[1:] + [rows])
+
+
 def row_norms(matrix) -> np.ndarray:
-    """`np.linalg.norm(m.astype(np.float64), axis=1)` bit for bit, squared
-    NORM_BLOCK_ROWS rows at a time into one reused float64 buffer.
+    """`np.linalg.norm(m.astype(np.float64), axis=1)` bit for bit, squared one
+    `row_blocks` block at a time into one reused float64 buffer.
 
     Each row's norm is its own reduction, so the blocks change no output bit
     as long as every block sums its rows in the order the whole array would:
@@ -113,16 +134,14 @@ def row_norms(matrix) -> np.ndarray:
     a lone row, which numpy sums pairwise whatever the layout.
     """
     m = as_vectors(matrix)
-    rows = m.shape[0]
-    out = np.empty(rows)
+    out = np.empty(m.shape[0])
     order = "F" if abs(m.strides[0]) < abs(m.strides[1]) else "C"
-    buf = np.empty((min(NORM_BLOCK_ROWS, rows), m.shape[1]), order=order)
-    for start in range(0, rows, NORM_BLOCK_ROWS):
-        start = max(0, min(start, rows - 2))  # a lone last row joins the one before
-        block = m[start : start + NORM_BLOCK_ROWS]
+    buf = np.empty((min(NORM_BLOCK_ROWS + 1, m.shape[0]), m.shape[1]), order=order)
+    for rows in row_blocks(m.shape[0]):
+        block = m[rows]
         squares = buf[: block.shape[0]]
         np.multiply(block, block, out=squares, dtype=np.float64)
-        np.add.reduce(squares, axis=1, out=out[start : start + block.shape[0]])
+        np.add.reduce(squares, axis=1, out=out[rows])
     return np.sqrt(out, out=out)
 
 
@@ -155,6 +174,15 @@ def cosine(a, b) -> float:
     return float(np.clip(np.dot(av, bv) / (na * nb), -1.0, 1.0))
 
 
+def _checked(queries, keys) -> tuple[np.ndarray, np.ndarray]:
+    """Queries and keys as arrays, once their dims agree."""
+    q = as_vectors(queries)
+    k = as_vectors(keys)
+    if q.shape[1] != k.shape[1]:
+        raise DimensionMismatch(f"queries have dim {q.shape[1]}, keys have dim {k.shape[1]}")
+    return q, k
+
+
 def similarity_matrix(queries, keys) -> np.ndarray:
     """All-pairs cosine similarity, entry (i, j) = cosine(queries[i], keys[j]).
 
@@ -162,14 +190,22 @@ def similarity_matrix(queries, keys) -> np.ndarray:
     Identical inputs give byte-identical output; a query row's scores may
     differ in the last bits depending on which other rows share the call.
     """
-    q = as_vectors(queries)
-    k = as_vectors(keys)
-    if q.shape[1] != k.shape[1]:
-        raise DimensionMismatch(
-            f"queries have dim {q.shape[1]}, keys have dim {k.shape[1]}"
-        )
-    sims = normalize_rows(q) @ normalize_rows(k).T
-    return np.clip(sims, -1.0, 1.0)
+    q, k = _checked(queries, keys)
+    return np.clip(normalize_rows(q) @ normalize_rows(k).T, -1.0, 1.0)
+
+
+def score_blocks(queries, keys):
+    """Yield (rows, scores) for each BLOCK_ROWS-row block of `queries`, where
+    `scores` equals `similarity_matrix(queries[rows], keys)` bit for bit.
+
+    The dims are checked and the keys normalized once per call, not once
+    per block.
+    """
+    q, k = _checked(queries, keys)
+    unit_keys = normalize_rows(k)
+    for start in range(0, q.shape[0], BLOCK_ROWS):
+        rows = slice(start, min(start + BLOCK_ROWS, q.shape[0]))
+        yield rows, np.clip(normalize_rows(q[rows]) @ unit_keys.T, -1.0, 1.0)
 
 
 def top_k(queries, keys, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,10 +225,9 @@ def top_k(queries, keys, k: int) -> tuple[np.ndarray, np.ndarray]:
     width = min(k, km.shape[0])
     indices = np.empty((q.shape[0], width), dtype=np.intp)
     scores = np.empty((q.shape[0], width))
-    for start in range(0, q.shape[0], BLOCK_ROWS):
-        block = similarity_matrix(q[start : start + BLOCK_ROWS], km)
+    for rows, block in score_blocks(q, km):
         # Copy the kept columns out, so no full-width sort row stays alive.
         order = np.argsort(-block, axis=1, kind="stable")[:, :width]
-        indices[start : start + BLOCK_ROWS] = order
-        scores[start : start + BLOCK_ROWS] = np.take_along_axis(block, order, axis=1)
+        indices[rows] = order
+        scores[rows] = np.take_along_axis(block, order, axis=1)
     return indices, scores

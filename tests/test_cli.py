@@ -742,6 +742,26 @@ def test_duplicate_record_id_exits_2_naming_file_and_line(bundle, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["zeroshot", "retrieval"])
+def test_zero_row_queries_exit_2_naming_the_file(bundle, centers_file, tmp_path, verb):
+    queries = tmp_path / "empty.ubem"
+    write_ubem(queries, EmbeddingMatrix(np.empty((0, 10), np.float32), []))
+    assert read_ubem(queries).rows == 0
+    report = tmp_path / "report.json"
+    if verb == "zeroshot":
+        extra = ["--centers", centers_file, "--mode", "center_max"]
+    else:
+        extra = ["--gallery", bundle.visual["mod1"]]
+    proc = run_cli(
+        "eval", verb, "--queries", queries, "--labels", bundle.labels, *extra,
+        "--report", report,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {queries}: query matrix has no rows\n"
+    assert not report.exists()
+
+
 def test_localize_template_without_placeholder_exits_2(bundle, kb_dir, tmp_path):
     out = tmp_path / "centers.cset"
     proc = run_cli(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modalign.errors import (
+    DimensionMismatch,
     EmptyCenterSet,
     MissingRelevance,
     UnknownLabel,
@@ -220,6 +221,12 @@ class TestEvaluateClassification:
                 EmbeddingMatrix(np.eye(2)), ["x", "ghost"], cs, ScoringMode.CENTER_MAX
             )
 
+    @pytest.mark.parametrize("mode", list(ScoringMode))
+    def test_zero_query_rows_rejected(self, mode):
+        queries = EmbeddingMatrix(np.empty((0, 2)))
+        with pytest.raises(ValueError, match="^query matrix has no rows$"):
+            evaluate_classification(queries, [], {"x": [[1.0, 0.0]]}, mode)
+
     def test_prompt_mean_mode(self):
         prompts = {"x": np.array([[1.0, 0.0]]), "y": np.array([[0.0, 1.0]])}
         queries = EmbeddingMatrix(np.array([[0.9, 0.1], [0.1, 0.9]]))
@@ -313,6 +320,18 @@ class TestEvaluateRetrieval:
         g = EmbeddingMatrix(np.eye(2), ["g0", "g1"])
         with pytest.raises(MissingRelevance):
             evaluate_retrieval(q, g, {"q0": {"elsewhere"}}, [1])
+
+    def test_zero_query_rows_rejected(self):
+        q = EmbeddingMatrix(np.empty((0, 2)), [])
+        g = EmbeddingMatrix(np.eye(2), ["g0", "g1"])
+        with pytest.raises(ValueError, match="^query matrix has no rows$"):
+            evaluate_retrieval(q, g, {}, [1])
+
+    def test_dim_mismatch(self):
+        q = EmbeddingMatrix(np.eye(3)[:2], ["q0", "q1"])
+        g = EmbeddingMatrix(np.eye(2), ["g0", "g1"])
+        with pytest.raises(DimensionMismatch, match="queries have dim 3, keys have dim 2"):
+            evaluate_retrieval(q, g, {"q0": {"g0"}, "q1": {"g1"}}, [1])
 
     def test_ks_must_ascend(self):
         q = EmbeddingMatrix(np.eye(2), ["q0", "q1"])

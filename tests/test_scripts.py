@@ -29,6 +29,7 @@ SCRIPTS = ROOT / "scripts"
             ["--categories", "3", "--dim", "6", "--descriptions-per-class", "8",
              "--queries-per-class", "3", "--ks", "1,4,12", "--seeds", "1"],
         ),
+        ("pipeline_digests.py", ["--workloads", "eval-heavy", "--seeds", "0"]),
     ],
 )
 def test_script_runs(tmp_path, script, args):
@@ -39,6 +40,10 @@ def test_script_runs(tmp_path, script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    if script == "pipeline_digests.py":
+        lines = proc.stdout.splitlines()
+        assert all(re.fullmatch(r"[0-9a-f]{64}  eval-heavy-0/\S+", line) for line in lines)
+        assert any(line.endswith("  eval-heavy-0/manifest.json") for line in lines)
 
 
 def test_readme_library_sketch_runs(tmp_path, monkeypatch):

@@ -7,15 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from modalign import vectors
 from modalign.errors import DimensionMismatch, EmptyKeys, ZeroVector
 from modalign.vectors import (
     BLOCK_ROWS,
     NORM_BLOCK_ROWS,
     EmbeddingMatrix,
+    as_vectors,
     cosine,
     normalize,
     normalize_rows,
+    row_blocks,
     row_norms,
+    score_blocks,
     similarity_matrix,
     top_k,
 )
@@ -239,6 +243,54 @@ class TestTopK:
         expected = brute_force_ranking(query, keys)[: min(k, rows)]
         indices, _ = top_k(query[None, :], keys, k)
         assert indices[0].tolist() == [i for i, _ in expected]
+
+
+class TestScoreBlocks:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_each_block_is_bit_identical_to_similarity_matrix(self, dtype):
+        rng = np.random.default_rng(21)
+        queries = rng.standard_normal((2 * BLOCK_ROWS + 3, 64)).astype(dtype)
+        keys = rng.standard_normal((300, 64)).astype(dtype)
+        covered = []
+        for rows, scores in score_blocks(queries, keys):
+            assert scores.dtype == np.float64
+            assert np.array_equal(scores, similarity_matrix(queries[rows], keys))
+            covered += range(len(queries))[rows]
+        assert covered == list(range(len(queries)))
+
+    def test_dims_checked_before_any_block(self):
+        with pytest.raises(DimensionMismatch):
+            next(score_blocks(np.ones((3, 3)), np.ones((4, 2))))
+
+    def test_top_k_normalizes_its_keys_once(self, monkeypatch):
+        # One call for the keys, then one per query block: the keys are not
+        # normalized again for every block.
+        calls = []
+
+        def counting(matrix):
+            calls.append(as_vectors(matrix).shape[0])
+            return normalize_rows(matrix)
+
+        monkeypatch.setattr(vectors, "normalize_rows", counting)
+        rng = np.random.default_rng(22)
+        top_k(rng.standard_normal((2 * BLOCK_ROWS + 3, 8)), rng.standard_normal((50, 8)), 5)
+        assert calls == [50, BLOCK_ROWS, BLOCK_ROWS, 3]
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("rows", [1, 2, 1023, 1024, 1025, 2049, 3 * 1024 + 1])
+    def test_blocks_cover_every_row_once_with_no_lone_row(self, rows):
+        assert NORM_BLOCK_ROWS == 1024
+        blocks = list(row_blocks(rows))
+        covered = [i for block in blocks for i in range(rows)[block]]
+        assert covered == list(range(rows))
+        sizes = [len(range(rows)[block]) for block in blocks]
+        assert all(size == NORM_BLOCK_ROWS for size in sizes[:-1])
+        assert max(sizes) <= NORM_BLOCK_ROWS + 1
+        assert rows == 1 or min(sizes) > 1
+
+    def test_no_rows_no_blocks(self):
+        assert list(row_blocks(0)) == []
 
 
 class TestEmbeddingMatrix:
