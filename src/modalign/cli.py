@@ -134,11 +134,12 @@ def cmd_train(args) -> int:
     kb = load_kb_dir(args.kb)
     visual = read_ubem(args.visual)
     config = load_train_config(args.config) if args.config else TrainConfig()
-    vectors, text_rows = resolve_pairs(load_pairs_file(args.pairs), visual, kb)
-    adapter, history = train(vectors, text_rows, kb, config, modality=args.modality)
+    vectors, texts = resolve_pairs(load_pairs_file(args.pairs), visual, kb)
+    del kb  # its last use: nothing holds the KB while the adapter trains
+    adapter, history = train(vectors, texts, config, modality=args.modality)
     save_adapter(args.out, adapter)
     print(
-        f"trained adapter {args.modality!r} on {len(text_rows)} pairs: "
+        f"trained adapter {args.modality!r} on {len(texts)} pairs: "
         f"epoch loss {history[0]:.6f} -> {history[-1]:.6f} ({config.epochs} epochs)"
     )
     return 0

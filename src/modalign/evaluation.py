@@ -4,9 +4,10 @@ Two scoring rules are provided: max cosine over a category's anchor members
 (the anchor-set rule) and cosine against the normalized mean of a category's
 prompt embeddings (the classic prompt-ensemble baseline). Both take the
 anchors as `{category: rows}` (a CenterSet's `member_blocks()`, or
-`group_rows` of a prompt matrix), score every query against every category
-with one whole-matrix `similarity_matrix` product per category, and break
-argmax ties by ascending category name so reports are reproducible.
+`group_rows` of a prompt matrix), normalize the queries once, score every
+query against every category with one whole-matrix `unit_similarity`
+product per category, and break argmax ties by ascending category name so
+reports are reproducible.
 Retrieval counts each query's rank over the query blocks of
 `vectors.score_blocks`, which checks the dims and normalizes the gallery
 once, and sorts nothing; it cuts no blocks of its own.
@@ -27,7 +28,7 @@ from .vectors import (
     normalize,
     normalize_rows,
     score_blocks,
-    similarity_matrix,
+    unit_similarity,
 )
 from .vectors import top_k  # noqa: F401  (unused here; the benchmark tracer binds it)
 
@@ -93,9 +94,10 @@ def category_scores(queries, anchors, mode: ScoringMode) -> tuple[list[str], np.
     """
     blocks = _anchor_blocks(anchors, mode)
     names = list(blocks)
-    scores = np.empty((as_vectors(queries).shape[0], len(names)))
+    unit = normalize_rows(queries)
+    scores = np.empty((unit.shape[0], len(names)))
     for j, cat in enumerate(names):
-        scores[:, j] = similarity_matrix(queries, blocks[cat]).max(axis=1)
+        scores[:, j] = unit_similarity(unit, blocks[cat]).max(axis=1)
     return names, scores
 
 

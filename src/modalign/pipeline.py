@@ -6,6 +6,12 @@ adapter per modality, report JSONs (classification, retrieval, alignment
 diagnostics before/after training), a machine-diffable summary, and a
 manifest with input hashes. Nothing in the outputs depends on wall-clock
 time, so identical configs reproduce identical bytes.
+
+Stages run in this order, and a failure in one raises StageError naming it:
+validate, kb-build, centers, pairs, train:<modality>, eval:<modality>,
+retrieval:<a>-><b>, diagnostics, summary. `pairs` is the knowledge base's
+last use: it resolves every modality's pairs to visual and paired text rows,
+and the KB is released after it, so no adapter trains while it is held.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .evaluation import (
     evaluate_classification,
     evaluate_retrieval,
 )
-from .kb import KnowledgeBase, Source, build, write_kb_dir
+from .kb import Source, build, write_kb_dir
 from .serialize import (
     BOOLEAN,
     INTEGER,
@@ -242,7 +248,6 @@ def pca_2d(vectors: np.ndarray) -> np.ndarray:
 @dataclass
 class PipelineResult:
     out_dir: Path
-    kb: KnowledgeBase
     centers: CenterSet
     adapters: dict[str, LinearAdapter]
     summary: dict
@@ -310,14 +315,16 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         centers = localize(kb, prompts, config.k, config.source_filter)
         save_center_set(out / "centers.cset", centers)
 
+    with _stage("pairs"):
+        paired = {name: resolve_pairs(pair_rows[name], visual[name], kb) for name in names}
+    del kb  # its last use: nothing holds the KB while adapters train
+
     adapters: dict[str, LinearAdapter] = {}
     losses: dict[str, list[float]] = {}
     for name in names:
         with _stage(f"train:{name}"):
-            vectors, text_rows = resolve_pairs(pair_rows[name], visual[name], kb)
-            adapters[name], losses[name] = train(
-                vectors, text_rows, kb, config.train, modality=name
-            )
+            # Popped, so each modality's arrays are freed once its adapter is trained.
+            adapters[name], losses[name] = train(*paired.pop(name), config.train, modality=name)
             save_adapter(adapters_dir / f"{name}.adapter", adapters[name])
 
     # Each modality's pre- and post-training embeddings are computed once, in
@@ -413,4 +420,4 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         }
         atomic_write_text(out / "manifest.json", fixed_json(manifest))
 
-    return PipelineResult(out, kb, centers, adapters, summary)
+    return PipelineResult(out, centers, adapters, summary)

@@ -128,8 +128,10 @@ def resolve_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map (sample_id, visual_row) pairs to training arrays.
 
-    Returns the float64 visual rows in pair order and, for each pair, the KB
-    row of the sample's paired description.
+    Returns the float64 visual rows in pair order and, for each pair, the
+    unit-length float64 embedding of the sample's paired description. The
+    arrays hold no reference to `kb`, so the knowledge base can be freed
+    before training.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
@@ -144,7 +146,10 @@ def resolve_pairs(
             raise UnknownSample(f"no paired description for sample {sample_id!r}")
         visual_rows.append(row)
         text_rows.append(text_row)
-    return np.asarray(v[visual_rows], dtype=np.float64), np.asarray(text_rows, dtype=np.intp)
+    return (
+        np.asarray(v[visual_rows], dtype=np.float64),
+        normalize_rows(kb.embeddings.vectors[text_rows]),
+    )
 
 
 def _unit_map(W, b, visual):
@@ -179,34 +184,32 @@ def _forward_backward(W, b, visual, texts, temperature, symmetric):
 
 def train(
     visual: np.ndarray,
-    text_rows: np.ndarray,
-    kb: KnowledgeBase,
+    texts: np.ndarray,
     config: TrainConfig,
     modality: str = "",
 ) -> tuple[LinearAdapter, list[float]]:
     """Fit one adapter by seeded mini-batch contrastive training.
 
-    `visual` holds one raw embedding per pair and `text_rows` the KB row of
-    its paired description, as `resolve_pairs` returns them. Training starts
-    from `default_adapter(dim_in, kb.dim, config.seed, modality)`. Returns
-    the trained adapter and the per-epoch mean loss. Inputs are never
-    mutated; the visual embeddings and the KB come back untouched. A batch
-    whose loss is NaN or Inf, or whose adapted rows' norms overflow (the
-    loss is then NaN), raises NonFiniteParameter naming the modality, the
-    epoch and the batch (both counted from 1).
+    `visual` holds one raw embedding per pair and `texts` the unit-length
+    embedding of its paired description, as `resolve_pairs` returns them.
+    Training starts from `default_adapter(dim_in, dim_out, config.seed,
+    modality)`, with `dim_out` the text dim. Returns the trained adapter and
+    the per-epoch mean loss. Inputs are never mutated. Row counts that
+    differ raise ValueError, and text rows that are all identical (no
+    negatives exist) raise DegenerateBatch. A batch whose loss is NaN or
+    Inf, or whose adapted rows' norms overflow (the loss is then NaN),
+    raises NonFiniteParameter naming the modality, the epoch and the batch
+    (both counted from 1).
     """
     visual = np.asarray(as_vectors(visual), dtype=np.float64)
-    text_rows = np.asarray(text_rows)
-    if text_rows.shape != (visual.shape[0],):
-        raise ValueError(f"{text_rows.size} text rows for {visual.shape[0]} visual rows")
-    if visual.shape[0] and not 0 <= text_rows.min() <= text_rows.max() < kb.size:
-        raise UnknownSample(f"text rows must lie in [0, {kb.size})")
-    if len(set(text_rows.tolist())) < 2:
-        raise DegenerateBatch("all pairs share one description row; no negatives exist")
-    texts = normalize_rows(kb.embeddings.vectors[text_rows])
+    texts = np.asarray(as_vectors(texts), dtype=np.float64)
+    if texts.shape[0] != visual.shape[0]:
+        raise ValueError(f"{texts.shape[0]} text rows for {visual.shape[0]} visual rows")
+    if all((row == texts[0]).all() for row in texts[1:]):
+        raise DegenerateBatch("all paired text rows are identical; no negatives exist")
 
     n, dim_in = visual.shape
-    adapter = default_adapter(dim_in, kb.dim, config.seed, modality)
+    adapter = default_adapter(dim_in, texts.shape[1], config.seed, modality)
 
     params = [adapter.weight, adapter.bias]
     if config.optimizer == OptimizerKind.ADAM:

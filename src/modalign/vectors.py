@@ -5,10 +5,11 @@ and the one place rows are cut into blocks.
 BLOCK_ROWS-row query blocks against keys it normalizes once per call, each
 block bit-identical to `similarity_matrix` of those rows; `top_k`, the one
 ranking kernel, and retrieval reduce its blocks, and retrieval counts ranks
-and sorts nothing. Zero-shot scoring keeps one whole-matrix product per
-category. All similarity math runs in float64 whatever the storage dtype, and
-cosine scores are clamped to [-1, 1] after the fact, so drift never leaks
-out-of-range values downstream.
+and sorts nothing. Zero-shot scoring normalizes its queries once and keeps
+one whole-matrix `unit_similarity` product per category. All similarity
+math runs in float64 whatever the storage dtype, and cosine scores are
+clamped to [-1, 1] after the fact, so drift never leaks out-of-range values
+downstream.
 
 `row_blocks` cuts NORM_BLOCK_ROWS-row slices for `row_norms`, KB ingest and
 anchor ranking. A lone last row joins the block before it, so a block holds
@@ -191,7 +192,16 @@ def similarity_matrix(queries, keys) -> np.ndarray:
     differ in the last bits depending on which other rows share the call.
     """
     q, k = _checked(queries, keys)
-    return np.clip(normalize_rows(q) @ normalize_rows(k).T, -1.0, 1.0)
+    return unit_similarity(normalize_rows(q), k)
+
+
+def unit_similarity(unit_queries, keys) -> np.ndarray:
+    """`similarity_matrix` for queries that are already unit rows, as
+    `normalize_rows` returns them: only the keys are normalized, so a caller
+    scoring one query matrix against many key sets normalizes it once.
+    """
+    q, k = _checked(unit_queries, keys)
+    return np.clip(q @ normalize_rows(k).T, -1.0, 1.0)
 
 
 def score_blocks(queries, keys):

@@ -396,6 +396,24 @@ def test_weight_overflow_exits_2_as_divergence(bundle, tmp_path):
     assert "diverged" in proc.stderr and "epoch" in proc.stderr
 
 
+def test_unknown_pair_sample_exits_2_before_any_adapter(bundle, tmp_path):
+    # The unknown sample is in the last modality's pairs, so no adapter may
+    # be trained and written before the pairs stage refuses it.
+    lines = bundle.pairs["mod1"].read_text().splitlines()
+    lines[3] = json.dumps(dict(json.loads(lines[3]), sample_id="ghost-sample"))
+    pairs = tmp_path / "mod1_pairs.jsonl"
+    pairs.write_text("\n".join(lines) + "\n")
+    config = json.loads(bundle.pipeline_config.read_text())
+    config["modalities"]["mod1"]["pairs"] = str(pairs)
+    path = bundle.root / "ghost_pairs.json"
+    path.write_text(json.dumps(config))
+    proc = run_cli("pipeline", "run", "--config", path, "--out", tmp_path / "run")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "stage 'pairs': no paired description for sample 'ghost-sample'" in proc.stderr
+    assert not (tmp_path / "run" / "adapters").exists()
+
+
 @pytest.mark.parametrize("value", [3.7, "2", True, None], ids=["float", "string", "true", "null"])
 def test_non_integer_visual_row_exits_2_naming_line(bundle, tmp_path, value):
     lines = bundle.pairs["mod0"].read_text().splitlines()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from modalign import evaluation, vectors
 from modalign.errors import (
     DimensionMismatch,
     EmptyCenterSet,
@@ -17,7 +18,7 @@ from modalign.evaluation import (
     evaluate_classification,
     evaluate_retrieval,
 )
-from modalign.vectors import BLOCK_ROWS, EmbeddingMatrix, cosine
+from modalign.vectors import BLOCK_ROWS, EmbeddingMatrix, cosine, normalize_rows, similarity_matrix
 
 from test_vectors import exact_unit_vectors
 
@@ -135,6 +136,32 @@ class TestScorePromptMean:
 
 
 class TestCategoryScores:
+    def test_queries_normalized_once_per_call(self, monkeypatch):
+        # The queries once, then each category's anchor rows once.
+        calls = []
+
+        def counting(matrix):
+            calls.append(vectors.as_vectors(matrix).shape[0])
+            return normalize_rows(matrix)
+
+        monkeypatch.setattr(evaluation, "normalize_rows", counting)
+        monkeypatch.setattr(vectors, "normalize_rows", counting)
+        rng = np.random.default_rng(24)
+        anchors = {"a": rng.standard_normal((2, 5)), "b": rng.standard_normal((3, 5)),
+                   "c": rng.standard_normal((4, 5))}
+        category_scores(rng.standard_normal((7, 5)), anchors, ScoringMode.CENTER_MAX)
+        assert calls == [7, 2, 3, 4]
+
+    def test_columns_bit_identical_to_similarity_matrix(self):
+        rng = np.random.default_rng(25)
+        queries = rng.standard_normal((40, 16)).astype(np.float32)
+        anchors = {f"cat{c}": rng.standard_normal((c + 1, 16)).astype(np.float32)
+                   for c in range(4)}
+        names, scores = category_scores(queries, anchors, ScoringMode.CENTER_MAX)
+        for j, cat in enumerate(names):
+            expected = similarity_matrix(queries, anchors[cat]).max(axis=1)
+            assert scores[:, j].tobytes() == expected.tobytes()
+
     def test_shape_and_ascending_names(self):
         members = {"zebra": [[1.0, 0.0]], "ant": [[0.0, 1.0]], "mole": [[1.0, 1.0]]}
         names, scores = category_scores(

@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -117,6 +118,30 @@ class TestDeterminism:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
         for rel in ("adapters/mod0.adapter", "adapters/mod1.adapter", "centers.cset"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+
+def test_kb_is_freed_before_training(bundle, tmp_path, monkeypatch):
+    # Reference counting alone must free the KB once the pairs are resolved:
+    # no gc.collect() runs before the check.
+    built = []
+    trained = []
+    original_build, original_train = pipeline.build, pipeline.train
+
+    def recording_build(*args):
+        kb = original_build(*args)
+        built.append(weakref.ref(kb))
+        return kb
+
+    def checking_train(*args, **kwargs):
+        assert built and built[0]() is None, "the KB is still alive while an adapter trains"
+        trained.append(kwargs["modality"])
+        return original_train(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build", recording_build)
+    monkeypatch.setattr(pipeline, "train", checking_train)
+    result = run_pipeline(load_pipeline_config(bundle.pipeline_config, tmp_path / "run"))
+    assert trained == ["mod0", "mod1"]
+    assert not hasattr(result, "kb")
 
 
 class TestFailFast:

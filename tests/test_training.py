@@ -107,18 +107,18 @@ class TestApply:
 class TestTrain:
     def test_loss_improves_on_clustered_data(self):
         kb, visual = paired_kb(120, 12, seed=4, categories=10)
-        vectors, text_rows = resolve_pairs(all_pairs(visual), visual, kb)
+        vectors, texts = resolve_pairs(all_pairs(visual), visual, kb)
         config = TrainConfig(epochs=20, batch_size=16, seed=1)
-        _, history = train(vectors, text_rows, kb, config)
+        _, history = train(vectors, texts, config)
         assert len(history) == 20
         assert history[-1] < history[0]
 
     def test_same_seed_bitwise_identical(self):
         kb, visual = paired_kb(60, 8, seed=5, categories=4)
-        vectors, text_rows = resolve_pairs(all_pairs(visual), visual, kb)
+        vectors, texts = resolve_pairs(all_pairs(visual), visual, kb)
         config = TrainConfig(epochs=5, batch_size=8, seed=7)
-        a1, h1 = train(vectors, text_rows, kb, config)
-        a2, h2 = train(vectors, text_rows, kb, config)
+        a1, h1 = train(vectors, texts, config)
+        a2, h2 = train(vectors, texts, config)
         assert h1 == h2
         assert a1.weight.tobytes() == a2.weight.tobytes()
         assert a1.bias.tobytes() == a2.bias.tobytes()
@@ -127,8 +127,8 @@ class TestTrain:
         kb, visual = paired_kb(40, 6, seed=9, categories=4)
         kb_bytes = kb.embeddings.vectors.tobytes()
         visual_bytes = visual.vectors.tobytes()
-        vectors, text_rows = resolve_pairs(all_pairs(visual), visual, kb)
-        train(vectors, text_rows, kb, TrainConfig(epochs=2, batch_size=8, seed=0))
+        vectors, texts = resolve_pairs(all_pairs(visual), visual, kb)
+        train(vectors, texts, TrainConfig(epochs=2, batch_size=8, seed=0))
         assert kb.embeddings.vectors.tobytes() == kb_bytes
         assert visual.vectors.tobytes() == visual_bytes
 
@@ -136,29 +136,58 @@ class TestTrain:
         records = [KnowledgeRecord("s0", "c", "d", Source.MLLM_DATA)]
         kb = from_parts(records, np.ones((1, 4)))
         visual = np.stack([np.ones(4), np.full(4, 0.5)])
-        vectors, text_rows = resolve_pairs([("s0", 0), ("s0", 1)], visual, kb)
+        vectors, texts = resolve_pairs([("s0", 0), ("s0", 1)], visual, kb)
         with pytest.raises(DegenerateBatch):
-            train(vectors, text_rows, kb, TrainConfig(epochs=1, batch_size=2, seed=0))
+            train(vectors, texts, TrainConfig(epochs=1, batch_size=2, seed=0))
 
     def test_unknown_sample_rejected(self):
         kb, visual = paired_kb(10, 4, seed=10)
         with pytest.raises(UnknownSample):
             resolve_pairs([("ghost", 0)], visual, kb)
 
+    def test_resolved_texts_are_the_normalized_kb_rows(self):
+        kb, visual = paired_kb(12, 5, seed=14, categories=3)
+        pairs = [("sample_7", 2), ("sample_0", 11), ("sample_3", 3)]
+        vectors, texts = resolve_pairs(pairs, visual, kb)
+        expected = normalize_rows(kb.embeddings.vectors[[kb.pair_index[s] for s, _ in pairs]])
+        assert texts.dtype == np.float64
+        assert texts.tobytes() == expected.tobytes()
+        assert vectors.tobytes() == visual.vectors[[2, 11, 3]].astype(np.float64).tobytes()
+
+    def test_row_count_mismatch_rejected(self):
+        kb, visual = paired_kb(10, 4, seed=15)
+        vectors, texts = resolve_pairs(all_pairs(visual), visual, kb)
+        with pytest.raises(ValueError, match="9 text rows for 10 visual rows"):
+            train(vectors, texts[:9], TrainConfig(epochs=1, batch_size=4, seed=0))
+
+    def test_identical_text_rows_rejected(self):
+        rng = np.random.default_rng(16)
+        texts = np.tile(normalize_rows(rng.standard_normal((1, 4))), (6, 1))
+        with pytest.raises(DegenerateBatch, match="identical"):
+            train(rng.standard_normal((6, 4)), texts, TrainConfig(epochs=1, batch_size=2, seed=0))
+
+    def test_train_mutates_neither_input(self):
+        kb, visual = paired_kb(24, 6, seed=17, categories=4)
+        vectors, texts = resolve_pairs(all_pairs(visual), visual, kb)
+        vectors_bytes, texts_bytes = vectors.tobytes(), texts.tobytes()
+        train(vectors, texts, TrainConfig(epochs=3, batch_size=8, seed=0))
+        assert vectors.tobytes() == vectors_bytes
+        assert texts.tobytes() == texts_bytes
+
     def test_sgd_also_trains(self):
         kb, visual = paired_kb(80, 8, seed=11, categories=8)
-        vectors, text_rows = resolve_pairs(all_pairs(visual), visual, kb)
+        vectors, texts = resolve_pairs(all_pairs(visual), visual, kb)
         config = TrainConfig(
             epochs=15, batch_size=16, seed=2, optimizer=OptimizerKind.SGD, learning_rate=0.5
         )
-        _, history = train(vectors, text_rows, kb, config)
+        _, history = train(vectors, texts, config)
         assert history[-1] < history[0]
 
     def test_partial_tail_of_one_dropped(self):
         kb, visual = paired_kb(9, 4, seed=12, categories=3)
-        vectors, text_rows = resolve_pairs(all_pairs(visual), visual, kb)
+        vectors, texts = resolve_pairs(all_pairs(visual), visual, kb)
         # batch_size 4 over 9 samples: tail of 1 must be dropped, not crash
-        _, history = train(vectors, text_rows, kb, TrainConfig(epochs=1, batch_size=4, seed=0))
+        _, history = train(vectors, texts, TrainConfig(epochs=1, batch_size=4, seed=0))
         assert len(history) == 1
 
 
@@ -207,8 +236,7 @@ class TestGradientCheck:
 
     def test_kb_level_wrapper(self):
         kb, visual = paired_kb(8, 6, seed=13, categories=4)
-        vectors, text_rows = resolve_pairs(all_pairs(visual)[:4], visual, kb)
-        texts = normalize_rows(kb.embeddings.vectors[text_rows])
+        vectors, texts = resolve_pairs(all_pairs(visual)[:4], visual, kb)
         adapter = default_adapter(6, 6, seed=0)
         report = gradient_check_arrays(adapter, vectors, texts, TrainConfig())
         assert report.passed

@@ -22,6 +22,7 @@ from modalign.vectors import (
     score_blocks,
     similarity_matrix,
     top_k,
+    unit_similarity,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -149,6 +150,11 @@ class TestSimilarityMatrix:
         for i in range(nq):
             for j in range(nk):
                 assert abs(got[i, j] - cosine(queries[i], keys[j])) <= 1e-6
+
+
+def test_unit_similarity_dim_mismatch_message_matches_similarity_matrix():
+    with pytest.raises(DimensionMismatch, match="^queries have dim 3, keys have dim 4$"):
+        unit_similarity(np.eye(3), np.ones((2, 4)))
 
 
 def brute_force_ranking(query, keys):
