@@ -8,13 +8,18 @@ Embeddings are unit-normalized once at ingest; rows already within tolerance
 of unit norm are stored byte-for-byte untouched, which keeps export -> build
 round trips lossless.
 
-Ingest memory: ingest has one path. The knowledge base takes ownership of
-one float32 `EmbeddingMatrix` and normalizes its rows in place: `build`
-hands over the matrix `read_ubem` returns, whose reader already checked it
-for NaN and Inf, and `from_parts` makes exactly one float32 copy of the
-caller's array, which it never writes. Norms come from `vectors.row_norms`
-and scaling runs in float64 over `vectors.row_blocks` blocks through one
-buffer of NORM_BLOCK_ROWS + 1 rows, so no full-matrix float64 array exists.
+Ingest memory: ingest has one path, and a built knowledge base holds its
+payload and records and nothing else. It takes ownership of one float32
+`EmbeddingMatrix` and normalizes its rows in place: `build` hands over the
+matrix `read_ubem` returns, whose reader already checked it for NaN and Inf
+and dropped each UBEM label once it was checked (the rows are labeled with
+the record ids), and `from_parts` makes exactly one float32 copy of the
+caller's array, which it never writes. Norms come from `vectors.row_norms`;
+one masked `np.divide` scales the rows that need it in float64 and rounds
+them back in place, so no full-matrix float64 array exists. The set of ids
+that checks them for duplicates is freed before ingest, and
+`category_index` maps each category to one ascending intp array, not to a
+list of Python ints.
 
 Export memory: both files are streamed into their atomic temp files. The
 records go out line by line through a text wrapper whose own buffer batches
@@ -45,15 +50,7 @@ from .errors import (
 # `atomic_write_text` is unused here; the benchmark tracer binds the name.
 from .serialize import atomic_write_text, atomic_writer, read_jsonl  # noqa: F401
 from .ubem import read_ubem, write_ubem
-from .vectors import (
-    NORM_BLOCK_ROWS,
-    UNIT_TOLERANCE,
-    ZERO_NORM,
-    EmbeddingMatrix,
-    as_vectors,
-    row_blocks,
-    row_norms,
-)
+from .vectors import UNIT_TOLERANCE, ZERO_NORM, EmbeddingMatrix, as_vectors, row_norms
 
 RECORDS_FILENAME = "records.jsonl"
 EMBEDDINGS_FILENAME = "embeddings.ubem"
@@ -87,7 +84,7 @@ class KnowledgeBase:
 
     records: list[KnowledgeRecord]
     embeddings: EmbeddingMatrix
-    category_index: dict[str, list[int]] = field(default_factory=dict)
+    category_index: dict[str, np.ndarray] = field(default_factory=dict)
     pair_index: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -101,11 +98,14 @@ class KnowledgeBase:
     def category_rows(
         self, category: str, source_filter: Source | None = None
     ) -> list[int]:
-        """All row indices carrying `category`, ascending; [] if unknown."""
-        rows = self.category_index.get(category, [])
+        """All row indices carrying `category`, ascending, as Python ints;
+        [] if unknown."""
+        rows = self.category_index.get(category)
+        if rows is None:
+            return []
         if source_filter is None:
-            return list(rows)
-        return [r for r in rows if self.records[r].source == source_filter]
+            return rows.tolist()
+        return [r for r in rows.tolist() if self.records[r].source == source_filter]
 
     def categories(self) -> list[str]:
         return sorted(self.category_index)
@@ -166,9 +166,8 @@ def _ingest_rows(x: np.ndarray) -> None:
 
     Rows whose norm is within UNIT_TOLERANCE of 1 are not touched, so a
     normalize-store-reload cycle is idempotent at the byte level. Norms are
-    `row_norms` in float64; rows that need scaling are divided in float64,
-    one `row_blocks` block at a time, through one buffer allocated once per
-    call, and only when some row needs it.
+    `row_norms` in float64; the rows that need scaling are divided in
+    float64 and rounded back into the array by one masked `np.divide`.
     """
     norms = row_norms(x)
     zero = np.flatnonzero(norms < ZERO_NORM)
@@ -176,15 +175,36 @@ def _ingest_rows(x: np.ndarray) -> None:
         row = int(zero[0])
         raise ZeroVector(f"embedding row {row} has norm {norms[row]:.3e}")
     needs = np.abs(norms - 1.0) > UNIT_TOLERANCE
-    if not needs.any():
-        return
-    wide = np.empty((min(NORM_BLOCK_ROWS + 1, x.shape[0]), x.shape[1]))
-    for rows in row_blocks(x.shape[0]):
-        keep = needs[rows]
-        if keep.any():
-            scaled = wide[: keep.size]
-            np.divide(x[rows], norms[rows, None], out=scaled)
-            np.copyto(x[rows], scaled, where=keep[:, None])
+    if needs.any():
+        np.divide(x, norms[:, None], out=x, where=needs[:, None], casting="same_kind")
+
+
+def _check_ids_unique(records: list[KnowledgeRecord]) -> None:
+    """Raise DuplicateId on the first repeated record id; the set of ids seen
+    is freed on return."""
+    seen: set[str] = set()
+    for r in records:
+        if r.id in seen:
+            raise DuplicateId(f"record id {r.id!r} appears more than once")
+        seen.add(r.id)
+
+
+def _category_index(records: list[KnowledgeRecord]) -> dict[str, np.ndarray]:
+    """Each category's rows as one ascending intp array.
+
+    A stable sort of the rows by category code groups each category's rows
+    in ascending order; the groups are cut where the sorted code rises.
+    The codes are float64, so the sort is the one `top_k` already runs.
+    """
+    codes = {c: float(i) for i, c in enumerate(dict.fromkeys(r.category for r in records))}
+    keys = np.fromiter((codes[r.category] for r in records), np.float64, len(records))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # The cuts are shifted in Python: an intp `+ 1` would page in numpy code
+    # that no other stage runs, which raises every workload's peak RSS.
+    rises = np.flatnonzero(keys[1:] > keys[:-1]).tolist()
+    cuts = [0, *(i + 1 for i in rises), len(records)]
+    return {c: order[a:b] for c, a, b in zip(codes, cuts, cuts[1:])}
 
 
 def _assemble(records: list[KnowledgeRecord], matrix: EmbeddingMatrix) -> KnowledgeBase:
@@ -192,22 +212,12 @@ def _assemble(records: list[KnowledgeRecord], matrix: EmbeddingMatrix) -> Knowle
     its rows are relabeled with the record ids and normalized in place."""
     if len(records) != matrix.rows:
         raise CountMismatch(f"{len(records)} records but {matrix.rows} embedding rows")
+    _check_ids_unique(records)
     matrix.labels = [r.id for r in records]
-    seen: set[str] = set()
-    for r in records:
-        if r.id in seen:
-            raise DuplicateId(f"record id {r.id!r} appears more than once")
-        seen.add(r.id)
     _ingest_rows(matrix.vectors)
-
-    category_index: dict[str, list[int]] = {}
-    pair_index: dict[str, int] = {}
     mllm_data = Source.MLLM_DATA  # one enum attribute lookup, not one per row
-    for row, r in enumerate(records):
-        category_index.setdefault(r.category, []).append(row)
-        if r.source == mllm_data:
-            pair_index[r.id] = row
-    return KnowledgeBase(list(records), matrix, category_index, pair_index)
+    pair_index = {r.id: row for row, r in enumerate(records) if r.source == mllm_data}
+    return KnowledgeBase(list(records), matrix, _category_index(records), pair_index)
 
 
 def from_parts(records: list[KnowledgeRecord], embeddings) -> KnowledgeBase:
@@ -228,7 +238,7 @@ def build(records_path, embeddings_path) -> KnowledgeBase:
     """
     records = load_records(records_path)
     try:
-        return _assemble(records, read_ubem(embeddings_path))
+        return _assemble(records, read_ubem(embeddings_path, keep_labels=False))
     except DuplicateId as e:  # name the repeating line, reading the file again only now
         first: dict[str, int] = {}
         for line_number, obj in read_jsonl(records_path):

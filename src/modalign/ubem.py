@@ -13,14 +13,18 @@ Layout (all integers little-endian):
 
 Payload floats round-trip bit-identically: the reader hands back the stored
 float32 bytes and the writer emits float32 verbatim. The reader checks the
-header's payload size against the bytes left in the stream, then reads the
-payload with `readinto` straight into one preallocated float32 array; a
-stream that delivers fewer bytes raises ValueError, so no uninitialised
-memory escapes. The writer passes a float32 C-ordered array's own buffer to
-the stream (no `tobytes` copy) and writes the label block, grown in one
-bytearray, in one call. `write_ubem` streams the header, payload and label
-block straight into the atomic temp file, so writing a matrix to disk holds
-no copy of its payload.
+header's payload size, and then each label's length, against the bytes left
+in the stream, so no size in a corrupt file can ask for more memory than the
+file holds. It reads the payload with `readinto` straight into one
+preallocated float32 array; a stream that delivers fewer bytes raises
+ValueError, so no uninitialised memory escapes. Each label is checked to be
+UTF-8 even when the caller asks for none back (`keep_labels=False`, which
+the knowledge base uses): the decoded string is then dropped at once. The
+writer passes a float32 C-ordered array's own buffer to the stream (no
+`tobytes` copy) and writes the label block, grown in one bytearray, in one
+call. `write_ubem` streams the header, payload and label block straight
+into the atomic temp file, so writing a matrix to disk holds no copy of its
+payload.
 """
 
 from __future__ import annotations
@@ -58,8 +62,12 @@ def write_ubem_stream(stream, matrix: EmbeddingMatrix) -> None:
         stream.write(block)
 
 
-def read_ubem_stream(stream) -> EmbeddingMatrix:
-    """Parse one matrix from an open binary stream, consuming exactly its bytes."""
+def read_ubem_stream(stream, keep_labels: bool = True) -> EmbeddingMatrix:
+    """Parse one matrix from an open binary stream, consuming exactly its bytes.
+
+    With `keep_labels=False` every label is still read and checked, then
+    dropped, and the matrix comes back unlabeled.
+    """
     magic = stream.read(4)
     if magic != MAGIC:
         raise ValueError(f"not a UBEM payload (magic {magic!r})")
@@ -69,8 +77,8 @@ def read_ubem_stream(stream) -> EmbeddingMatrix:
     version, _flags, dim, rows = _HEADER.unpack(header)
     if version != VERSION:
         raise ValueError(f"unsupported UBEM version {version}")
-    # Check the header's size against the stream before reading, so a
-    # corrupt header cannot ask for a huge allocation.
+    # Check every size the file claims against the stream before reading it,
+    # so a corrupt header or label length cannot ask for a huge allocation.
     want = rows * dim * 4
     here = stream.tell()
     left = stream.seek(0, io.SEEK_END) - here
@@ -89,19 +97,26 @@ def read_ubem_stream(stream) -> EmbeddingMatrix:
     labels: list[str] | None = None
     flag = stream.read(1)
     if flag == b"\x01":
-        labels = []
+        labels = [] if keep_labels else None
+        left -= want + 1
         for row in range(rows):
             raw_len = stream.read(_U32.size)
             if len(raw_len) != _U32.size:
                 raise ValueError("truncated UBEM label block")
             (n,) = _U32.unpack(raw_len)
+            left -= _U32.size
+            if n > left:
+                raise ValueError(f"label of row {row}: length {n} but {left} bytes left")
+            left -= n
             raw = stream.read(n)
             if len(raw) != n:
                 raise ValueError("truncated UBEM label string")
             try:
-                labels.append(raw.decode("utf-8"))
+                label = raw.decode("utf-8")
             except UnicodeDecodeError as e:
                 raise ValueError(f"label of row {row}: {_bad_utf8(e)}") from None
+            if labels is not None:
+                labels.append(label)
     elif flag not in (b"", b"\x00"):
         raise ValueError(f"bad UBEM label flag {flag!r}")
     return EmbeddingMatrix(vectors, labels)
@@ -112,14 +127,14 @@ def write_ubem(path, matrix: EmbeddingMatrix) -> None:
         write_ubem_stream(f, matrix)
 
 
-def read_ubem_file_stream(stream, path) -> EmbeddingMatrix:
+def read_ubem_file_stream(stream, path, keep_labels: bool = True) -> EmbeddingMatrix:
     """`read_ubem_stream` on an open file; a ValueError names the file."""
     try:
-        return read_ubem_stream(stream)
+        return read_ubem_stream(stream, keep_labels)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
 
 
-def read_ubem(path) -> EmbeddingMatrix:
+def read_ubem(path, keep_labels: bool = True) -> EmbeddingMatrix:
     with open(path, "rb") as f:
-        return read_ubem_file_stream(f, path)
+        return read_ubem_file_stream(f, path, keep_labels)

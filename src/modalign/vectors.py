@@ -11,10 +11,11 @@ math runs in float64 whatever the storage dtype, and cosine scores are
 clamped to [-1, 1] after the fact, so drift never leaks out-of-range values
 downstream.
 
-`row_blocks` cuts NORM_BLOCK_ROWS-row slices for `row_norms`, KB ingest and
-anchor ranking. A lone last row joins the block before it, so a block holds
-up to NORM_BLOCK_ROWS + 1 rows: numpy sums a lone row's squares pairwise
-whatever the layout, and the BLAS sums a lone key row in another order.
+`row_blocks` cuts NORM_BLOCK_ROWS-row slices for `row_norms` and anchor
+ranking; KB ingest scales its rows in place and needs no blocks. A lone
+last row joins the block before it, so a block holds up to
+NORM_BLOCK_ROWS + 1 rows: numpy sums a lone row's squares pairwise whatever
+the layout, and the BLAS sums a lone key row in another order.
 Row norms come from `row_norms`, which sums squares in float64 and equals
 `np.linalg.norm(m.astype(np.float64), axis=1)` bit for bit, but squares one
 block at a time into one reused buffer, so a norm never costs a full-size
@@ -45,7 +46,7 @@ UNIT_TOLERANCE = 1e-6
 # temporaries small, so ranking adds nothing to peak memory.
 BLOCK_ROWS = 16
 # Rows per `row_blocks` block (one more for a lone last row): bounds the
-# buffers of `row_norms`, KB ingest and anchor ranking whatever the row count.
+# buffers of `row_norms` and anchor ranking whatever the row count.
 NORM_BLOCK_ROWS = 1024
 
 

@@ -742,6 +742,43 @@ def test_label_that_is_not_utf8_exits_2_naming_file_and_row(bundle, kb_dir, tmp_
     assert not out.exists()
 
 
+def test_label_length_past_the_end_exits_2_naming_file_and_row(bundle, kb_dir, tmp_path):
+    prompts = read_ubem(bundle.prompts)
+    path = tmp_path / "longlabel.ubem"
+    write_ubem(path, prompts)
+    raw = bytearray(path.read_bytes())
+    first_length = 20 + prompts.vectors.nbytes + 1
+    raw[first_length : first_length + 4] = struct.pack("<I", 0xFFFFFFF0)
+    path.write_bytes(bytes(raw))
+    left = len(raw) - first_length - 4
+    out = tmp_path / "centers.cset"
+    proc = run_cli("centers", "localize", "--kb", kb_dir, "--prompts", path, "--k", 3, "--out", out)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        f"error: {path}: label of row 0: length 4294967280 but {left} bytes left\n"
+    )
+    assert not out.exists()
+
+
+def test_kb_label_that_is_not_utf8_exits_2_naming_file_and_row(bundle, tmp_path):
+    # The knowledge base drops its UBEM's labels, but still checks each one.
+    embeddings = read_ubem(bundle.kb_embeddings)
+    path = tmp_path / "embeddings.ubem"
+    write_ubem(path, EmbeddingMatrix(embeddings.vectors, embeddings.labels[:-1] + ["ÿ"]))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-2] + b"\xff\xbf")  # U+00FF's lead byte replaced
+    out = tmp_path / "kb"
+    proc = run_cli("kb", "build", "--records", bundle.records, "--embeddings", path, "--out", out)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        f"error: {path}: label of row {embeddings.rows - 1}: "
+        "invalid UTF-8 (byte 0xff at offset 0: invalid start byte)\n"
+    )
+    assert not out.exists()
+
+
 def test_duplicate_record_id_exits_2_naming_file_and_line(bundle, tmp_path):
     lines = bundle.records.read_text(encoding="utf-8").splitlines(keepends=True)
     path = tmp_path / "records.jsonl"

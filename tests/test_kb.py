@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from modalign.kb import (
     write_kb_dir,
     _ingest_rows,
 )
+from modalign.centers import load_center_set, localize, save_center_set
 from modalign.ubem import write_ubem
 from modalign.vectors import NORM_BLOCK_ROWS, UNIT_TOLERANCE, EmbeddingMatrix
 
@@ -103,6 +105,59 @@ class TestBuild:
     def test_embeddings_normalized_on_ingest(self, small_kb):
         norms = np.linalg.norm(small_kb.embeddings.vectors.astype(np.float64), axis=1)
         assert np.abs(norms - 1.0).max() < 1e-6
+
+
+class TestCategoryIndex:
+    @pytest.fixture
+    def mixed_kb(self):
+        # Categories and sources interleaved, so no category is one run of rows.
+        rng = np.random.default_rng(4)
+        records = [
+            KnowledgeRecord(
+                f"r{i}", f"c{rng.integers(5)}", "d",
+                Source.MLLM_DATA if rng.integers(3) == 0 else Source.LLM_CATEGORY,
+            )
+            for i in range(300)
+        ]
+        return from_parts(records, rng.standard_normal((300, 6)))
+
+    def test_values_are_ascending_intp_arrays(self, mixed_kb):
+        assert set(mixed_kb.category_index) == {r.category for r in mixed_kb.records}
+        for category, rows in mixed_kb.category_index.items():
+            assert isinstance(rows, np.ndarray)
+            assert rows.dtype == np.intp
+            want = [i for i, r in enumerate(mixed_kb.records) if r.category == category]
+            assert rows.tolist() == want
+
+    @pytest.mark.parametrize("source", [None, Source.LLM_CATEGORY, Source.MLLM_DATA])
+    def test_category_rows_are_ascending_python_ints(self, mixed_kb, source):
+        for category in mixed_kb.categories():
+            rows = mixed_kb.category_rows(category, source)
+            assert type(rows) is list and rows
+            assert all(type(r) is int for r in rows)
+            assert rows == [
+                i for i, r in enumerate(mixed_kb.records)
+                if r.category == category and source in (None, r.source)
+            ]
+        assert mixed_kb.category_rows("absent", source) == []
+
+    def test_empty_knowledge_base_has_no_categories(self):
+        kb = from_parts([], np.zeros((0, 4)))
+        assert kb.category_index == {}
+        assert kb.category_rows("c0") == []
+
+    def test_center_set_round_trips_with_int_member_rows(self, tmp_path, mixed_kb):
+        rng = np.random.default_rng(5)
+        prompts = {c: rng.standard_normal(6) for c in mixed_kb.categories()}
+        path = tmp_path / "centers.cset"
+        saved = localize(mixed_kb, prompts, k=7)
+        save_center_set(path, saved)
+        loaded = load_center_set(path)
+        assert list(loaded.centers) == list(saved.centers)
+        for category, center in loaded.centers.items():
+            assert center.member_rows == saved.centers[category].member_rows
+            assert all(type(r) is int for r in center.member_rows)
+            assert set(center.member_rows) <= set(mixed_kb.category_rows(category))
 
 
 class TestRecordsFile:
@@ -375,3 +430,50 @@ def test_save_records_streams(tmp_path):
     size = path.stat().st_size
     assert peak < size / 4
     assert load_records(path) == records
+
+
+def _build_peak(paths) -> int:
+    tracemalloc.start()
+    try:
+        build(*paths)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_holds_nothing_of_the_ubem_label_block(tmp_path):
+    # The knowledge base labels its rows with the record ids, so a label
+    # block in its UBEM is checked and dropped row by row: whether the file
+    # has one must not move the peak by the size of the decoded labels.
+    rows = 20_000
+    records = [
+        KnowledgeRecord(f"row-{i:06d}", f"cat{i % 40}", f"text {i}", Source.LLM_CATEGORY)
+        for i in range(rows)
+    ]
+    vectors = np.random.default_rng(1).standard_normal((rows, 16)).astype(np.float32)
+    plain = write_kb_files(tmp_path, records, vectors)
+    labelled = tmp_path / "labelled.ubem"
+    # Labels longer than the ids, so that holding them would outweigh the
+    # other transients of a build; their text is never used.
+    labels = [f"{r.id}-{'x' * 120}" for r in records]
+    write_ubem(labelled, EmbeddingMatrix(vectors, labels))
+    labels_size = sys.getsizeof(labels) + sum(map(sys.getsizeof, labels))
+    del records, vectors, labels
+    build(*plain)  # warm-up: first-call allocations count in neither peak
+    without = _build_peak(plain)
+    with_labels = _build_peak((plain[0], labelled))
+    assert abs(with_labels - without) < 0.1 * labels_size
+
+
+def test_build_checks_the_labels_it_drops(tmp_path):
+    records = make_records(3)
+    records_path, embeddings_path = write_kb_files(tmp_path, records, np.ones((3, 4)))
+    write_ubem(embeddings_path, EmbeddingMatrix(np.ones((3, 4), np.float32), ["a", "b", "c"]))
+    raw = embeddings_path.read_bytes()
+    embeddings_path.write_bytes(raw[:-6] + b"\xff" + raw[-5:])  # the second label's one byte
+    with pytest.raises(ValueError) as info:
+        build(records_path, embeddings_path)
+    assert str(info.value) == (
+        f"{embeddings_path}: label of row 1: "
+        "invalid UTF-8 (byte 0xff at offset 0: invalid start byte)"
+    )

@@ -30,6 +30,7 @@ SCRIPTS = ROOT / "scripts"
              "--queries-per-class", "3", "--ks", "1,4,12", "--seeds", "1"],
         ),
         ("pipeline_digests.py", ["--workloads", "eval-heavy", "--seeds", "0"]),
+        ("stage_rss.py", ["--workloads", "eval-heavy", "--seed", "0"]),
     ],
 )
 def test_script_runs(tmp_path, script, args):
@@ -44,6 +45,15 @@ def test_script_runs(tmp_path, script, args):
         lines = proc.stdout.splitlines()
         assert all(re.fullmatch(r"[0-9a-f]{64}  eval-heavy-0/\S+", line) for line in lines)
         assert any(line.endswith("  eval-heavy-0/manifest.json") for line in lines)
+    if script == "stage_rss.py":
+        rows = [line.split("  ") for line in proc.stdout.splitlines()]
+        assert [r[1] for r in rows][:3] == ["validate", "kb-build", "centers"]
+        assert rows[-1][1] == "summary"
+        for workload, _stage, peak, current in rows:
+            assert workload == "eval-heavy"
+            assert float(peak) > 0 and (current == "-" or float(current) > 0)
+        peaks = [float(r[2]) for r in rows]
+        assert peaks == sorted(peaks)  # ru_maxrss never falls
 
 
 def test_readme_library_sketch_runs(tmp_path, monkeypatch):

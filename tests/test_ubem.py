@@ -157,6 +157,54 @@ def test_oversized_header_rejected_before_reading():
     assert stream.largest_read <= 16
 
 
+def test_label_length_checked_against_the_bytes_left():
+    # A corrupt label length must be refused from the lengths alone: the
+    # reader must not ask the stream for 4 GiB to find out it is short.
+    raw = bytearray(roundtrip_bytes(EmbeddingMatrix(np.ones((2, 3), np.float32), ["a", "bc"])))
+    first_length = 20 + 2 * 3 * 4 + 1
+    raw[first_length : first_length + 4] = struct.pack("<I", 0xFFFFFFF0)
+    stream = _RecordingStream(bytes(raw))
+    with pytest.raises(ValueError) as info:
+        read_ubem_stream(stream)
+    assert str(info.value) == "label of row 0: length 4294967280 but 7 bytes left"
+    assert stream.largest_read <= len(raw)
+
+
+def test_later_label_length_counts_the_labels_before_it(tmp_path):
+    raw = bytearray(roundtrip_bytes(EmbeddingMatrix(np.ones((2, 3), np.float32), ["a", "bc"])))
+    second_length = 20 + 2 * 3 * 4 + 1 + 4 + 1
+    raw[second_length : second_length + 4] = struct.pack("<I", 3)  # 2 bytes are left
+    path = tmp_path / "long.ubem"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError) as info:
+        read_ubem(path)
+    assert str(info.value) == f"{path}: label of row 1: length 3 but 2 bytes left"
+    raw[second_length : second_length + 4] = struct.pack("<I", 2)
+    path.write_bytes(bytes(raw))
+    assert read_ubem(path).labels == ["a", "bc"]
+
+
+def test_labels_dropped_on_request(tmp_path):
+    m = EmbeddingMatrix(np.arange(6, dtype=np.float32).reshape(2, 3), ["x", "é"])
+    path = tmp_path / "m.ubem"
+    write_ubem(path, m)
+    back = read_ubem(path, keep_labels=False)
+    assert back.labels is None
+    assert back.vectors.tobytes() == m.vectors.tobytes()
+    assert read_ubem(path).labels == m.labels
+
+
+def test_dropped_label_that_is_not_utf8_still_names_its_row(tmp_path):
+    path = tmp_path / "bad.ubem"
+    raw = roundtrip_bytes(EmbeddingMatrix(np.ones((3, 2), dtype=np.float32), ["a", "b", "c"]))
+    path.write_bytes(raw[:-6] + b"\xff" + raw[-5:])  # the second label's one byte
+    with pytest.raises(ValueError) as info:
+        read_ubem(path, keep_labels=False)
+    assert str(info.value) == (
+        f"{path}: label of row 1: invalid UTF-8 (byte 0xff at offset 0: invalid start byte)"
+    )
+
+
 def test_unsupported_version_rejected():
     m = EmbeddingMatrix(np.ones((1, 1), dtype=np.float32))
     raw = bytearray(roundtrip_bytes(m))
