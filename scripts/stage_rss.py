@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Peak and current RSS after each `pipeline run` stage, on the benchmark's bundles.
 
-For each workload, builds the bundle with `perfbench/run.py`'s own generator
-under `OUT/<workload>-<seed>/bundle`, as `pipeline_digests.py` does but in a
-child process, so that generating it does not count in this process's peak.
-It then runs `run_pipeline` in this process into `OUT/<workload>-<seed>/out`
-with `pipeline._stage` wrapped, and prints one line per finished stage:
+Each workload runs in its own spawned child process, so no workload's peak
+carries over to the next. That child builds the bundle with
+`perfbench/run.py`'s own generator under `OUT/<workload>-<seed>/bundle`, as
+`pipeline_digests.py` does but in a child process of its own, so that
+generating it does not count in the pipeline's peak. It then runs
+`run_pipeline` into `OUT/<workload>-<seed>/out` with `pipeline._stage`
+wrapped, and prints one line per finished stage:
 
     <workload>  <stage>  <ru_maxrss MB>  <current RSS MB>
 
 MB is 1e6 bytes, as in perfbench's `peak_rss_mb`. Current RSS is read from
-`/proc/self/statm` and printed as `-` where that file does not exist. The
-workloads share one process, so `ru_maxrss` never falls from one workload
-to the next: run one workload per process to find where each one peaks.
+`/proc/self/statm` and printed as `-` where that file does not exist.
 
     python scripts/stage_rss.py --out /tmp/stages --workloads kb-large --seed 0
 """
@@ -62,6 +62,16 @@ def reporting_stage(workload: str, stage):
     return wrapped
 
 
+def run_workload(workload: str, seed: int, case: Path) -> None:
+    """Build the workload's bundle in a child process, then run the pipeline
+    in this one, printing the RSS line of each stage."""
+    shutil.rmtree(case, ignore_errors=True)
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        config = pool.apply(make_bundle, (workload, seed, case / "bundle"))
+    pipeline._stage = reporting_stage(workload, pipeline._stage)
+    run_pipeline(load_pipeline_config(config, out_dir=case / "out"))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, help="directory for bundles and runs")
@@ -73,17 +83,15 @@ def main():
     unknown = sorted(set(workloads) - set(WORKLOADS))
     if unknown:
         ap.error(f"unknown workloads {unknown}; choose from {sorted(WORKLOADS)}")
-    stage = pipeline._stage
     for workload in workloads:
         case = Path(args.out).resolve() / f"{workload}-{args.seed}"
-        shutil.rmtree(case, ignore_errors=True)
-        with multiprocessing.get_context("spawn").Pool(1) as pool:
-            config = pool.apply(make_bundle, (workload, args.seed, case / "bundle"))
-        pipeline._stage = reporting_stage(workload, stage)
-        try:
-            run_pipeline(load_pipeline_config(config, out_dir=case / "out"))
-        finally:
-            pipeline._stage = stage
+        child = multiprocessing.get_context("spawn").Process(
+            target=run_workload, args=(workload, args.seed, case)
+        )
+        child.start()
+        child.join()
+        if child.exitcode:
+            sys.exit(f"{workload}: the workload's process exited with code {child.exitcode}")
 
 
 if __name__ == "__main__":

@@ -247,6 +247,8 @@ def cmd_diagnostics(args) -> int:
         name, _, path = entry.partition("=")
         if not path:
             raise ValueError(f"--embeddings expects name=path, got {entry!r}")
+        if name in embeddings:
+            raise ValueError(f"--embeddings names modality {name!r} more than once")
         embeddings[name] = read_ubem(path)
         categories[name] = categories_for(embeddings[name].ids, labels)
     diag = alignment_diagnostics(embeddings, categories)

@@ -136,21 +136,23 @@ def category_relevance(
     query_categories: list[str],
     gallery_ids: list[str],
     gallery_categories: list[str],
-) -> dict[str, set[str]]:
-    """Class-level relevance: each query matches all same-category gallery ids."""
+) -> dict[str, frozenset[str]]:
+    """Class-level relevance: each query matches all same-category gallery ids.
+
+    The queries of one category share one frozenset of its gallery ids, so
+    the map holds one set per category, not one copy per query.
+    """
     by_category: dict[str, set[str]] = {}
     for gid, cat in zip(gallery_ids, gallery_categories):
         by_category.setdefault(cat, set()).add(gid)
-    return {
-        qid: set(by_category.get(cat, set()))
-        for qid, cat in zip(query_ids, query_categories)
-    }
+    shared = {cat: frozenset(ids) for cat, ids in by_category.items()}
+    return {qid: shared.get(cat, frozenset()) for qid, cat in zip(query_ids, query_categories)}
 
 
 def evaluate_retrieval(
     queries: EmbeddingMatrix,
     gallery: EmbeddingMatrix,
-    relevance: dict[str, set[str]],
+    relevance: dict[str, set[str] | frozenset[str]],
     ks: list[int],
 ) -> RetrievalReport:
     """Recall@k over cosine-ranked galleries.

@@ -12,14 +12,15 @@ Ingest memory: ingest has one path, and a built knowledge base holds its
 payload and records and nothing else. It takes ownership of one float32
 `EmbeddingMatrix` and normalizes its rows in place: `build` hands over the
 matrix `read_ubem` returns, whose reader already checked it for NaN and Inf
-and dropped each UBEM label once it was checked (the rows are labeled with
-the record ids), and `from_parts` makes exactly one float32 copy of the
-caller's array, which it never writes. Norms come from `vectors.row_norms`;
-one masked `np.divide` scales the rows that need it in float64 and rounds
-them back in place, so no full-matrix float64 array exists. The set of ids
-that checks them for duplicates is freed before ingest, and
-`category_index` maps each category to one ascending intp array, not to a
-list of Python ints.
+and dropped each UBEM label once it was checked, and `from_parts` makes
+exactly one float32 copy of the caller's array, which it never writes. The
+matrix stays unlabeled: a row's id is its record's, and only `write_kb_dir`
+lists the ids, to label the UBEM it writes. Norms come from
+`vectors.row_norms`; one masked `np.divide` scales the rows that need it in
+float64 and rounds them back in place, so no full-matrix float64 array
+exists. The set of ids that checks them for duplicates is freed before
+ingest, and `category_index` maps each category to one ascending intp
+array, not to a list of Python ints.
 
 Export memory: both files are streamed into their atomic temp files. The
 records go out line by line through a text wrapper whose own buffer batches
@@ -209,11 +210,10 @@ def _category_index(records: list[KnowledgeRecord]) -> dict[str, np.ndarray]:
 
 def _assemble(records: list[KnowledgeRecord], matrix: EmbeddingMatrix) -> KnowledgeBase:
     """Index `records` over `matrix`, which the knowledge base takes over:
-    its rows are relabeled with the record ids and normalized in place."""
+    its rows are normalized in place and stay unlabeled."""
     if len(records) != matrix.rows:
         raise CountMismatch(f"{len(records)} records but {matrix.rows} embedding rows")
     _check_ids_unique(records)
-    matrix.labels = [r.id for r in records]
     _ingest_rows(matrix.vectors)
     mllm_data = Source.MLLM_DATA  # one enum attribute lookup, not one per row
     pair_index = {r.id: row for row, r in enumerate(records) if r.source == mllm_data}
@@ -254,8 +254,9 @@ def load_kb_dir(kb_dir) -> KnowledgeBase:
 
 def write_kb_dir(kb: KnowledgeBase, kb_dir) -> None:
     """Write the records JSONL and the normalized embeddings UBEM, whose rows
-    carry the record ids."""
+    are labeled with the record ids."""
     kb_dir = Path(kb_dir)
     kb_dir.mkdir(parents=True, exist_ok=True)
     save_records(kb_dir / RECORDS_FILENAME, kb.records)
-    write_ubem(kb_dir / EMBEDDINGS_FILENAME, kb.embeddings)
+    ids = [r.id for r in kb.records]
+    write_ubem(kb_dir / EMBEDDINGS_FILENAME, EmbeddingMatrix(kb.embeddings.vectors, ids))

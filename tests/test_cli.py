@@ -817,6 +817,40 @@ def test_zero_row_queries_exit_2_naming_the_file(bundle, centers_file, tmp_path,
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "case, problem",
+    [
+        ("dims", "modality 'mod1' has dim 6, modality 'mod0' has dim 10"),
+        ("repeated", "--embeddings names modality 'mod0' more than once"),
+        ("zero-row", "modality 'mod1': row 3 has norm 0.000e+00"),
+        ("no-rows", "modality 'mod0' has no rows"),
+    ],
+    ids=["dims", "repeated", "zero-row", "no-rows"],
+)
+def test_bad_diagnostics_inputs_exit_2_naming_the_modality(bundle, tmp_path, case, problem):
+    source = read_ubem(bundle.visual["mod1"])
+    vectors, labels = source.vectors.copy(), source.labels
+    if case == "dims":
+        vectors = vectors[:, :6]
+    elif case == "zero-row":
+        vectors[3] = 0.0
+    elif case == "no-rows":
+        vectors, labels = vectors[:0], []
+    second = tmp_path / "second.ubem"
+    write_ubem(second, EmbeddingMatrix(vectors, labels))
+    first = second if case == "no-rows" else bundle.visual["mod0"]
+    name = "mod0" if case == "repeated" else "mod1"
+    report = tmp_path / "diag.json"
+    proc = run_cli(
+        "diagnostics", "--embeddings", f"mod0={first}",
+        "--embeddings", f"{name}={second}", "--labels", bundle.labels, "--report", report,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {problem}\n"
+    assert not report.exists()
+
+
 def test_localize_template_without_placeholder_exits_2(bundle, kb_dir, tmp_path):
     out = tmp_path / "centers.cset"
     proc = run_cli(

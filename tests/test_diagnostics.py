@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from modalign.diagnostics import alignment_diagnostics
-from modalign.errors import InsufficientSamples
+from modalign.errors import InsufficientSamples, ZeroVector
 from modalign.vectors import EmbeddingMatrix, cosine
 
 
@@ -52,23 +54,28 @@ def test_orthogonal_modalities():
 
 def test_matches_loop_oracle():
     rng = np.random.default_rng(0)
-    embeddings = {}
-    categories = {}
-    for name in ("img", "ev", "aud"):
-        embeddings[name] = EmbeddingMatrix(rng.standard_normal((12, 6)))
-        categories[name] = [f"c{i % 3}" for i in range(12)]
-    # diagnostics normalizes internally; oracle must see the same unit rows
-    unit = {
-        name: EmbeddingMatrix(
-            m.vectors / np.linalg.norm(m.vectors, axis=1, keepdims=True)
-        )
-        for name, m in embeddings.items()
-    }
-    expected_cross, expected_same = loop_oracle(unit, categories)
-    diag = alignment_diagnostics(embeddings, categories)
-    assert diag.intra_class_cross_modal_cosine == pytest.approx(expected_cross, abs=1e-9)
-    assert diag.intra_class_same_modal_cosine == pytest.approx(expected_same, abs=1e-9)
-    assert diag.modality_gap == pytest.approx(expected_same - expected_cross, abs=1e-9)
+    for uneven in (False, True):
+        embeddings = {}
+        categories = {}
+        for shift, name in enumerate(("img", "ev", "aud")):
+            embeddings[name] = EmbeddingMatrix(rng.standard_normal((12, 6)))
+            categories[name] = [f"c{i % 3}" for i in range(12)]
+            if uneven:  # classes of 2, 3 and 7 shuffled rows far from unit length
+                embeddings[name].vectors *= rng.uniform(0.01, 100.0, (12, 1))
+                sizes = np.roll([2, 3, 7], shift)  # each class's size differs by modality
+                categories[name] = list(rng.permutation(np.repeat(["c0", "c1", "c2"], sizes)))
+        # diagnostics normalizes internally; oracle must see the same unit rows
+        unit = {
+            name: EmbeddingMatrix(
+                m.vectors / np.linalg.norm(m.vectors, axis=1, keepdims=True)
+            )
+            for name, m in embeddings.items()
+        }
+        expected_cross, expected_same = loop_oracle(unit, categories)
+        diag = alignment_diagnostics(embeddings, categories)
+        assert diag.intra_class_cross_modal_cosine == pytest.approx(expected_cross, abs=1e-9)
+        assert diag.intra_class_same_modal_cosine == pytest.approx(expected_same, abs=1e-9)
+        assert diag.modality_gap == pytest.approx(expected_same - expected_cross, abs=1e-9)
 
 
 def test_needs_two_modalities():
@@ -109,3 +116,29 @@ def test_report_keys():
         "intra_class_same_modal_cosine",
         "modality_gap",
     ]
+
+
+def test_zero_row_names_its_modality_and_its_row_in_that_matrix():
+    vectors = np.eye(4)[[0, 1, 2, 3, 0, 1]]
+    embeddings = {"a": EmbeddingMatrix(vectors.copy()), "b": EmbeddingMatrix(vectors)}
+    vectors[5] = 0.0  # row 5 of modality "b", the third row of class "y"
+    categories = {name: ["x", "y"] * 3 for name in embeddings}
+    with pytest.raises(ZeroVector, match=r"^modality 'b': row 5 has norm 0\.000e\+00$"):
+        alignment_diagnostics(embeddings, categories)
+
+
+def test_traced_peak_stays_below_one_modality():
+    rng = np.random.default_rng(1)
+    rows, dim = 4000, 128
+    embeddings = {}
+    for name in ("a", "b"):
+        unit = rng.standard_normal((rows, dim))
+        embeddings[name] = EmbeddingMatrix(unit / np.linalg.norm(unit, axis=1, keepdims=True))
+    categories = {name: [f"c{i % 40}" for i in range(rows)] for name in embeddings}
+    tracemalloc.start()
+    try:
+        alignment_diagnostics(embeddings, categories)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < embeddings["a"].vectors.nbytes

@@ -25,7 +25,7 @@ from modalign.kb import (
     _ingest_rows,
 )
 from modalign.centers import load_center_set, localize, save_center_set
-from modalign.ubem import write_ubem
+from modalign.ubem import read_ubem, write_ubem
 from modalign.vectors import NORM_BLOCK_ROWS, UNIT_TOLERANCE, EmbeddingMatrix
 
 
@@ -305,8 +305,10 @@ class TestExportRoundtrip:
 
     def test_export_writes_the_embeddings_labels(self, tmp_path, small_kb):
         write_kb_dir(small_kb, tmp_path / "kb")
-        kb2 = load_kb_dir(tmp_path / "kb")
-        assert kb2.embeddings.labels == [r.id for r in small_kb.records]
+        written = read_ubem(tmp_path / "kb" / "embeddings.ubem")
+        assert written.labels == [r.id for r in small_kb.records]
+        assert small_kb.embeddings.labels is None
+        assert load_kb_dir(tmp_path / "kb").embeddings.labels is None
 
     def test_ingest_idempotent_at_byte_level(self):
         rng = np.random.default_rng(5)

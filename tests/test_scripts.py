@@ -30,7 +30,7 @@ SCRIPTS = ROOT / "scripts"
              "--queries-per-class", "3", "--ks", "1,4,12", "--seeds", "1"],
         ),
         ("pipeline_digests.py", ["--workloads", "eval-heavy", "--seeds", "0"]),
-        ("stage_rss.py", ["--workloads", "eval-heavy", "--seed", "0"]),
+        ("stage_rss.py", ["--workloads", "eval-heavy,train-long", "--seed", "0"]),
     ],
 )
 def test_script_runs(tmp_path, script, args):
@@ -47,13 +47,18 @@ def test_script_runs(tmp_path, script, args):
         assert any(line.endswith("  eval-heavy-0/manifest.json") for line in lines)
     if script == "stage_rss.py":
         rows = [line.split("  ") for line in proc.stdout.splitlines()]
-        assert [r[1] for r in rows][:3] == ["validate", "kb-build", "centers"]
-        assert rows[-1][1] == "summary"
-        for workload, _stage, peak, current in rows:
-            assert workload == "eval-heavy"
+        by_workload = {}
+        for workload, stage, peak, current in rows:
             assert float(peak) > 0 and (current == "-" or float(current) > 0)
-        peaks = [float(r[2]) for r in rows]
-        assert peaks == sorted(peaks)  # ru_maxrss never falls
+            by_workload.setdefault(workload, []).append((stage, float(peak)))
+        assert list(by_workload) == ["eval-heavy", "train-long"]
+        for stages in by_workload.values():
+            assert [s for s, _ in stages][:3] == ["validate", "kb-build", "centers"]
+            assert stages[-1][0] == "summary"
+            peaks = [p for _, p in stages]
+            assert peaks == sorted(peaks)  # ru_maxrss never falls within a workload
+        # Each workload has its own process: no peak carries over to the next.
+        assert by_workload["train-long"][0][1] < by_workload["eval-heavy"][-1][1]
 
 
 def test_readme_library_sketch_runs(tmp_path, monkeypatch):
