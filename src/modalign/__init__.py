@@ -31,7 +31,15 @@ from .evaluation import (
     evaluate_classification,
     evaluate_retrieval,
 )
-from .kb import KnowledgeBase, KnowledgeRecord, Source, build, load_kb_dir, write_kb_dir
+from .kb import (
+    KnowledgeBase,
+    KnowledgeRecord,
+    Source,
+    build,
+    load_kb_dir,
+    records_writer,
+    write_kb_dir,
+)
 from .pipeline import PipelineConfig, load_pipeline_config, run_pipeline
 from .synthetic import SyntheticBundle, SyntheticSpec, generate_synthetic
 from .training import (
@@ -93,6 +101,7 @@ __all__ = [
     "normalize_rows",
     "prompts_from_matrix",
     "read_ubem",
+    "records_writer",
     "resolve_pairs",
     "run_pipeline",
     "save_adapter",

@@ -188,7 +188,7 @@ def sweep_k(
         centers = {c: EmbeddingCenter(r[:k], s[:k], k) for c, (r, s) in rankings.items()}
         member_rows = [r for center in centers.values() for r in center.member_rows]
         members = EmbeddingMatrix(  # one gather of every category's members
-            kb.embeddings.vectors[member_rows], [kb.records[r].id for r in member_rows]
+            kb.embeddings.vectors[member_rows], [kb.ids[r] for r in member_rows]
         )
         sweeps[k] = CenterSet(centers, members, prompts, k, prompt_template)
     return sweeps

@@ -216,9 +216,15 @@ def atomic_writer(path) -> Iterator[BinaryIO]:
     """Yield a binary temp file in `path`'s directory for the block to write.
 
     The file replaces `path` when the block ends cleanly. If the block raises,
-    the temp file is removed and `path` is left as it was.
+    the temp file is removed, and so is each directory made for it that is
+    still empty, and `path` is left as it was.
     """
     path = Path(path)
+    made = []  # the missing directories, deepest first
+    parent = path.parent
+    while not parent.exists():
+        made.append(parent)
+        parent = parent.parent
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
@@ -228,6 +234,11 @@ def atomic_writer(path) -> Iterator[BinaryIO]:
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:  # something else was written there meanwhile
+                break
         raise
 
 

@@ -19,7 +19,15 @@ from modalign.evaluation import (
     evaluate_retrieval,
 )
 from modalign.contrastive import info_nce_loss
-from modalign.kb import KnowledgeRecord, Source, build, from_parts, load_kb_dir, write_kb_dir
+from modalign.kb import (
+    KnowledgeRecord,
+    Source,
+    build,
+    from_parts,
+    records_writer,
+    save_records,
+    write_kb_dir,
+)
 from modalign.pipeline import load_labels, load_pipeline_config, run_pipeline
 from modalign.synthetic import SyntheticSpec, generate_synthetic
 from modalign.training import LinearAdapter, TrainConfig, gradient_check_arrays
@@ -277,10 +285,12 @@ def test_c10_format_round_trip(tmp_path):
             records.append(KnowledgeRecord(f"c{c}_{i}", f"cat{c}", f"d{i}", source))
     kb = from_parts(records, rng.standard_normal((30, 8)))
     dir_a, dir_b = tmp_path / "kb_a", tmp_path / "kb_b"
+    save_records(dir_a / "records.jsonl", records)
     write_kb_dir(kb, dir_a)
-    rebuilt = load_kb_dir(dir_a)
-    write_kb_dir(rebuilt, dir_b)
+    with records_writer(dir_b) as sink:
+        rebuilt = build(dir_a / "records.jsonl", dir_a / "embeddings.ubem", sink)
+        write_kb_dir(rebuilt, dir_b)
     assert (dir_a / "records.jsonl").read_bytes() == (dir_b / "records.jsonl").read_bytes()
     assert (dir_a / "embeddings.ubem").read_bytes() == (dir_b / "embeddings.ubem").read_bytes()
-    assert [r.id for r in rebuilt.records] == [r.id for r in kb.records]
+    assert rebuilt.ids == kb.ids == [r.id for r in records]
     passed(10, "format round-trip")

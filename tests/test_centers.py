@@ -115,7 +115,7 @@ class TestLocalize:
         centers = localize(kb, anchors, k=10)
         for name, center in centers.centers.items():
             for row in center.member_rows:
-                assert kb.records[row].category == name
+                assert kb.ids[row].startswith(f"{name}_")  # synthetic_kb's ids name the category
 
     def test_missing_category(self):
         kb, anchors = synthetic_kb(["a"], 10, 8)
@@ -228,8 +228,12 @@ class TestSweepK:
 
     def test_short_category_warns_against_largest_k(self, caplog):
         kb, anchors = synthetic_kb(["big", "lone"], 20, 8, seed=4)
-        rows = kb.category_rows("big") + kb.category_rows("lone")[:3]
-        kb = from_parts([kb.records[r] for r in rows], kb.embeddings.vectors[rows])
+        rows = {"big": kb.category_rows("big"), "lone": kb.category_rows("lone")[:3]}
+        records = [
+            KnowledgeRecord(kb.ids[r], name, "text", Source.LLM_CATEGORY)
+            for name, block in rows.items() for r in block
+        ]
+        kb = from_parts(records, kb.embeddings.vectors[rows["big"] + rows["lone"]])
         with caplog.at_level(logging.WARNING):
             sweeps = sweep_k(kb, anchors, [2, 10])
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
@@ -326,3 +330,31 @@ class TestPromptsFromMatrix:
         m = EmbeddingMatrix(np.eye(2), ["x", "y"])
         prompts = prompts_from_matrix(m)
         assert np.array_equal(prompts["y"], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("source", list(Source))
+def test_source_filter_gives_the_members_of_that_sources_rows_alone(source):
+    # Filtering the candidates by source must pick the members that a
+    # knowledge base of only that source's rows picks.
+    rng = np.random.default_rng(12)
+    anchors = {name: rng.standard_normal(8) for name in ("a", "b", "c")}
+    records, vectors = [], []
+    for name, anchor in anchors.items():
+        for i in range(40):
+            kind = Source.MLLM_DATA if rng.integers(3) == 0 else Source.LLM_CATEGORY
+            records.append(KnowledgeRecord(f"{name}_{i}", name, "text", kind))
+            vectors.append(anchor + rng.standard_normal(8))
+    order = rng.permutation(len(records))  # categories and sources interleaved
+    records = [records[i] for i in order]
+    vectors = np.stack(vectors)[order]
+    kb = from_parts(records, vectors)
+    keep = [i for i, r in enumerate(records) if r.source == source]
+    alone = from_parts([records[i] for i in keep], vectors[keep])
+    filtered = localize(kb, anchors, k=10, source_filter=source)
+    direct = localize(alone, anchors, k=10)
+    assert filtered.members.labels == direct.members.labels
+    for name in anchors:
+        got, want = filtered.centers[name], direct.centers[name]
+        assert [keep.index(r) for r in got.member_rows] == want.member_rows
+        assert got.member_scores == pytest.approx(want.member_scores, abs=1e-12)
+        assert all(records[r].source == source for r in got.member_rows)

@@ -1,5 +1,6 @@
 import json
 import os
+from collections import Counter
 import re
 import struct
 import subprocess
@@ -68,6 +69,22 @@ class TestKbCommands:
         out = capsys.readouterr().out
         assert "records: 112" in out  # 4*12 descriptions + 2*4*8 paired
         assert "cat000" in out
+
+    def test_stats_counts_each_categorys_rows_per_source(self, bundle, kb_dir, capsys):
+        # The oracle counts the records file's lines, one by one.
+        counts = Counter()
+        for line in bundle.records.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            counts[record["category"], record["source"]] += 1
+        categories = sorted({category for category, _ in counts})
+        assert [counts[c, "llm_category"] for c in categories] == [12] * 4
+        assert [counts[c, "mllm_data"] for c in categories] == [16] * 4  # 2 modalities x 8
+        assert main(["kb", "stats", "--kb", str(kb_dir)]) == 0
+        table = capsys.readouterr().out.splitlines()[4:]
+        assert table == [f"{'category':<24} {'llm_category':>12} {'mllm_data':>10}"] + [
+            f"{c:<24} {counts[c, 'llm_category']:>12} {counts[c, 'mllm_data']:>10}"
+            for c in categories
+        ]
 
     def test_build_missing_file_exit_2(self, tmp_path, capsys):
         code = main([
@@ -339,6 +356,46 @@ def test_bad_pipeline_config_exits_2_naming_file_and_key(bundle, tmp_path, key, 
     assert str(path) in proc.stderr
     assert repr(key) in proc.stderr
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("fault", ["count", "duplicate", "malformed-last-line", "dim"])
+def test_failed_kb_build_stage_leaves_no_kb_file(bundle, tmp_path, fault):
+    # The records stream into the temp file of kb/records.jsonl as they are
+    # parsed. A kb-build stage that fails at any check, the dim check after
+    # `build` included, leaves neither kb file, nor that temp file.
+    lines = bundle.records.read_text(encoding="utf-8").splitlines(keepends=True)
+    embeddings = read_ubem(bundle.kb_embeddings)
+    vectors = embeddings.vectors
+    if fault == "count":
+        lines = lines[:-1]
+        problem = f"{len(lines)} records but {len(lines) + 1} embedding rows"
+    elif fault == "duplicate":
+        lines[2] = lines[1]
+        record_id = json.loads(lines[1])["id"]
+        problem = f"RECORDS: line 3: record id {record_id!r} appears more than once"
+    elif fault == "malformed-last-line":
+        lines[-1] = lines[-1][:-3] + "\n"  # cut inside the closing string
+        problem = f"RECORDS: line {len(lines)}: invalid JSON"
+    else:
+        vectors = np.hstack([vectors, vectors[:, :1]])
+        problem = f"KB dim {vectors.shape[1]} != prompt dim {vectors.shape[1] - 1}"
+    records = tmp_path / "records.jsonl"
+    records.write_text("".join(lines), encoding="utf-8")
+    matrix = tmp_path / "kb.ubem"
+    write_ubem(matrix, EmbeddingMatrix(vectors, embeddings.labels))
+    config = json.loads(bundle.pipeline_config.read_text())
+    config.update(records=str(records), embeddings=str(matrix))
+    path = bundle.root / f"kb_fault_{fault}.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    proc = run_cli("pipeline", "run", "--config", path, "--out", out)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"stage 'kb-build': {problem.replace('RECORDS', str(records))}" in proc.stderr
+    assert not (out / "kb" / "records.jsonl").exists()
+    assert not (out / "kb" / "embeddings.ubem").exists()
+    assert not list(out.glob("kb/.records.jsonl.*"))
+    assert not out.exists()  # nor any directory made for them
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from modalign.centers import CenterSet, load_center_set, localize, save_center_set
-from modalign.errors import MalformedRecord, ModalignError
+from modalign.errors import DuplicateId, MalformedRecord, ModalignError
 from modalign.kb import KnowledgeRecord, Source, from_parts, load_records
 from modalign.pipeline import (
     PipelineConfig,
@@ -221,7 +221,11 @@ relevance_lines = json_values | st.fixed_dictionaries(
 @pytest.mark.parametrize(
     "load, lines, written",
     [
-        (load_records, record_lines, None),
+        (
+            lambda path: load_records(path).ids,
+            record_lines,
+            lambda drawn: [x["id"] for x in drawn],
+        ),
         (load_labels, label_lines, lambda drawn: {x["id"]: x["category"] for x in drawn}),
         (
             load_relevance,
@@ -239,7 +243,7 @@ def test_jsonl_parsers_yield_results_or_a_malformed_record(tmp_path, load, lines
     path.write_text("".join(json.dumps(line) + "\n" for line in drawn))
     try:
         parsed = load(path)
-    except MalformedRecord as e:
+    except (MalformedRecord, DuplicateId) as e:  # only records raise DuplicateId
         assert str(e).startswith(f"{path}: line ")
         return
     assert len(parsed) == len(drawn)

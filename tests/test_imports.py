@@ -4,6 +4,9 @@ time a call through a name the calling module holds."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +51,14 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nfrom json import dumps, loads\nloads('1')\n") == {
         "os", "dumps",
     }
+
+
+def test_the_tracer_finds_every_name_it_binds():
+    # `instrument` raises on a listed name that its module no longer holds.
+    # It rebinds names module-wide, so it runs in an interpreter of its own.
+    paths = os.pathsep.join(str(ROOT / d) for d in ("src", "perfbench"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tracer; tracer.instrument(tracer.Tracer('check'))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=paths), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

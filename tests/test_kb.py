@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 import tracemalloc
@@ -20,6 +21,7 @@ from modalign.kb import (
     from_parts,
     load_kb_dir,
     load_records,
+    records_writer,
     save_records,
     write_kb_dir,
     _ingest_rows,
@@ -44,18 +46,30 @@ def write_kb_files(tmp_path, records, vectors):
     return records_path, embeddings_path
 
 
+def parsed_text(path) -> str:
+    """The canonical lines `load_records` writes for the records file `path`."""
+    sink = io.StringIO(newline="")
+    load_records(path, sink)
+    return sink.getvalue()
+
+
+SMALL_RECORDS = [
+    KnowledgeRecord("d0", "airplane", "a jet on a runway", Source.LLM_CATEGORY),
+    KnowledgeRecord("d1", "airplane", "wings over clouds", Source.LLM_CATEGORY),
+    KnowledgeRecord("s0", "airplane", "photo caption", Source.MLLM_DATA),
+    KnowledgeRecord("s1", "cat", "a cat sleeping", Source.MLLM_DATA),
+]
+
+
 @pytest.fixture
-def small_kb(tmp_path):
-    records = [
-        KnowledgeRecord("d0", "airplane", "a jet on a runway", Source.LLM_CATEGORY),
-        KnowledgeRecord("d1", "airplane", "wings over clouds", Source.LLM_CATEGORY),
-        KnowledgeRecord("s0", "airplane", "photo caption", Source.MLLM_DATA),
-        KnowledgeRecord("s1", "cat", "a cat sleeping", Source.MLLM_DATA),
-    ]
+def small_paths(tmp_path):
     rng = np.random.default_rng(3)
-    vectors = rng.standard_normal((4, 8))
-    paths = write_kb_files(tmp_path, records, vectors)
-    return build(*paths)
+    return write_kb_files(tmp_path, SMALL_RECORDS, rng.standard_normal((4, 8)))
+
+
+@pytest.fixture
+def small_kb(small_paths):
+    return build(*small_paths)
 
 
 class TestBuild:
@@ -95,6 +109,36 @@ class TestBuild:
             build(*paths)
         assert str(info.value) == f"{paths[0]}: line 4: record id 'rec_0' appears more than once"
 
+    @pytest.mark.parametrize("later", ["count", "malformed", "ubem"])
+    def test_repeated_id_is_named_before_later_faults(self, tmp_path, later):
+        # The records are checked line by line as they are parsed, so a
+        # repeated id is named before a later malformed line, before any
+        # fault of the embeddings file and before a count mismatch.
+        records = make_records(4)
+        records[1] = records[0]
+        rows = 3 if later == "count" else 4
+        records_path, embeddings_path = write_kb_files(tmp_path, records, np.ones((rows, 4)))
+        if later == "malformed":
+            with open(records_path, "a", encoding="utf-8") as f:
+                f.write("not json\n")
+        elif later == "ubem":
+            embeddings_path.write_bytes(embeddings_path.read_bytes()[:30])
+        with pytest.raises(DuplicateId) as info:
+            build(records_path, embeddings_path)
+        assert str(info.value) == (
+            f"{records_path}: line 2: record id 'rec_0' appears more than once"
+        )
+
+    def test_malformed_line_is_named_before_a_later_repeated_id(self, tmp_path):
+        records = make_records(4)
+        records[3] = records[0]
+        records_path, embeddings_path = write_kb_files(tmp_path, records, np.ones((4, 4)))
+        lines = records_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        records_path.write_text("".join(lines[:1] + ["[]\n"] + lines[2:]), encoding="utf-8")
+        with pytest.raises(MalformedRecord) as info:
+            build(records_path, embeddings_path)
+        assert str(info.value) == f"{records_path}: line 2: record is not a JSON object"
+
     def test_zero_vector_row_reported(self, tmp_path):
         vectors = np.ones((3, 4))
         vectors[1] = 0.0
@@ -109,34 +153,37 @@ class TestBuild:
 
 class TestCategoryIndex:
     @pytest.fixture
-    def mixed_kb(self):
+    def mixed_records(self):
         # Categories and sources interleaved, so no category is one run of rows.
         rng = np.random.default_rng(4)
-        records = [
+        return [
             KnowledgeRecord(
                 f"r{i}", f"c{rng.integers(5)}", "d",
                 Source.MLLM_DATA if rng.integers(3) == 0 else Source.LLM_CATEGORY,
             )
             for i in range(300)
         ]
-        return from_parts(records, rng.standard_normal((300, 6)))
 
-    def test_values_are_ascending_intp_arrays(self, mixed_kb):
-        assert set(mixed_kb.category_index) == {r.category for r in mixed_kb.records}
+    @pytest.fixture
+    def mixed_kb(self, mixed_records):
+        return from_parts(mixed_records, np.random.default_rng(5).standard_normal((300, 6)))
+
+    def test_values_are_ascending_intp_arrays(self, mixed_kb, mixed_records):
+        assert set(mixed_kb.category_index) == {r.category for r in mixed_records}
         for category, rows in mixed_kb.category_index.items():
             assert isinstance(rows, np.ndarray)
             assert rows.dtype == np.intp
-            want = [i for i, r in enumerate(mixed_kb.records) if r.category == category]
+            want = [i for i, r in enumerate(mixed_records) if r.category == category]
             assert rows.tolist() == want
 
     @pytest.mark.parametrize("source", [None, Source.LLM_CATEGORY, Source.MLLM_DATA])
-    def test_category_rows_are_ascending_python_ints(self, mixed_kb, source):
+    def test_category_rows_are_ascending_python_ints(self, mixed_kb, mixed_records, source):
         for category in mixed_kb.categories():
             rows = mixed_kb.category_rows(category, source)
             assert type(rows) is list and rows
             assert all(type(r) is int for r in rows)
             assert rows == [
-                i for i, r in enumerate(mixed_kb.records)
+                i for i, r in enumerate(mixed_records)
                 if r.category == category and source in (None, r.source)
             ]
         assert mixed_kb.category_rows("absent", source) == []
@@ -191,17 +238,35 @@ class TestRecordsFile:
         ]
         path = tmp_path / "records.jsonl"
         save_records(path, records)
-        assert load_records(path) == records
+        assert '"generator": "gen-4"}' in parsed_text(path)
+        assert parsed_text(path).encode("utf-8") == path.read_bytes()
 
-    def test_rows_share_category_and_generator_strings(self, tmp_path):
+    def test_columns_hold_no_description_or_generator_text(self, tmp_path):
+        # Of each record only its id and two codes outlive the parse, plus
+        # one string per category: descriptions and generators are only
+        # written back out.
+        rows = 5_000
+        records = [
+            KnowledgeRecord(
+                f"r{i}", f"cat{i % 3}", f"description {i} " * 100,
+                Source.MLLM_DATA if i % 2 else Source.LLM_CATEGORY, f"generator {i} " * 50,
+            )
+            for i in range(rows)
+        ]
         path = tmp_path / "records.jsonl"
-        save_records(path, make_records(3, category="heron") + [
-            KnowledgeRecord("g", "heron", "d", Source.MLLM_DATA, generator="gen-4"),
-            KnowledgeRecord("h", "heron", "d", Source.MLLM_DATA, generator="gen-4"),
-        ])
-        records = load_records(path)
-        assert len({id(r.category) for r in records}) == 1
-        assert records[3].generator is records[4].generator
+        save_records(path, records)
+        text_size = sum(sys.getsizeof(r.description) + sys.getsizeof(r.generator) for r in records)
+        tracemalloc.start()
+        try:
+            columns = load_records(path, io.StringIO())
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 0.1 * text_size
+        assert columns.ids == [r.id for r in records]
+        assert columns.categories == {"cat0": 0.0, "cat1": 1.0, "cat2": 2.0}
+        assert columns.category_codes.tolist() == [float(i % 3) for i in range(rows)]
+        assert columns.sources.tolist() == [i % 2 for i in range(rows)]
 
     # Text that exercises every escape the JSON encoder makes: quotes,
     # backslashes, control characters, and text outside the BMP. Characters
@@ -242,7 +307,26 @@ class TestRecordsFile:
                 obj["generator"] = r.generator
             reference.append(json.dumps(obj, ensure_ascii=False) + "\n")
         assert path.read_bytes() == "".join(reference).encode("utf-8")
-        assert load_records(path) == records
+        # The parse writes the same lines back, up to the first repeated id.
+        ids = [r.id for r in records]
+        repeat = next((i for i, rid in enumerate(ids) if rid in ids[:i]), None)
+        sink = io.StringIO(newline="")
+        end = None if repeat is None else repeat + 1
+        if repeat is None:
+            columns = load_records(path, sink)
+            assert columns.ids == ids
+            assert [list(Source)[code] for code in columns.sources] == [r.source for r in records]
+            names = list(columns.categories)
+            assert [names[int(code)] for code in columns.category_codes] == [
+                r.category for r in records
+            ]
+        else:
+            with pytest.raises(DuplicateId) as info:
+                load_records(path, sink)
+            assert str(info.value) == (
+                f"{path}: line {repeat + 1}: record id {ids[repeat]!r} appears more than once"
+            )
+        assert sink.getvalue() == "".join(reference[:end])
 
 
 class TestCategoryRows:
@@ -271,7 +355,7 @@ class TestCategoryRows:
             for category in small_kb.categories():
                 seen.extend(small_kb.category_rows(category, source))
             expected = [
-                i for i, r in enumerate(small_kb.records) if r.source == source
+                i for i, r in enumerate(SMALL_RECORDS) if r.source == source
             ]
             assert sorted(seen) == expected
             assert len(seen) == len(set(seen))
@@ -286,29 +370,54 @@ class TestPairedTextEmbedding:
         rng = np.random.default_rng(9)
         records = make_records(100, category="dog", source=Source.MLLM_DATA, prefix="img")
         kb = from_parts(records, rng.standard_normal((100, 6)))
-        for row, record in enumerate(kb.records):
+        for row, record in enumerate(records):
             got = kb.embeddings.vectors[kb.pair_index[record.id]]
             assert np.array_equal(got, kb.embeddings.vectors[row])
 
 
 class TestExportRoundtrip:
-    def test_export_build_identical(self, tmp_path, small_kb):
+    def test_export_build_identical(self, tmp_path, small_paths):
         out1 = tmp_path / "kb1"
         out2 = tmp_path / "kb2"
-        write_kb_dir(small_kb, out1)
-        kb2 = load_kb_dir(out1)
-        write_kb_dir(kb2, out2)
+        with records_writer(out1) as sink:
+            kb1 = build(*small_paths, sink)
+            write_kb_dir(kb1, out1)
+        with records_writer(out2) as sink:
+            kb2 = build(out1 / "records.jsonl", out1 / "embeddings.ubem", sink)
+            write_kb_dir(kb2, out2)
+        # save_records writes canonical lines, so the parse writes them back as read.
+        assert (out1 / "records.jsonl").read_bytes() == small_paths[0].read_bytes()
         assert (out1 / "records.jsonl").read_bytes() == (out2 / "records.jsonl").read_bytes()
         assert (out1 / "embeddings.ubem").read_bytes() == (out2 / "embeddings.ubem").read_bytes()
-        assert kb2.records == small_kb.records
-        assert kb2.embeddings.vectors.tobytes() == small_kb.embeddings.vectors.tobytes()
+        assert kb2.ids == kb1.ids == [r.id for r in SMALL_RECORDS]
+        assert kb2.sources.tolist() == kb1.sources.tolist() == [0, 0, 1, 1]
+        assert kb2.pair_index == kb1.pair_index
+        assert kb2.category_index.keys() == kb1.category_index.keys()
+        for category, rows in kb1.category_index.items():
+            assert kb2.category_index[category].tolist() == rows.tolist()
+        assert kb2.embeddings.vectors.tobytes() == kb1.embeddings.vectors.tobytes()
 
     def test_export_writes_the_embeddings_labels(self, tmp_path, small_kb):
         write_kb_dir(small_kb, tmp_path / "kb")
         written = read_ubem(tmp_path / "kb" / "embeddings.ubem")
-        assert written.labels == [r.id for r in small_kb.records]
-        assert small_kb.embeddings.labels is None
-        assert load_kb_dir(tmp_path / "kb").embeddings.labels is None
+        ids = [r.id for r in SMALL_RECORDS]
+        assert written.labels == ids
+        # The matrix's labels are the knowledge base's one list of ids.
+        assert small_kb.embeddings.labels is small_kb.ids
+        assert small_kb.ids == ids
+        save_records(tmp_path / "kb" / "records.jsonl", SMALL_RECORDS)
+        assert load_kb_dir(tmp_path / "kb").ids == ids
+
+    def test_export_builds_no_matrix(self, tmp_path, small_kb, monkeypatch):
+        # Ingest checked the payload once; a new EmbeddingMatrix would scan
+        # the whole payload for NaN and Inf again.
+        def built(self):
+            raise AssertionError("write_kb_dir built an EmbeddingMatrix")
+
+        monkeypatch.setattr(EmbeddingMatrix, "__post_init__", built)
+        write_kb_dir(small_kb, tmp_path / "kb")
+        monkeypatch.undo()
+        assert read_ubem(tmp_path / "kb" / "embeddings.ubem").labels == small_kb.ids
 
     def test_ingest_idempotent_at_byte_level(self):
         rng = np.random.default_rng(5)
@@ -382,11 +491,12 @@ class TestIngestRows:
 
 def test_build_and_export_hold_no_full_size_temporaries(tmp_path):
     # Build normalizes the float32 payload it read in place, so it holds one
-    # payload; the records' Python objects come on top. A normalized copy
-    # would add 1x and whole-matrix float64 temporaries (8 bytes per value,
-    # twice over) about 4x more. Export streams both files into their temp
-    # files, so it adds a small fraction of the payload; any whole-file
-    # buffer of the embeddings would add at least 1x.
+    # payload; the record columns come on top. A normalized copy would add
+    # 1x and whole-matrix float64 temporaries (8 bytes per value, twice
+    # over) about 4x more. Build streams the records into their temp file as
+    # it parses them and export streams the embeddings into theirs, so
+    # export adds a small fraction of the payload; any whole-file buffer of
+    # the embeddings would add at least 1x.
     rows, dim = 20_000, 128
     records = [
         KnowledgeRecord(f"r{i}", f"cat{i % 50}", f"description number {i}", Source.LLM_CATEGORY)
@@ -398,14 +508,16 @@ def test_build_and_export_hold_no_full_size_temporaries(tmp_path):
     del records, vectors
     tracemalloc.start()
     try:
-        kb = build(*paths)
-        _, build_peak = tracemalloc.get_traced_memory()
-        held, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        write_kb_dir(kb, tmp_path / "kb")
-        _, export_peak = tracemalloc.get_traced_memory()
+        with records_writer(tmp_path / "kb") as sink:
+            kb = build(*paths, sink)
+            _, build_peak = tracemalloc.get_traced_memory()
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            write_kb_dir(kb, tmp_path / "kb")
+            _, export_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert (tmp_path / "kb" / "records.jsonl").read_bytes() == paths[0].read_bytes()
     assert build_peak < 2.5 * payload
     assert export_peak - held < 0.25 * payload
 
@@ -431,7 +543,8 @@ def test_save_records_streams(tmp_path):
         tracemalloc.stop()
     size = path.stat().st_size
     assert peak < size / 4
-    assert load_records(path) == records
+    assert parsed_text(path).encode("utf-8") == path.read_bytes()
+    assert load_records(path).ids == [r.id for r in records]
 
 
 def _build_peak(paths) -> int:
