@@ -37,7 +37,6 @@ from .kb import (
     Source,
     build,
     load_kb_dir,
-    records_writer,
     write_kb_dir,
 )
 from .pipeline import PipelineConfig, load_pipeline_config, run_pipeline
@@ -101,7 +100,6 @@ __all__ = [
     "normalize_rows",
     "prompts_from_matrix",
     "read_ubem",
-    "records_writer",
     "resolve_pairs",
     "run_pipeline",
     "save_adapter",

@@ -10,11 +10,12 @@ members. `localize` is its one-k case. A CenterSet holds its file's two
 blobs; `member_blocks()` and `group_rows(prompts)` give the `{category:
 rows}` anchors of the anchor-max and prompt-mean scoring rules.
 
-A category's candidates are gathered and scored one `vectors.row_blocks`
-block at a time (NORM_BLOCK_ROWS rows; a lone last row joins the block
-before it) and the blocks' winners merged, so ranking holds one block's
-float32 gather and float64 copy at a time, never a copy of every candidate. The
-merge is exact: members and tie-break are those of one `top_k` over every
+A category's candidates are read and scored one `vectors.row_blocks` block
+at a time (NORM_BLOCK_ROWS rows; a lone last row joins the block before it)
+and the blocks' winners merged. `KnowledgeBase.read_rows` reads the unit
+rows of each block from the knowledge base's file, and those of the members
+once per k, so ranking holds one block's float32 rows and float64 copy at a
+time, never the payload or a copy of every candidate. The merge is exact: members and tie-break are those of one `top_k` over every
 candidate given the same scores. A score is computed within its block, so,
 as `vectors` says of query blocks, it can differ in the last bits from the
 score one call over all candidates gives where the BLAS splits the two
@@ -113,8 +114,8 @@ def _rank_category(
     """The `width` candidate rows of a category most similar to its prompt,
     with their scores, best first and ties to the lower row.
 
-    Each `row_blocks` block of candidates is gathered and ranked by its own
-    `top_k` call. A row in the overall top `width` is in its block's top
+    Each `row_blocks` block of candidates is read (`KnowledgeBase.read_rows`)
+    and ranked by its own `top_k` call. A row in the overall top `width` is in its block's top
     `width`, so one stable sort of the blocks' winners, concatenated in row
     order, gives the same rows, order and tie-break as ranking all of them.
     """
@@ -126,11 +127,10 @@ def _rank_category(
         raise DimensionMismatch(
             f"prompt for {category!r} has dim {prompt.shape[0]}, knowledge base has {kb.dim}"
         )
-    vectors = kb.embeddings.vectors
     winners, winner_scores = [], []
     for block_rows in row_blocks(len(rows)):
         block = rows[block_rows]
-        order, scores = top_k(prompt[None, :], vectors[block], width)
+        order, scores = top_k(prompt[None, :], kb.read_rows(block), width)
         winners += [block[i] for i in order[0].tolist()]
         winner_scores.append(scores[0])
     scores = np.concatenate(winner_scores)
@@ -187,8 +187,8 @@ def sweep_k(
     for k in sorted(set(k_values)):
         centers = {c: EmbeddingCenter(r[:k], s[:k], k) for c, (r, s) in rankings.items()}
         member_rows = [r for center in centers.values() for r in center.member_rows]
-        members = EmbeddingMatrix(  # one gather of every category's members
-            kb.embeddings.vectors[member_rows], [kb.ids[r] for r in member_rows]
+        members = EmbeddingMatrix(  # one read of every category's members
+            kb.read_rows(member_rows), [kb.ids[r] for r in member_rows]
         )
         sweeps[k] = CenterSet(centers, members, prompts, k, prompt_template)
     return sweeps

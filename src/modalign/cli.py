@@ -36,7 +36,7 @@ from .evaluation import (
     evaluate_classification,
     evaluate_retrieval,
 )
-from .kb import Source, build, load_kb_dir, records_writer, write_kb_dir
+from .kb import Source, build, load_kb_dir, write_kb_dir
 from .pipeline import (
     categories_for,
     load_labels,
@@ -84,9 +84,8 @@ def _source(value: str | None) -> Source | None:
 
 
 def cmd_kb_build(args) -> int:
-    with records_writer(args.out) as sink:
+    with write_kb_dir(args.out) as sink:
         kb = build(args.records, args.embeddings, sink)
-        write_kb_dir(kb, args.out)
     print(f"built knowledge base: {kb.size} records, dim {kb.dim} -> {args.out}")
     return 0
 

@@ -4,41 +4,48 @@ A knowledge base pairs a JSONL table of generated descriptions (id, category,
 description, source, optional generator) with a UBEM matrix of their text
 embeddings, row for row. The two source kinds are kept distinguishable so
 ablations over category-level vs. sample-level descriptions are a filter, not
-a rebuild. Embeddings are unit-normalized once at ingest; rows already within
+a rebuild. Embeddings are unit-normalized at ingest; rows already within
 tolerance of unit norm are stored byte-for-byte untouched, which keeps
 export -> build round trips lossless.
 
 Ingest memory: the records file is parsed once, in one pass, and a built
-knowledge base keeps of it only what the flow reads: the ids, once, as the
-labels of its embedding matrix; each row's source as one uint8 code;
-`category_index`, which maps each category to one ascending intp array of its
-rows and is cut from a per-row category code; and `pair_index`. No
-description or generator string outlives the parse, and the set of ids that
-checks them for duplicates is freed before the embeddings are read. Ingest
-has one path: it takes ownership of one float32 `EmbeddingMatrix` and
-normalizes its rows in place. `build` hands over the matrix `read_ubem`
-returns, whose reader already checked it for NaN and Inf and dropped each
-UBEM label once it was checked, and `from_parts` makes exactly one float32
-copy of the caller's array, which it never writes. Norms come from
+knowledge base keeps of it only what the flow reads: the ids, once; each
+row's source as one uint8 code; `category_index`, which maps each category
+to one ascending intp array of its rows and is cut from a per-row category
+code; and `pair_index`. No description or generator string outlives the
+parse, and the set of ids that checks them for duplicates is freed before
+the embeddings are read. The knowledge base never holds its float payload
+either, only the path of a UBEM file of its rows. `build` reads the
+embeddings file once, one `vectors.row_blocks` block at a time through one
+reused float32 buffer, and checks and normalizes each block in place with
+the ingest rule (`_ingest_rows`). When it exports, it writes each normalized
+block straight into the atomic temp file of `embeddings.ubem`, and the
+knowledge base it returns reads that file back. `KnowledgeBase.read_rows`
+is the one reader of the rows after build: it reads only the rows it is
+asked for, one `readinto` per run of consecutive rows, and runs the ingest
+rule on them again, so a file changed after build raises rather than
+scores NaN. On rows that are already unit, as an exported file's are, the
+rule computes their norms and divides nothing. Norms come from
 `vectors.row_norms`; one masked `np.divide` scales the rows that need it in
-float64 and rounds them back in place, so no full-matrix float64 array
-exists.
+float64 and rounds them back in place, so no float64 block outlives it.
 
-Export memory: neither file is ever held whole. `load_records` writes each
-record's canonical line into a text stream as soon as it has read the line;
-`records_writer` yields the one for a knowledge-base directory, a text
-wrapper whose own buffer batches the UTF-8 encoding into the atomic temp file
-of `records.jsonl`, which is committed only when its block ends cleanly.
-Each field is encoded with the C JSON string encoder, so each line's bytes
-equal `json.dumps(record, ensure_ascii=False)`. `write_kb_dir` writes the
-embeddings as the stored float32 buffer itself, labeled with the ids the
-matrix already carries.
+Export memory: neither file is ever held whole. `write_kb_dir` yields the
+atomic temp files of a knowledge-base directory, and `build` writes into
+them as it reads: each record's canonical line as soon as it has read the
+line, through a text wrapper whose own buffer batches the UTF-8 encoding,
+and each block of normalized rows as soon as it is checked, then the ids as
+the UBEM label block. Both files are committed only when the block ends
+cleanly. Each field is encoded with the C JSON string encoder, so each
+line's bytes equal `json.dumps(record, ensure_ascii=False)`.
 
 Fault order: `build` names the first fault it meets, in this order. The
 records file is checked line by line, so its first malformed line or
 repeated id, whichever comes first in the file, is named with its line;
-then the embeddings file is read and checked; then the record count is
-compared with the row count; then the rows' norms are checked.
+then the embeddings file's header and the payload size it claims; then the
+record count is compared with the header's row count; then the payload's
+rows are checked in row order, and the first that is not finite or has a
+zero norm is named with the file and its row; then the label block's
+labels are checked, and dropped.
 """
 
 from __future__ import annotations
@@ -46,13 +53,13 @@ from __future__ import annotations
 import io
 from array import array
 from collections.abc import Iterable, Iterator
-from contextlib import AbstractContextManager, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import starmap
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import NamedTuple, TextIO
+from typing import BinaryIO, NamedTuple, TextIO
 
 import numpy as np
 
@@ -62,10 +69,20 @@ from .errors import (
     MalformedRecord,
     ZeroVector,
 )
-# `atomic_write_text` is unused here; the benchmark tracer binds the name.
+# `atomic_write_text`, `read_ubem` and `write_ubem` are unused here; the
+# benchmark tracer binds the names.
 from .serialize import atomic_write_text, atomic_writer, read_jsonl  # noqa: F401
-from .ubem import read_ubem, write_ubem
-from .vectors import UNIT_TOLERANCE, ZERO_NORM, EmbeddingMatrix, as_vectors, row_norms
+from .ubem import (  # noqa: F401
+    naming,
+    read_header,
+    read_label_block,
+    read_payload,
+    read_ubem,
+    write_header,
+    write_label_block,
+    write_ubem,
+)
+from .vectors import NORM_BLOCK_ROWS, UNIT_TOLERANCE, ZERO_NORM, row_blocks, row_norms
 
 RECORDS_FILENAME = "records.jsonl"
 EMBEDDINGS_FILENAME = "embeddings.ubem"
@@ -84,8 +101,8 @@ _SOURCE_CODE = {s: code for code, s in enumerate(Source)}
 
 
 class KnowledgeRecord(NamedTuple):
-    """One description row in memory: what `save_records` writes and
-    `from_parts` takes. For MLLM_DATA rows, `id` is the paired sample id."""
+    """One description row in memory, as `save_records` writes it. For
+    MLLM_DATA rows, `id` is the paired sample id."""
 
     id: str
     category: str
@@ -103,32 +120,34 @@ class RecordColumns(NamedTuple):
     sources: array  # "B": each row's source code
 
 
+class KbSink(NamedTuple):
+    """The open temp files of a knowledge-base directory (`write_kb_dir`)."""
+
+    records: TextIO
+    embeddings: BinaryIO
+    embeddings_path: Path  # where `embeddings` is committed
+
+
 @dataclass
 class KnowledgeBase:
-    """Unit-norm text embeddings, row for row with the records they came
-    from, and what the flow reads of those records.
+    """What the flow reads of a knowledge base's records, and the path of
+    the UBEM file of its rows.
 
-    `embeddings` is labeled with the record ids, the knowledge base's one
-    list of them; `sources` holds each row's source code (its source's
-    position in `Source`) as a uint8 array.
+    `ids` is the knowledge base's one list of record ids; `sources` holds
+    each row's source code (its source's position in `Source`) as a uint8
+    array. The rows are read from `path` by `read_rows` and never held.
     """
 
-    embeddings: EmbeddingMatrix
+    path: Path
+    dim: int
+    ids: list[str]
     sources: np.ndarray
     category_index: dict[str, np.ndarray] = field(default_factory=dict)
     pair_index: dict[str, int] = field(default_factory=dict)
 
     @property
     def size(self) -> int:
-        return self.embeddings.rows
-
-    @property
-    def dim(self) -> int:
-        return self.embeddings.dim
-
-    @property
-    def ids(self) -> list[str]:
-        return self.embeddings.labels
+        return len(self.ids)
 
     def category_rows(
         self, category: str, source_filter: Source | None = None
@@ -144,6 +163,34 @@ class KnowledgeBase:
 
     def categories(self) -> list[str]:
         return sorted(self.category_index)
+
+    def read_rows(self, rows: list[int]) -> np.ndarray:
+        """The unit rows `rows` of the knowledge base, in that order, as one
+        float32 array.
+
+        Each run of consecutive rows is read from `path` by one `readinto`
+        straight into its place in the result, and the ingest rule runs on
+        the result, so a row that is not finite or has a zero norm raises,
+        naming the file and the row. A file whose header no longer gives
+        the knowledge base's shape raises ValueError naming it.
+        """
+        out = np.empty((len(rows), self.dim), "<f4")
+        with open(self.path, "rb") as f, naming(self.path):
+            shape = read_header(f)
+            if shape != (self.dim, self.size):
+                raise ValueError(
+                    f"holds {shape[1]} rows of dim {shape[0]}, "
+                    f"not the knowledge base's {self.size} rows of dim {self.dim}"
+                )
+            start, width, n = f.tell(), 4 * self.dim, len(rows)
+            cuts = [0] if n else []  # where each run of consecutive rows starts
+            if n and rows != list(range(rows[0], rows[0] + n)):  # not one run
+                cuts += [i for i, (a, b) in enumerate(zip(rows, rows[1:]), 1) if b != a + 1]
+            for a, b in zip(cuts, cuts[1:] + [n]):
+                f.seek(start + rows[a] * width)
+                read_payload(f, out[a:b])
+        _ingest_rows(out, self.path, rows)
+        return out
 
 
 def _record_problem(obj) -> str:
@@ -236,16 +283,6 @@ def _text_writer(path) -> Iterator[TextIO]:
         yield f
 
 
-def records_writer(kb_dir) -> AbstractContextManager[TextIO]:
-    """Yield the text stream that `build` writes `kb_dir`'s records file into.
-
-    The file replaces `<kb_dir>/records.jsonl` only when the block ends
-    cleanly: a build, or any check after it in the block, that raises
-    leaves neither the file, nor its temp file, nor a directory made for it.
-    """
-    return _text_writer(Path(kb_dir) / RECORDS_FILENAME)
-
-
 def save_records(path, records: Iterable[KnowledgeRecord]) -> None:
     """Write each in-memory record's canonical line, streamed line by line
     into the atomic temp file."""
@@ -253,20 +290,27 @@ def save_records(path, records: Iterable[KnowledgeRecord]) -> None:
         f.writelines(starmap(_record_line, records))
 
 
-def _ingest_rows(x: np.ndarray) -> None:
-    """Unit-normalize the rows of a float32 array in place, leaving
-    already-unit rows bit-identical.
+def _ingest_rows(x: np.ndarray, path, rows) -> None:
+    """Check the float32 rows `x`, read from rows `rows` of the file `path`,
+    and unit-normalize them in place, leaving already-unit rows bit-identical.
 
-    Rows whose norm is within UNIT_TOLERANCE of 1 are not touched, so a
-    normalize-store-reload cycle is idempotent at the byte level. Norms are
-    `row_norms` in float64; the rows that need scaling are divided in
-    float64 and rounded back into the array by one masked `np.divide`.
+    The first row that is not finite or has a norm below ZERO_NORM raises,
+    naming `path` and its row. Rows whose norm is within UNIT_TOLERANCE of 1
+    are not touched, so a normalize-store-reload cycle is idempotent at the
+    byte level. Norms are `row_norms` in float64, and a float32 row's sum of
+    squares is finite in float64 exactly when the row is; the rows that need
+    scaling are divided in float64 and rounded back into the array by one
+    masked `np.divide`.
     """
-    norms = row_norms(x)
-    zero = np.flatnonzero(norms < ZERO_NORM)
-    if zero.size:
-        row = int(zero[0])
-        raise ZeroVector(f"embedding row {row} has norm {norms[row]:.3e}")
+    if not len(x):
+        return
+    with np.errstate(invalid="ignore"):  # a signaling NaN is named below, not warned of
+        norms = row_norms(x)
+    if not (norms.min() >= ZERO_NORM and norms.max() < np.inf):
+        i = next(i for i, n in enumerate(norms.tolist()) if not ZERO_NORM <= n < np.inf)
+        if norms[i] < np.inf:
+            raise ZeroVector(f"{path}: embedding row {rows[i]} has norm {norms[i]:.3e}")
+        raise ValueError(f"{path}: embedding matrix contains NaN or Inf in row {rows[i]}")
     needs = np.abs(norms - 1.0) > UNIT_TOLERANCE
     if needs.any():
         np.divide(x, norms[:, None], out=x, where=needs[:, None], casting="same_kind")
@@ -289,54 +333,69 @@ def _category_index(columns: RecordColumns) -> dict[str, np.ndarray]:
     return {c: order[a:b] for c, a, b in zip(columns.categories, cuts, cuts[1:])}
 
 
-def _assemble(columns: RecordColumns, matrix: EmbeddingMatrix) -> KnowledgeBase:
-    """Index `columns` over `matrix`, which the knowledge base takes over:
-    its rows are normalized in place and labeled with the record ids."""
+def build(records_path, embeddings_path, sink: KbSink | None = None) -> KnowledgeBase:
+    """Load, validate, and index a knowledge base from its two files,
+    writing both into `sink` when one is given (see `write_kb_dir`). The
+    module docstring gives the order of the checks.
+
+    The embeddings are read once, one `row_blocks` block at a time into one
+    reused buffer, checked and normalized. The knowledge base reads its
+    rows back from the file `sink` commits, or else from `embeddings_path`.
+    """
+    columns = load_records(records_path, None if sink is None else sink.records)
     ids = columns.ids
-    if len(ids) != matrix.rows:
-        raise CountMismatch(f"{len(ids)} records but {matrix.rows} embedding rows")
-    _ingest_rows(matrix.vectors)
-    matrix.labels = ids  # set in place: a new matrix would scan the payload for NaN again
+    with open(embeddings_path, "rb") as f:
+        with naming(embeddings_path):
+            dim, rows = read_header(f)
+        if len(ids) != rows:
+            raise CountMismatch(f"{embeddings_path}: {len(ids)} records but {rows} embedding rows")
+        if sink is not None:
+            write_header(sink.embeddings, dim, rows)
+        buf = np.empty((min(NORM_BLOCK_ROWS + 1, rows), dim), "<f4")
+        for block in row_blocks(rows):
+            chunk = buf[: block.stop - block.start]
+            with naming(embeddings_path):
+                read_payload(f, chunk)
+            _ingest_rows(chunk, embeddings_path, range(block.start, block.stop))
+            if sink is not None:
+                sink.embeddings.write(chunk)
+        with naming(embeddings_path):
+            for _ in read_label_block(f, rows) or ():
+                pass  # each label is checked; the record ids label the rows
+    if sink is not None:
+        write_label_block(sink.embeddings, ids)
     mllm_data = _SOURCE_CODE[Source.MLLM_DATA]
     pair_index = {
         rid: row for row, (rid, code) in enumerate(zip(ids, columns.sources)) if code == mllm_data
     }
-    sources = np.frombuffer(columns.sources, np.uint8)
-    return KnowledgeBase(matrix, sources, _category_index(columns), pair_index)
-
-
-def from_parts(records: list[KnowledgeRecord], embeddings) -> KnowledgeBase:
-    """Assemble and validate a knowledge base from in-memory pieces.
-
-    The records are checked as the lines of a records file are, numbered
-    from 1. The knowledge base gets exactly one float32 copy of
-    `embeddings`, which is never written.
-    """
-    vectors = np.array(as_vectors(embeddings), np.float32, order="C")
-    objects = ({**r._asdict(), "source": r.source.value} for r in records)
-    columns = _parse(enumerate(objects, start=1))
-    return _assemble(columns, EmbeddingMatrix(vectors))
-
-
-def build(records_path, embeddings_path, sink: TextIO | None = None) -> KnowledgeBase:
-    """Load, validate, and index a knowledge base from its two files,
-    writing each record's canonical line to `sink` when one is given (see
-    `records_writer`). The module docstring gives the order of the checks.
-
-    The matrix `read_ubem` returns belongs to no one else, so the knowledge
-    base takes it over as read; its finiteness was checked by the reader.
-    """
-    columns = load_records(records_path, sink)
-    return _assemble(columns, read_ubem(embeddings_path, keep_labels=False))
+    return KnowledgeBase(
+        Path(embeddings_path) if sink is None else sink.embeddings_path,
+        dim,
+        ids,
+        np.frombuffer(columns.sources, np.uint8),
+        _category_index(columns),
+        pair_index,
+    )
 
 
 def load_kb_dir(kb_dir) -> KnowledgeBase:
+    """The knowledge base of a directory `write_kb_dir` wrote, reading its
+    rows from that directory's own embeddings file."""
     kb_dir = Path(kb_dir)
     return build(kb_dir / RECORDS_FILENAME, kb_dir / EMBEDDINGS_FILENAME)
 
 
-def write_kb_dir(kb: KnowledgeBase, kb_dir) -> None:
-    """Write `kb_dir`'s normalized embeddings UBEM, its rows labeled with
-    the record ids. The records file is written as the records are parsed
-    (`records_writer`), or from in-memory records by `save_records`."""
-    write_ubem(Path(kb_dir) / EMBEDDINGS_FILENAME, kb.embeddings)
+@contextmanager
+def write_kb_dir(kb_dir) -> Iterator[KbSink]:
+    """Yield the temp files that `build` writes `kb_dir`'s two files into.
+
+    The files replace `<kb_dir>/records.jsonl` and `<kb_dir>/embeddings.ubem`
+    only when the block ends cleanly: a build, or any check after it in the
+    block, that raises leaves neither file, nor a temp file, nor a directory
+    made for them. A knowledge base built into the block reads its rows
+    from the committed `embeddings.ubem`, so only after the block.
+    """
+    kb_dir = Path(kb_dir)
+    embeddings = kb_dir / EMBEDDINGS_FILENAME
+    with _text_writer(kb_dir / RECORDS_FILENAME) as records, atomic_writer(embeddings) as f:
+        yield KbSink(records, f, embeddings)

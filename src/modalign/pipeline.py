@@ -42,7 +42,7 @@ from .evaluation import (
     evaluate_classification,
     evaluate_retrieval,
 )
-from .kb import Source, build, records_writer, write_kb_dir
+from .kb import Source, build, write_kb_dir
 from .serialize import (
     BOOLEAN,
     INTEGER,
@@ -305,13 +305,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     adapters_dir = out / "adapters"
     names = sorted(config.modalities)
 
-    # The records stream into kb/records.jsonl as they are parsed; the file is
-    # committed only when the whole stage succeeds.
-    with _stage("kb-build"), records_writer(out / "kb") as sink:
+    # The records and the normalized rows stream into kb/ as they are read;
+    # the files are committed only when the whole stage succeeds, and the KB
+    # reads its rows back from kb/embeddings.ubem.
+    with _stage("kb-build"), write_kb_dir(out / "kb") as sink:
         kb = build(config.records, config.embeddings, sink)
         if kb.dim != prompt_matrix.dim:
             raise ValueError(f"KB dim {kb.dim} != prompt dim {prompt_matrix.dim}")
-        write_kb_dir(kb, out / "kb")
 
     with _stage("centers"):
         centers = localize(kb, prompts, config.k, config.source_filter)

@@ -148,7 +148,7 @@ def resolve_pairs(
         text_rows.append(text_row)
     return (
         np.asarray(v[visual_rows], dtype=np.float64),
-        normalize_rows(kb.embeddings.vectors[text_rows]),
+        normalize_rows(kb.read_rows(text_rows)),
     )
 
 

@@ -12,25 +12,29 @@ Layout (all integers little-endian):
             followed by UTF-8 bytes
 
 Payload floats round-trip bit-identically: the reader hands back the stored
-float32 bytes and the writer emits float32 verbatim. The reader checks the
-header's payload size, and then each label's length, against the bytes left
-in the stream, so no size in a corrupt file can ask for more memory than the
-file holds. It reads the payload with `readinto` straight into one
-preallocated float32 array; a stream that delivers fewer bytes raises
-ValueError, so no uninitialised memory escapes. Each label is checked to be
-UTF-8 even when the caller asks for none back (`keep_labels=False`, which
-the knowledge base uses): the decoded string is then dropped at once. The
-writer passes a float32 C-ordered array's own buffer to the stream (no
-`tobytes` copy) and writes the label block, grown in one bytearray, in one
-call. `write_ubem` streams the header, payload and label block straight
-into the atomic temp file, so writing a matrix to disk holds no copy of its
-payload.
+float32 bytes and the writer emits float32 verbatim. One header reader,
+`read_header`, serves every reader of the format: it checks the header's
+payload size against the bytes left in the stream, and refuses a header that
+claims rows of dim 0, so no size in a corrupt file can ask for more memory,
+or more row ids, than the file holds. `read_payload` fills a caller's
+float32 array with `readinto`; a stream that delivers fewer bytes raises
+ValueError, so no uninitialised memory escapes. `read_label_block` reads the
+flag and yields each label once it is checked against the bytes left and
+decoded, so a caller that only checks the labels holds none of them.
+`read_ubem_stream` is these three in turn, and the knowledge base reads its
+payload through the same three, one block of rows at a time. The writer
+passes a float32 C-ordered array's own buffer to the stream (no `tobytes`
+copy) and writes the label block, grown in one bytearray, in one call.
+`write_ubem` streams the header, payload and label block straight into the
+atomic temp file, so writing a matrix to disk holds no copy of its payload.
 """
 
 from __future__ import annotations
 
 import io
 import struct
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -45,28 +49,47 @@ _HEADER = struct.Struct("<HHIQ")  # version, flags, dim, rows
 _U32 = struct.Struct("<I")
 
 
+def write_header(stream, dim: int, rows: int) -> None:
+    """Write the magic and header of a `rows` x `dim` matrix."""
+    stream.write(MAGIC)
+    stream.write(_HEADER.pack(VERSION, 0, dim, rows))
+
+
+def write_label_block(stream, labels: list[str] | None) -> None:
+    """Write the label block that follows a payload: its flag, then each
+    label's length and UTF-8 bytes, in one call."""
+    if labels is None:
+        stream.write(b"\x00")
+        return
+    block = bytearray(b"\x01")  # no per-label objects outlive their row
+    for label in labels:
+        raw = label.encode("utf-8")
+        block += _U32.pack(len(raw))
+        block += raw
+    stream.write(block)
+
+
 def write_ubem_stream(stream, matrix: EmbeddingMatrix) -> None:
     """Serialize one matrix into an open binary stream."""
-    data = np.ascontiguousarray(matrix.vectors, dtype="<f4")
-    stream.write(MAGIC)
-    stream.write(_HEADER.pack(VERSION, 0, matrix.dim, matrix.rows))
-    stream.write(data)
-    if matrix.labels is None:
-        stream.write(b"\x00")
-    else:
-        block = bytearray(b"\x01")  # no per-label objects outlive their row
-        for label in matrix.labels:
-            raw = label.encode("utf-8")
-            block += _U32.pack(len(raw))
-            block += raw
-        stream.write(block)
+    write_header(stream, matrix.dim, matrix.rows)
+    stream.write(np.ascontiguousarray(matrix.vectors, dtype="<f4"))
+    write_label_block(stream, matrix.labels)
 
 
-def read_ubem_stream(stream, keep_labels: bool = True) -> EmbeddingMatrix:
-    """Parse one matrix from an open binary stream, consuming exactly its bytes.
+def _bytes_left(stream) -> int:
+    here = stream.tell()
+    left = stream.seek(0, io.SEEK_END) - here
+    stream.seek(here)
+    return left
 
-    With `keep_labels=False` every label is still read and checked, then
-    dropped, and the matrix comes back unlabeled.
+
+def read_header(stream) -> tuple[int, int]:
+    """Read a matrix's magic and header, and return its (dim, rows).
+
+    Every size the header claims is checked before anything is read or
+    allocated: the payload must fit in the bytes left in the stream, and a
+    header that claims rows of dim 0 is refused. Zero rows of any dim are
+    a valid matrix.
     """
     magic = stream.read(4)
     if magic != MAGIC:
@@ -77,16 +100,19 @@ def read_ubem_stream(stream, keep_labels: bool = True) -> EmbeddingMatrix:
     version, _flags, dim, rows = _HEADER.unpack(header)
     if version != VERSION:
         raise ValueError(f"unsupported UBEM version {version}")
-    # Check every size the file claims against the stream before reading it,
-    # so a corrupt header or label length cannot ask for a huge allocation.
+    if dim == 0 and rows:
+        raise ValueError(f"UBEM header claims {rows} rows of dim 0")
     want = rows * dim * 4
-    here = stream.tell()
-    left = stream.seek(0, io.SEEK_END) - here
-    stream.seek(here)
+    left = _bytes_left(stream)
     if left < want:
         raise ValueError(f"truncated UBEM payload: {left} of {want} bytes")
-    vectors = np.empty((rows, dim), dtype="<f4")
-    view = memoryview(vectors.reshape(-1).view(np.uint8))
+    return dim, rows
+
+
+def read_payload(stream, out: np.ndarray) -> None:
+    """Fill the C-ordered float32 array `out` with the stream's next bytes."""
+    view = memoryview(out.reshape(-1).view(np.uint8))
+    want = len(view)
     got = 0
     while got < want:
         n = stream.readinto(view[got:])
@@ -94,32 +120,48 @@ def read_ubem_stream(stream, keep_labels: bool = True) -> EmbeddingMatrix:
             raise ValueError(f"truncated UBEM payload: {got} of {want} bytes")
         got += n
 
-    labels: list[str] | None = None
+
+def read_label_block(stream, rows: int) -> Iterator[str] | None:
+    """Read the flag of the label block that follows a payload of `rows`
+    rows: None when the matrix has no labels, else an iterator that reads,
+    checks and yields each label in turn."""
     flag = stream.read(1)
     if flag == b"\x01":
-        labels = [] if keep_labels else None
-        left -= want + 1
-        for row in range(rows):
-            raw_len = stream.read(_U32.size)
-            if len(raw_len) != _U32.size:
-                raise ValueError("truncated UBEM label block")
-            (n,) = _U32.unpack(raw_len)
-            left -= _U32.size
-            if n > left:
-                raise ValueError(f"label of row {row}: length {n} but {left} bytes left")
-            left -= n
-            raw = stream.read(n)
-            if len(raw) != n:
-                raise ValueError("truncated UBEM label string")
-            try:
-                label = raw.decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise ValueError(f"label of row {row}: {_bad_utf8(e)}") from None
-            if labels is not None:
-                labels.append(label)
-    elif flag not in (b"", b"\x00"):
+        return _labels(stream, rows)
+    if flag not in (b"", b"\x00"):
         raise ValueError(f"bad UBEM label flag {flag!r}")
-    return EmbeddingMatrix(vectors, labels)
+    return None
+
+
+def _labels(stream, rows: int) -> Iterator[str]:
+    # Each length is checked against the bytes left before it is read, so a
+    # corrupt one cannot ask the stream for up to 4 GiB.
+    left = _bytes_left(stream)
+    for row in range(rows):
+        raw_len = stream.read(_U32.size)
+        if len(raw_len) != _U32.size:
+            raise ValueError("truncated UBEM label block")
+        (n,) = _U32.unpack(raw_len)
+        left -= _U32.size
+        if n > left:
+            raise ValueError(f"label of row {row}: length {n} but {left} bytes left")
+        left -= n
+        raw = stream.read(n)
+        if len(raw) != n:
+            raise ValueError("truncated UBEM label string")
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError(f"label of row {row}: {_bad_utf8(e)}") from None
+
+
+def read_ubem_stream(stream) -> EmbeddingMatrix:
+    """Parse one matrix from an open binary stream, consuming exactly its bytes."""
+    dim, rows = read_header(stream)
+    vectors = np.empty((rows, dim), dtype="<f4")
+    read_payload(stream, vectors)
+    labels = read_label_block(stream, rows)
+    return EmbeddingMatrix(vectors, None if labels is None else list(labels))
 
 
 def write_ubem(path, matrix: EmbeddingMatrix) -> None:
@@ -127,14 +169,21 @@ def write_ubem(path, matrix: EmbeddingMatrix) -> None:
         write_ubem_stream(f, matrix)
 
 
-def read_ubem_file_stream(stream, path, keep_labels: bool = True) -> EmbeddingMatrix:
-    """`read_ubem_stream` on an open file; a ValueError names the file."""
+@contextmanager
+def naming(path) -> Iterator[None]:
+    """Re-raise a ValueError of the block as one that names `path`."""
     try:
-        return read_ubem_stream(stream, keep_labels)
+        yield
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
 
 
-def read_ubem(path, keep_labels: bool = True) -> EmbeddingMatrix:
+def read_ubem_file_stream(stream, path) -> EmbeddingMatrix:
+    """`read_ubem_stream` on an open file; a ValueError names the file."""
+    with naming(path):
+        return read_ubem_stream(stream)
+
+
+def read_ubem(path) -> EmbeddingMatrix:
     with open(path, "rb") as f:
-        return read_ubem_file_stream(f, path, keep_labels)
+        return read_ubem_file_stream(f, path)

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from kbfiles import kb_from_parts, write_kb_files
 from modalign.centers import localize, sweep_k
 from modalign.evaluation import (
     ScoringMode,
@@ -23,9 +24,6 @@ from modalign.kb import (
     KnowledgeRecord,
     Source,
     build,
-    from_parts,
-    records_writer,
-    save_records,
     write_kb_dir,
 )
 from modalign.pipeline import load_labels, load_pipeline_config, run_pipeline
@@ -109,7 +107,7 @@ def test_c04_center_prefix_property():
                 KnowledgeRecord(f"cat{c}_{i}", f"cat{c}", "text", Source.LLM_CATEGORY)
             )
             vectors.append(direction + 0.6 * rng.standard_normal(12))
-    kb = from_parts(records, np.stack(vectors))
+    kb = kb_from_parts(records, np.stack(vectors))
 
     sweeps = sweep_k(kb, prompts, [10, 25, 50, 100])
     ks = sorted(sweeps)
@@ -283,13 +281,11 @@ def test_c10_format_round_trip(tmp_path):
         for i in range(10):
             source = Source.LLM_CATEGORY if i % 2 else Source.MLLM_DATA
             records.append(KnowledgeRecord(f"c{c}_{i}", f"cat{c}", f"d{i}", source))
-    kb = from_parts(records, rng.standard_normal((30, 8)))
     dir_a, dir_b = tmp_path / "kb_a", tmp_path / "kb_b"
-    save_records(dir_a / "records.jsonl", records)
-    write_kb_dir(kb, dir_a)
-    with records_writer(dir_b) as sink:
+    with write_kb_dir(dir_a) as sink:
+        kb = build(*write_kb_files(tmp_path, records, rng.standard_normal((30, 8))), sink)
+    with write_kb_dir(dir_b) as sink:
         rebuilt = build(dir_a / "records.jsonl", dir_a / "embeddings.ubem", sink)
-        write_kb_dir(rebuilt, dir_b)
     assert (dir_a / "records.jsonl").read_bytes() == (dir_b / "records.jsonl").read_bytes()
     assert (dir_a / "embeddings.ubem").read_bytes() == (dir_b / "embeddings.ubem").read_bytes()
     assert rebuilt.ids == kb.ids == [r.id for r in records]

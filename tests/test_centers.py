@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import modalign.centers
+from kbfiles import kb_from_parts, kb_rows, whole_matrix_ingest
 from modalign.centers import (
     load_center_set,
     localize,
@@ -16,11 +17,13 @@ from modalign.centers import (
     sweep_k,
 )
 from modalign.errors import DimensionMismatch, MissingCategory
-from modalign.kb import KnowledgeRecord, Source, from_parts
-from modalign.vectors import NORM_BLOCK_ROWS, EmbeddingMatrix, cosine, top_k
+from modalign.kb import KnowledgeRecord, Source
+from modalign.vectors import NORM_BLOCK_ROWS, EmbeddingMatrix, cosine, row_blocks, top_k
 
 
-def synthetic_kb(categories, per_category, dim, seed=0, source=Source.LLM_CATEGORY):
+def synthetic_parts(categories, per_category, dim, seed=0, source=Source.LLM_CATEGORY):
+    """Records and raw vectors of `per_category` descriptions scattered
+    around each category's direction, and those directions."""
     rng = np.random.default_rng(seed)
     records = []
     vectors = []
@@ -34,7 +37,26 @@ def synthetic_kb(categories, per_category, dim, seed=0, source=Source.LLM_CATEGO
                 KnowledgeRecord(f"{name}_{i}", name, f"text {i}", source)
             )
             vectors.append(direction + 0.5 * rng.standard_normal(dim))
-    return from_parts(records, np.stack(vectors)), anchors
+    return records, np.stack(vectors), anchors
+
+
+def synthetic_kb(categories, per_category, dim, seed=0, source=Source.LLM_CATEGORY):
+    records, vectors, anchors = synthetic_parts(categories, per_category, dim, seed, source)
+    return kb_from_parts(records, vectors), anchors
+
+
+def blockwise_ranking(unit, rows, prompt, width):
+    """Members and scores of one `top_k` per `row_blocks` block of `rows`
+    over the in-memory unit rows `unit`, merged by one stable sort."""
+    winners, scores = [], []
+    for block in row_blocks(len(rows)):
+        keys = rows[block]
+        order, block_scores = top_k(prompt[None, :], unit[keys], width)
+        winners += [keys[i] for i in order[0].tolist()]
+        scores.append(block_scores[0])
+    scores = np.concatenate(scores)
+    keep = np.argsort(-scores, kind="stable")[:width]
+    return [winners[i] for i in keep.tolist()], scores[keep].tolist()
 
 
 class TestPromptSet:
@@ -91,10 +113,12 @@ class TestLocalize:
         assert all(c.size == 5 for c in centers.centers.values())
 
     def test_exact_prompt_copy_is_first_member(self):
-        kb, anchors = synthetic_kb(["a", "b"], 30, 8, seed=2)
+        records, vectors, anchors = synthetic_parts(["a", "b"], 30, 8, seed=2)
         # plant an exact copy of the prompt inside category "a"
-        row = kb.category_rows("a")[4]
-        kb.embeddings.vectors[row] = anchors["a"].astype(np.float32)
+        row = 4  # the category's fifth row
+        vectors[row] = anchors["a"].astype(np.float32)
+        kb = kb_from_parts(records, vectors)
+        assert kb.category_rows("a")[4] == row
         centers = localize(kb, anchors, k=5)
         assert centers.centers["a"].member_rows[0] == row
         assert centers.centers["a"].member_scores[0] == pytest.approx(1.0, abs=1e-6)
@@ -102,10 +126,11 @@ class TestLocalize:
     def test_members_match_per_category_sort_oracle(self):
         kb, anchors = synthetic_kb(["a", "b", "c"], 200, 12, seed=7)
         centers = localize(kb, anchors, k=50)
+        unit = kb_rows(kb)
         for name in ("a", "b", "c"):
             rows = kb.category_rows(name)
             scores = {
-                r: cosine(anchors[name], kb.embeddings.vectors[r]) for r in rows
+                r: cosine(anchors[name], unit[r]) for r in rows
             }
             expected = sorted(rows, key=lambda r: (-scores[r], r))[:50]
             assert centers.centers[name].member_rows == expected
@@ -135,24 +160,26 @@ class TestLocalize:
     def test_member_dominance_exhaustive(self):
         kb, anchors = synthetic_kb(["a", "b"], 40, 6, seed=11)
         centers = localize(kb, anchors, k=10)
+        unit = kb_rows(kb)
         for name, center in centers.centers.items():
             member_set = set(center.member_rows)
             floor = min(center.member_scores)
             for row in kb.category_rows(name):
                 if row not in member_set:
-                    assert cosine(anchors[name], kb.embeddings.vectors[row]) <= floor
+                    assert cosine(anchors[name], unit[row]) <= floor
 
     def test_exact_ties_straddling_blocks_equal_one_top_k(self):
         # 42 exact copies of one row near the prompt, placed so the ties
         # straddle both block boundaries (1024 and 2048) of 2600 candidates.
-        kb, anchors = synthetic_kb(["a"], 2600, 32, seed=5)
+        records, vectors, anchors = synthetic_parts(["a"], 2600, 32, seed=5)
         prompt = anchors["a"]
-        rows = kb.category_rows("a")
-        vectors = kb.embeddings.vectors
         copy = prompt + 0.05 * np.random.default_rng(6).standard_normal(32)
         planted = [3, *range(1000, 1030), *range(2040, 2050), 2599]
-        vectors[[rows[p] for p in planted]] = (copy / np.linalg.norm(copy)).astype(np.float32)
-        order, scores = top_k(prompt[None, :], vectors[rows], len(rows))
+        vectors[planted] = (copy / np.linalg.norm(copy)).astype(np.float32)
+        kb = kb_from_parts(records, vectors)
+        rows = kb.category_rows("a")
+        assert rows == list(range(2600))
+        order, scores = top_k(prompt[None, :], kb_rows(kb)[rows], len(rows))
         assert order[0][:42].tolist() == planted  # the copies tie, lowest row first
         assert len(set(scores[0][:42].tolist())) == 1
         for k in (1, 10, 25, 43, 50, 2600):
@@ -168,20 +195,34 @@ class TestLocalize:
     def test_lone_last_row_is_scored_with_its_block(self):
         # A product with one key row sums in a different order from a wide
         # one, so a lone last row would score differently in its own block.
-        kb, anchors = synthetic_kb(["a", "b", "c", "d"], NORM_BLOCK_ROWS + 1, 256, seed=8)
-        centers = localize(kb, anchors, k=NORM_BLOCK_ROWS + 1)
-        for name, center in centers.centers.items():
-            rows = kb.category_rows(name)
-            order, scores = top_k(anchors[name][None, :], kb.embeddings.vectors[rows], len(rows))
-            assert center.member_rows == [rows[i] for i in order[0].tolist()]
-            assert center.member_scores == scores[0].tolist()
+        # Each category's rows are one run of the file, or, interleaved,
+        # none of them is next to another of its category.
+        for layout in ("runs", "interleaved"):
+            names = ["a", "b", "c", "d"] if layout == "runs" else ["a", "b", "c"]
+            records, vectors, anchors = synthetic_parts(names, NORM_BLOCK_ROWS + 1, 256, seed=8)
+            if layout == "interleaved":
+                order = np.arange(len(records)).reshape(len(names), -1).T.reshape(-1)
+                records, vectors = [records[i] for i in order], vectors[order]
+            kb = kb_from_parts(records, vectors)
+            unit = whole_matrix_ingest(vectors)
+            centers = localize(kb, anchors, k=NORM_BLOCK_ROWS + 1)
+            for name, center in centers.centers.items():
+                rows = kb.category_rows(name)
+                assert len(rows) == NORM_BLOCK_ROWS + 1
+                assert layout == "runs" or {j - i for i, j in zip(rows, rows[1:])} == {3}
+                order, scores = top_k(anchors[name][None, :], unit[rows], len(rows))
+                assert center.member_rows == [rows[i] for i in order[0].tolist()]
+                assert center.member_scores == scores[0].tolist()
+                assert (center.member_rows, center.member_scores) == blockwise_ranking(
+                    unit, rows, anchors[name], len(rows)
+                )
 
     def test_ranks_in_blocks_without_a_full_size_copy(self):
         # One top_k over every candidate makes a float64 copy of them all
         # (2x the float32 candidates) plus scores and sort order; ranking
         # block by block holds a block's worth of those at a time.
         kb, anchors = synthetic_kb(["a"], 8 * NORM_BLOCK_ROWS, 32, seed=9)
-        candidate_bytes = kb.embeddings.vectors.nbytes
+        candidate_bytes = kb.size * kb.dim * 4
         tracemalloc.start()
         try:
             localize(kb, anchors, k=50)
@@ -233,7 +274,7 @@ class TestSweepK:
             KnowledgeRecord(kb.ids[r], name, "text", Source.LLM_CATEGORY)
             for name, block in rows.items() for r in block
         ]
-        kb = from_parts(records, kb.embeddings.vectors[rows["big"] + rows["lone"]])
+        kb = kb_from_parts(records, kb_rows(kb)[rows["big"] + rows["lone"]])
         with caplog.at_level(logging.WARNING):
             sweeps = sweep_k(kb, anchors, [2, 10])
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
@@ -335,26 +376,44 @@ class TestPromptsFromMatrix:
 @pytest.mark.parametrize("source", list(Source))
 def test_source_filter_gives_the_members_of_that_sources_rows_alone(source):
     # Filtering the candidates by source must pick the members that a
-    # knowledge base of only that source's rows picks.
-    rng = np.random.default_rng(12)
-    anchors = {name: rng.standard_normal(8) for name in ("a", "b", "c")}
-    records, vectors = [], []
-    for name, anchor in anchors.items():
-        for i in range(40):
-            kind = Source.MLLM_DATA if rng.integers(3) == 0 else Source.LLM_CATEGORY
-            records.append(KnowledgeRecord(f"{name}_{i}", name, "text", kind))
-            vectors.append(anchor + rng.standard_normal(8))
-    order = rng.permutation(len(records))  # categories and sources interleaved
-    records = [records[i] for i in order]
-    vectors = np.stack(vectors)[order]
-    kb = from_parts(records, vectors)
-    keep = [i for i, r in enumerate(records) if r.source == source]
-    alone = from_parts([records[i] for i in keep], vectors[keep])
-    filtered = localize(kb, anchors, k=10, source_filter=source)
-    direct = localize(alone, anchors, k=10)
-    assert filtered.members.labels == direct.members.labels
-    for name in anchors:
-        got, want = filtered.centers[name], direct.centers[name]
-        assert [keep.index(r) for r in got.member_rows] == want.member_rows
-        assert got.member_scores == pytest.approx(want.member_scores, abs=1e-12)
-        assert all(records[r].source == source for r in got.member_rows)
+    # knowledge base of only that source's rows picks. The rows are
+    # shuffled, so categories and sources interleave; or they interleave
+    # one by one, category after category and source after source; or one
+    # category has NORM_BLOCK_ROWS + 1 candidates of each source, so its
+    # lone last candidate joins the block before it.
+    for layout in ("shuffled", "interleaved", "one-block"):
+        rng = np.random.default_rng(12)
+        names = ("a",) if layout == "one-block" else ("a", "b", "c")
+        per_category = 2 * (NORM_BLOCK_ROWS + 1) if layout == "one-block" else 40
+        anchors = {name: rng.standard_normal(8) for name in names}
+        records, vectors = [], []
+        for i in range(per_category):
+            for name, anchor in anchors.items():
+                if layout == "shuffled":
+                    kind = Source.MLLM_DATA if rng.integers(3) == 0 else Source.LLM_CATEGORY
+                else:
+                    kind = list(Source)[i % 2]
+                records.append(KnowledgeRecord(f"{name}_{i}", name, "text", kind))
+                vectors.append(anchor + rng.standard_normal(8))
+        order = rng.permutation(len(records)) if layout == "shuffled" else range(len(records))
+        records = [records[i] for i in order]
+        vectors = np.stack(vectors)[order]
+        kb = kb_from_parts(records, vectors)
+        keep = [i for i, r in enumerate(records) if r.source == source]
+        alone = kb_from_parts([records[i] for i in keep], vectors[keep])
+        width = NORM_BLOCK_ROWS + 1 if layout == "one-block" else 10
+        filtered = localize(kb, anchors, k=width, source_filter=source)
+        direct = localize(alone, anchors, k=width)
+        assert filtered.members.labels == direct.members.labels
+        unit = whole_matrix_ingest(vectors)
+        for name in anchors:
+            got, want = filtered.centers[name], direct.centers[name]
+            assert [keep.index(r) for r in got.member_rows] == want.member_rows
+            assert got.member_scores == pytest.approx(want.member_scores, abs=1e-12)
+            assert all(records[r].source == source for r in got.member_rows)
+            # Bit for bit the ranking of the filtered rows, block by block, in memory.
+            rows = kb.category_rows(name, source)
+            assert layout == "shuffled" or rows == keep[names.index(name) :: len(names)]
+            assert (got.member_rows, got.member_scores) == blockwise_ranking(
+                unit, rows, anchors[name], width
+            )

@@ -18,7 +18,7 @@ from modalign.pipeline import categories_for, load_labels
 from modalign.serialize import fixed_json
 from modalign.synthetic import SyntheticSpec, generate_synthetic
 from modalign.training import default_adapter, load_adapter, save_adapter
-from modalign.ubem import read_ubem, write_ubem
+from modalign.ubem import MAGIC, read_ubem, write_ubem
 from modalign.vectors import EmbeddingMatrix
 
 
@@ -358,17 +358,37 @@ def test_bad_pipeline_config_exits_2_naming_file_and_key(bundle, tmp_path, key, 
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("fault", ["count", "duplicate", "malformed-last-line", "dim"])
+def test_header_claiming_rows_of_dim_0_exits_2_naming_the_file(bundle, tmp_path, capsys):
+    # 2^40 rows of dim 0 fit in 0 payload bytes; their row ids would not.
+    path = tmp_path / "dim0.ubem"
+    path.write_bytes(MAGIC + struct.pack("<HHIQ", 1, 0, 0, 1 << 40) + b"\x00")
+    code = main([
+        "eval", "retrieval", "--queries", str(path), "--gallery", str(bundle.visual["mod1"]),
+        "--labels", str(bundle.labels), "--report", str(tmp_path / "report.json"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {path}: UBEM header claims {1 << 40} rows of dim 0\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["count", "duplicate", "malformed-last-line", "dim", "zero-last-row", "label-not-utf8"],
+)
 def test_failed_kb_build_stage_leaves_no_kb_file(bundle, tmp_path, fault):
     # The records stream into the temp file of kb/records.jsonl as they are
-    # parsed. A kb-build stage that fails at any check, the dim check after
-    # `build` included, leaves neither kb file, nor that temp file.
+    # parsed, and the normalized rows into that of kb/embeddings.ubem as
+    # they are checked, so a fault in the last block of rows, or in the
+    # label block after them, meets both temp files written. A kb-build
+    # stage that fails at any check, the dim check after `build` included,
+    # leaves neither kb file, nor a temp file.
     lines = bundle.records.read_text(encoding="utf-8").splitlines(keepends=True)
     embeddings = read_ubem(bundle.kb_embeddings)
     vectors = embeddings.vectors
     if fault == "count":
         lines = lines[:-1]
-        problem = f"{len(lines)} records but {len(lines) + 1} embedding rows"
+        problem = f"EMBEDDINGS: {len(lines)} records but {len(lines) + 1} embedding rows"
     elif fault == "duplicate":
         lines[2] = lines[1]
         record_id = json.loads(lines[1])["id"]
@@ -376,13 +396,25 @@ def test_failed_kb_build_stage_leaves_no_kb_file(bundle, tmp_path, fault):
     elif fault == "malformed-last-line":
         lines[-1] = lines[-1][:-3] + "\n"  # cut inside the closing string
         problem = f"RECORDS: line {len(lines)}: invalid JSON"
-    else:
+    elif fault == "dim":
         vectors = np.hstack([vectors, vectors[:, :1]])
         problem = f"KB dim {vectors.shape[1]} != prompt dim {vectors.shape[1] - 1}"
+    elif fault == "zero-last-row":
+        vectors[-1] = 0.0
+        problem = f"EMBEDDINGS: embedding row {len(vectors) - 1} has norm 0.000e+00"
+    else:
+        problem = (
+            f"EMBEDDINGS: label of row {len(vectors) - 1}: "
+            "invalid UTF-8 (byte 0xff at offset 0: invalid start byte)"
+        )
     records = tmp_path / "records.jsonl"
     records.write_text("".join(lines), encoding="utf-8")
     matrix = tmp_path / "kb.ubem"
     write_ubem(matrix, EmbeddingMatrix(vectors, embeddings.labels))
+    if fault == "label-not-utf8":  # the last label's first byte
+        raw = bytearray(matrix.read_bytes())
+        raw[-len(embeddings.labels[-1].encode())] = 0xFF
+        matrix.write_bytes(bytes(raw))
     config = json.loads(bundle.pipeline_config.read_text())
     config.update(records=str(records), embeddings=str(matrix))
     path = bundle.root / f"kb_fault_{fault}.json"
@@ -391,10 +423,12 @@ def test_failed_kb_build_stage_leaves_no_kb_file(bundle, tmp_path, fault):
     proc = run_cli("pipeline", "run", "--config", path, "--out", out)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert f"stage 'kb-build': {problem.replace('RECORDS', str(records))}" in proc.stderr
+    problem = problem.replace("RECORDS", str(records)).replace("EMBEDDINGS", str(matrix))
+    assert f"stage 'kb-build': {problem}" in proc.stderr
     assert not (out / "kb" / "records.jsonl").exists()
     assert not (out / "kb" / "embeddings.ubem").exists()
     assert not list(out.glob("kb/.records.jsonl.*"))
+    assert not list(out.glob("kb/.embeddings.ubem.*"))
     assert not out.exists()  # nor any directory made for them
 
 

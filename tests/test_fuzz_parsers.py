@@ -2,15 +2,18 @@
 object or raises ModalignError/ValueError, whatever JSON it is handed."""
 
 import json
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kbfiles import kb_from_parts
+from modalign.cli import main
 from modalign.centers import CenterSet, load_center_set, localize, save_center_set
 from modalign.errors import DuplicateId, MalformedRecord, ModalignError
-from modalign.kb import KnowledgeRecord, Source, from_parts, load_records
+from modalign.kb import KnowledgeRecord, Source, load_records
 from modalign.pipeline import (
     PipelineConfig,
     load_labels,
@@ -19,6 +22,7 @@ from modalign.pipeline import (
     load_relevance,
 )
 from modalign.serialize import read_jsonl
+from modalign.synthetic import SyntheticSpec, generate_synthetic
 from modalign.training import (
     LinearAdapter,
     TrainConfig,
@@ -259,7 +263,7 @@ def center_file(tmp_path_factory):
     records = [
         KnowledgeRecord(f"{c}_{i}", c, "text", Source.LLM_CATEGORY) for c in "ab" for i in range(4)
     ]
-    kb = from_parts(records, rng.standard_normal((8, 5)))
+    kb = kb_from_parts(records, rng.standard_normal((8, 5)))
     path = tmp_path_factory.mktemp("cset") / "valid.cset"
     save_center_set(path, localize(kb, {c: rng.standard_normal(5) for c in "ab"}, k=3))
     return header_and_blobs(path)
@@ -296,6 +300,54 @@ def test_adapter_header_yields_an_adapter_or_a_value_error(tmp_path, adapter_fil
     if loaded is not None:
         assert isinstance(loaded, LinearAdapter) and isinstance(loaded.modality, str)
         assert (loaded.dim_in, loaded.dim_out) == (3, 4)
+
+
+@pytest.fixture(scope="module")
+def tiny_bundle(tmp_path_factory):
+    spec = SyntheticSpec(
+        categories=2, modalities=2, samples_per_class=2, dim=4, descriptions_per_class=3, seed=1,
+    )
+    return generate_synthetic(spec, tmp_path_factory.mktemp("tiny_bundle"))
+
+
+@st.composite
+def mutated_bytes(draw, raw: bytes):
+    """`raw` truncated, with one byte flipped, or with a span replaced by
+    other bytes."""
+    kind = draw(st.sampled_from(["truncate", "flip", "splice"]))
+    at = draw(st.integers(0, len(raw) - 1))
+    if kind == "truncate":
+        return raw[:at]
+    if kind == "flip":
+        return raw[:at] + bytes([raw[at] ^ draw(st.integers(1, 255))]) + raw[at + 1 :]
+    end = draw(st.integers(at, min(len(raw), at + 32)))
+    return raw[:at] + draw(st.binary(max_size=32)) + raw[end:]
+
+
+@given(data=st.data())
+@settings(FUZZ, max_examples=150)
+def test_kb_build_and_stats_on_a_mutated_embeddings_file_exit_0_or_2(
+    tmp_path, tiny_bundle, capsys, data
+):
+    # `kb build` on the bundle's records and a mutated KB embeddings UBEM
+    # ends in exit 0, or in exit 2 with the file named, never a traceback;
+    # `kb stats` then reads what a clean build wrote.
+    path = tmp_path / "kb.ubem"
+    path.write_bytes(data.draw(mutated_bytes(tiny_bundle.kb_embeddings.read_bytes())))
+    out = tempfile.mkdtemp(dir=tmp_path)
+    capsys.readouterr()
+    code = main([
+        "kb", "build", "--records", str(tiny_bundle.records), "--embeddings", str(path),
+        "--out", out,
+    ])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith(f"error: {path}: ")
+        return
+    assert main(["kb", "stats", "--kb", out]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 DEEP = "[" * 100_000 + "]" * 100_000

@@ -14,21 +14,21 @@ from modalign.errors import (
     MalformedRecord,
     ZeroVector,
 )
+from kbfiles import kb_from_parts, kb_rows, whole_matrix_ingest, write_kb_files
 from modalign.kb import (
     KnowledgeRecord,
     Source,
     build,
-    from_parts,
     load_kb_dir,
     load_records,
-    records_writer,
     save_records,
     write_kb_dir,
     _ingest_rows,
 )
 from modalign.centers import load_center_set, localize, save_center_set
+from modalign.training import resolve_pairs
 from modalign.ubem import read_ubem, write_ubem
-from modalign.vectors import NORM_BLOCK_ROWS, UNIT_TOLERANCE, EmbeddingMatrix
+from modalign.vectors import NORM_BLOCK_ROWS, EmbeddingMatrix
 
 
 def make_records(n, category="fish", source=Source.LLM_CATEGORY, prefix="rec"):
@@ -36,14 +36,6 @@ def make_records(n, category="fish", source=Source.LLM_CATEGORY, prefix="rec"):
         KnowledgeRecord(f"{prefix}_{i}", category, f"description {i}", source)
         for i in range(n)
     ]
-
-
-def write_kb_files(tmp_path, records, vectors):
-    records_path = tmp_path / "records.jsonl"
-    embeddings_path = tmp_path / "embeddings.ubem"
-    save_records(records_path, records)
-    write_ubem(embeddings_path, EmbeddingMatrix(np.asarray(vectors, dtype=np.float32)))
-    return records_path, embeddings_path
 
 
 def parsed_text(path) -> str:
@@ -147,7 +139,7 @@ class TestBuild:
             build(*paths)
 
     def test_embeddings_normalized_on_ingest(self, small_kb):
-        norms = np.linalg.norm(small_kb.embeddings.vectors.astype(np.float64), axis=1)
+        norms = np.linalg.norm(kb_rows(small_kb).astype(np.float64), axis=1)
         assert np.abs(norms - 1.0).max() < 1e-6
 
 
@@ -166,7 +158,7 @@ class TestCategoryIndex:
 
     @pytest.fixture
     def mixed_kb(self, mixed_records):
-        return from_parts(mixed_records, np.random.default_rng(5).standard_normal((300, 6)))
+        return kb_from_parts(mixed_records, np.random.default_rng(5).standard_normal((300, 6)))
 
     def test_values_are_ascending_intp_arrays(self, mixed_kb, mixed_records):
         assert set(mixed_kb.category_index) == {r.category for r in mixed_records}
@@ -189,7 +181,7 @@ class TestCategoryIndex:
         assert mixed_kb.category_rows("absent", source) == []
 
     def test_empty_knowledge_base_has_no_categories(self):
-        kb = from_parts([], np.zeros((0, 4)))
+        kb = kb_from_parts([], np.zeros((0, 4)))
         assert kb.category_index == {}
         assert kb.category_rows("c0") == []
 
@@ -334,7 +326,7 @@ class TestCategoryRows:
         # category-description generation produces 1,000 rows per category
         records = make_records(1000, category="water snake")
         rng = np.random.default_rng(1)
-        kb = from_parts(records, rng.standard_normal((1000, 4)).astype(np.float32))
+        kb = kb_from_parts(records, rng.standard_normal((1000, 4)).astype(np.float32))
         assert len(kb.category_rows("water snake")) == 1000
 
     def test_unknown_category_empty(self, small_kb):
@@ -363,28 +355,27 @@ class TestCategoryRows:
 
 class TestPairedTextEmbedding:
     def test_direct_lookup(self, small_kb):
-        v = small_kb.embeddings.vectors[small_kb.pair_index["s1"]]
-        assert np.array_equal(v, small_kb.embeddings.vectors[3])
+        v = small_kb.read_rows([small_kb.pair_index["s1"]])
+        assert np.array_equal(v, kb_rows(small_kb)[3:4])
 
     def test_all_samples_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
         records = make_records(100, category="dog", source=Source.MLLM_DATA, prefix="img")
-        kb = from_parts(records, rng.standard_normal((100, 6)))
+        kb = kb_from_parts(records, rng.standard_normal((100, 6)))
+        rows = kb_rows(kb)
         for row, record in enumerate(records):
-            got = kb.embeddings.vectors[kb.pair_index[record.id]]
-            assert np.array_equal(got, kb.embeddings.vectors[row])
+            got = kb.read_rows([kb.pair_index[record.id]])
+            assert np.array_equal(got, rows[row : row + 1])
 
 
 class TestExportRoundtrip:
     def test_export_build_identical(self, tmp_path, small_paths):
         out1 = tmp_path / "kb1"
         out2 = tmp_path / "kb2"
-        with records_writer(out1) as sink:
+        with write_kb_dir(out1) as sink:
             kb1 = build(*small_paths, sink)
-            write_kb_dir(kb1, out1)
-        with records_writer(out2) as sink:
+        with write_kb_dir(out2) as sink:
             kb2 = build(out1 / "records.jsonl", out1 / "embeddings.ubem", sink)
-            write_kb_dir(kb2, out2)
         # save_records writes canonical lines, so the parse writes them back as read.
         assert (out1 / "records.jsonl").read_bytes() == small_paths[0].read_bytes()
         assert (out1 / "records.jsonl").read_bytes() == (out2 / "records.jsonl").read_bytes()
@@ -395,46 +386,74 @@ class TestExportRoundtrip:
         assert kb2.category_index.keys() == kb1.category_index.keys()
         for category, rows in kb1.category_index.items():
             assert kb2.category_index[category].tolist() == rows.tolist()
-        assert kb2.embeddings.vectors.tobytes() == kb1.embeddings.vectors.tobytes()
+        assert kb_rows(kb2).tobytes() == kb_rows(kb1).tobytes()
+        # Each knowledge base reads its rows from the file its build wrote.
+        assert (kb1.path, kb2.path) == (out1 / "embeddings.ubem", out2 / "embeddings.ubem")
 
-    def test_export_writes_the_embeddings_labels(self, tmp_path, small_kb):
-        write_kb_dir(small_kb, tmp_path / "kb")
+    def test_export_writes_the_embeddings_labels(self, tmp_path, small_paths):
+        with write_kb_dir(tmp_path / "kb") as sink:
+            kb = build(*small_paths, sink)
         written = read_ubem(tmp_path / "kb" / "embeddings.ubem")
         ids = [r.id for r in SMALL_RECORDS]
-        assert written.labels == ids
-        # The matrix's labels are the knowledge base's one list of ids.
-        assert small_kb.embeddings.labels is small_kb.ids
-        assert small_kb.ids == ids
-        save_records(tmp_path / "kb" / "records.jsonl", SMALL_RECORDS)
+        assert written.labels == ids == kb.ids
+        # The written payload is the normalized rows, as the knowledge base reads them.
+        assert written.vectors.tobytes() == kb_rows(kb).tobytes()
         assert load_kb_dir(tmp_path / "kb").ids == ids
 
-    def test_export_builds_no_matrix(self, tmp_path, small_kb, monkeypatch):
-        # Ingest checked the payload once; a new EmbeddingMatrix would scan
-        # the whole payload for NaN and Inf again.
+    def test_export_builds_no_matrix(self, tmp_path, small_paths, monkeypatch):
+        # Each block is checked once as it is read; a new EmbeddingMatrix
+        # would scan the whole payload for NaN and Inf again.
         def built(self):
-            raise AssertionError("write_kb_dir built an EmbeddingMatrix")
+            raise AssertionError("build built an EmbeddingMatrix")
 
         monkeypatch.setattr(EmbeddingMatrix, "__post_init__", built)
-        write_kb_dir(small_kb, tmp_path / "kb")
+        with write_kb_dir(tmp_path / "kb") as sink:
+            kb = build(*small_paths, sink)
         monkeypatch.undo()
-        assert read_ubem(tmp_path / "kb" / "embeddings.ubem").labels == small_kb.ids
+        assert read_ubem(tmp_path / "kb" / "embeddings.ubem").labels == kb.ids
 
     def test_ingest_idempotent_at_byte_level(self):
         rng = np.random.default_rng(5)
         records = make_records(20)
-        kb1 = from_parts(records, rng.standard_normal((20, 8)))
-        kb2 = from_parts(records, kb1.embeddings.vectors)
-        assert kb2.embeddings.vectors.tobytes() == kb1.embeddings.vectors.tobytes()
+        kb1 = kb_from_parts(records, rng.standard_normal((20, 8)))
+        kb2 = kb_from_parts(records, kb_rows(kb1))
+        assert kb_rows(kb2).tobytes() == kb_rows(kb1).tobytes()
 
 
-def _whole_matrix_ingest(vectors):
-    """Reference: one float64 pass over the whole matrix."""
-    x = np.ascontiguousarray(vectors, dtype=np.float32)
-    norms = np.linalg.norm(x.astype(np.float64), axis=1)
-    needs = np.abs(norms - 1.0) > UNIT_TOLERANCE
-    out = x.copy()
-    out[needs] = (x[needs].astype(np.float64) / norms[needs, None]).astype(np.float32)
-    return out
+@pytest.mark.parametrize("reader", ["localize", "resolve_pairs"])
+@pytest.mark.parametrize("fault", ["nan", "inf", "zero", "replaced"])
+def test_row_spoiled_after_build_raises_naming_file_and_row(tmp_path, small_paths, fault, reader):
+    # The knowledge base reads its rows back from the file its build wrote,
+    # and checks each row it reads again: a row spoiled after the build
+    # raises, naming the file and the row, and is never scored; a file
+    # replaced by one of another shape raises, naming the file.
+    with write_kb_dir(tmp_path / "kb") as sink:
+        kb = build(*small_paths, sink)
+    row = kb.pair_index["s1"]  # category "cat"'s one row
+    if fault == "replaced":
+        write_ubem(kb.path, EmbeddingMatrix(np.ones((3, kb.dim), np.float32)))
+        error, problem = ValueError, "holds 3 rows of dim 8, not the knowledge base's 4 rows of dim 8"
+    else:
+        with open(kb.path, "r+b") as f:
+            f.seek(20 + row * kb.dim * 4)
+            value = {"nan": np.nan, "inf": np.inf, "zero": 0.0}[fault]
+            f.write(np.full(kb.dim, value, "<f4").tobytes())
+    if fault in ("nan", "inf"):
+        error, problem = ValueError, f"embedding matrix contains NaN or Inf in row {row}"
+    elif fault == "zero":
+        error, problem = ZeroVector, f"embedding row {row} has norm 0.000e+00"
+    prompts = {"airplane": np.ones(kb.dim), "cat": np.ones(kb.dim)}
+    with pytest.raises(error) as info:
+        if reader == "localize":
+            localize(kb, prompts, k=2)
+        else:
+            resolve_pairs([("s0", 0), ("s1", 1)], np.ones((2, kb.dim)), kb)
+    assert str(info.value) == f"{kb.path}: {problem}"
+
+
+def _ingest(x, path="m.ubem"):
+    """`_ingest_rows` on all of `x`, as rows 0.. of the file `path`."""
+    return _ingest_rows(x, path, range(len(x)))
 
 
 class TestIngestRows:
@@ -443,83 +462,98 @@ class TestIngestRows:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2 * NORM_BLOCK_ROWS + 37, 24)).astype(np.float32)
         # Every third row already unit-norm, so blocks mix both kinds.
-        x[::3] = _whole_matrix_ingest(x[::3])
+        x[::3] = whole_matrix_ingest(x[::3])
         return x
 
     def test_blocks_bit_identical_to_whole_matrix(self, mixed):
-        want = _whole_matrix_ingest(mixed)
-        _ingest_rows(mixed)  # in place
+        want = whole_matrix_ingest(mixed)
+        _ingest(mixed)  # in place
         assert mixed.tobytes() == want.tobytes()
 
     def test_owned_array_normalized_in_place(self, mixed):
-        # The knowledge base owns the array it is given: ingest writes the
-        # normalized rows into that same buffer and hands back nothing new.
-        want = _whole_matrix_ingest(mixed)
+        # Ingest writes the normalized rows into the buffer it is given and
+        # hands back nothing new.
+        want = whole_matrix_ingest(mixed)
         view = mixed[NORM_BLOCK_ROWS:]
-        assert _ingest_rows(mixed) is None
+        assert _ingest(mixed) is None
         assert mixed.tobytes() == want.tobytes()
         assert view.tobytes() == want[NORM_BLOCK_ROWS:].tobytes()
 
     def test_unit_rows_pass_through_uncopied(self, mixed):
-        unit = _whole_matrix_ingest(mixed)
+        unit = whole_matrix_ingest(mixed)
         before = unit.tobytes()
-        _ingest_rows(unit)
+        _ingest(unit)
         assert unit.tobytes() == before
 
-    def test_float64_input_converted(self, mixed):
-        # from_parts is the ingest path for in-memory arrays of any dtype.
-        wide = mixed.astype(np.float64)
-        kb = from_parts(make_records(mixed.shape[0]), wide)
-        assert kb.embeddings.vectors.dtype == np.float32
-        assert kb.embeddings.vectors.tobytes() == _whole_matrix_ingest(mixed).tobytes()
+    def test_read_rows_equal_the_whole_matrix_ingest(self, tmp_path, mixed):
+        # Build checks and normalizes the file one block at a time, and the
+        # knowledge base reads back the exported rows, or normalizes the
+        # input's rows again as it reads them: the same bits either way.
+        paths = write_kb_files(tmp_path, make_records(mixed.shape[0]), mixed)
+        want = whole_matrix_ingest(mixed).tobytes()
+        with write_kb_dir(tmp_path / "kb") as sink:
+            exported = build(*paths, sink)
+        assert exported.path == tmp_path / "kb" / "embeddings.ubem"
+        assert read_ubem(exported.path).vectors.tobytes() == want
+        kb = build(*paths)
+        assert kb.path == paths[1]
+        for rows in (kb_rows(exported), kb_rows(kb)):
+            assert rows.dtype == np.float32
+            assert rows.tobytes() == want
 
-    def test_from_parts_never_writes_the_callers_array(self, mixed):
-        before = mixed.copy()
-        kb = from_parts(make_records(mixed.shape[0]), mixed)
-        assert kb.embeddings.vectors.tobytes() == _whole_matrix_ingest(before).tobytes()
-        assert mixed.tobytes() == before.tobytes()
-        assert not np.shares_memory(kb.embeddings.vectors, mixed)
+    def test_build_never_writes_its_input_file(self, tmp_path, mixed):
+        paths = write_kb_files(tmp_path, make_records(mixed.shape[0]), mixed)
+        before = paths[1].read_bytes()
+        with write_kb_dir(tmp_path / "kb") as sink:
+            kb = build(*paths, sink)
+        assert paths[1].read_bytes() == before
+        assert kb_rows(kb).tobytes() == whole_matrix_ingest(mixed).tobytes()
 
     def test_zero_row_in_later_block_named_by_absolute_index(self, mixed):
         row = NORM_BLOCK_ROWS + 5
         mixed[row] = 0.0
         before = mixed.copy()
-        with pytest.raises(ZeroVector, match=f"embedding row {row} has norm"):
-            _ingest_rows(mixed)
+        with pytest.raises(ZeroVector, match=f"^m.ubem: embedding row {row} has norm"):
+            _ingest(mixed)
         assert mixed.tobytes() == before.tobytes()
 
 
 def test_build_and_export_hold_no_full_size_temporaries(tmp_path):
-    # Build normalizes the float32 payload it read in place, so it holds one
-    # payload; the record columns come on top. A normalized copy would add
-    # 1x and whole-matrix float64 temporaries (8 bytes per value, twice
-    # over) about 4x more. Build streams the records into their temp file as
-    # it parses them and export streams the embeddings into theirs, so
-    # export adds a small fraction of the payload; any whole-file buffer of
-    # the embeddings would add at least 1x.
-    rows, dim = 20_000, 128
+    # Build reads the embeddings one block at a time into one reused buffer
+    # and streams each normalized block into the export's temp file;
+    # localize reads one category block at a time, and resolve_pairs only
+    # the paired rows. So no step holds the float32 payload, or any
+    # full-size temporary: together they trace under half of it.
+    rows, dim, paired = 20_000, 256, 128
     records = [
-        KnowledgeRecord(f"r{i}", f"cat{i % 50}", f"description number {i}", Source.LLM_CATEGORY)
-        for i in range(rows)
+        KnowledgeRecord(f"r{i}", f"cat{i % 8}", f"description number {i}", Source.LLM_CATEGORY)
+        for i in range(rows - paired)
     ]
-    vectors = np.random.default_rng(0).standard_normal((rows, dim)).astype(np.float32)
+    records.sort(key=lambda r: r.category)  # each category one run of rows
+    records += [
+        KnowledgeRecord(f"s{i}", f"cat{i % 8}", f"caption {i}", Source.MLLM_DATA)
+        for i in range(paired)
+    ]
+    rng = np.random.default_rng(0)
+    vectors = rng.standard_normal((rows, dim)).astype(np.float32)
     paths = write_kb_files(tmp_path, records, vectors)
     payload = vectors.nbytes
+    prompts = {f"cat{c}": rng.standard_normal(dim) for c in range(8)}
+    visual = rng.standard_normal((paired, dim))
+    pairs = [(f"s{i}", i) for i in range(paired)]
     del records, vectors
     tracemalloc.start()
     try:
-        with records_writer(tmp_path / "kb") as sink:
+        with write_kb_dir(tmp_path / "kb") as sink:
             kb = build(*paths, sink)
-            _, build_peak = tracemalloc.get_traced_memory()
-            held, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            write_kb_dir(kb, tmp_path / "kb")
-            _, export_peak = tracemalloc.get_traced_memory()
+        centers = localize(kb, prompts, k=50)
+        texts = resolve_pairs(pairs, visual, kb)[1]
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert (tmp_path / "kb" / "records.jsonl").read_bytes() == paths[0].read_bytes()
-    assert build_peak < 2.5 * payload
-    assert export_peak - held < 0.25 * payload
+    assert centers.members.rows == 8 * 50 and texts.shape == (paired, dim)
+    assert peak < 0.5 * payload
 
 
 def test_save_records_streams(tmp_path):

@@ -10,7 +10,7 @@ from modalign.errors import (
     UnknownSample,
     ZeroVector,
 )
-from modalign.kb import KnowledgeRecord, Source, from_parts
+from modalign.kb import KnowledgeRecord, Source
 from modalign.training import (
     LinearAdapter,
     OptimizerKind,
@@ -25,6 +25,8 @@ from modalign.training import (
     train_config_from_dict,
 )
 from modalign.vectors import EmbeddingMatrix, normalize_rows
+
+from kbfiles import kb_from_parts, kb_rows
 
 
 def paired_kb(n, dim, seed=0, categories=2):
@@ -42,7 +44,7 @@ def paired_kb(n, dim, seed=0, categories=2):
         )
         text_vectors.append(anchors[c] + 0.2 * rng.standard_normal(dim))
         visual_vectors.append(anchors[c] + 0.2 * rng.standard_normal(dim) + 0.5)
-    kb = from_parts(records, np.stack(text_vectors))
+    kb = kb_from_parts(records, np.stack(text_vectors))
     visual = EmbeddingMatrix(np.stack(visual_vectors), [r.id for r in records])
     return kb, visual
 
@@ -125,16 +127,16 @@ class TestTrain:
 
     def test_inputs_not_mutated(self):
         kb, visual = paired_kb(40, 6, seed=9, categories=4)
-        kb_bytes = kb.embeddings.vectors.tobytes()
+        kb_bytes = kb.path.read_bytes()
         visual_bytes = visual.vectors.tobytes()
         vectors, texts = resolve_pairs(all_pairs(visual), visual, kb)
         train(vectors, texts, TrainConfig(epochs=2, batch_size=8, seed=0))
-        assert kb.embeddings.vectors.tobytes() == kb_bytes
+        assert kb.path.read_bytes() == kb_bytes
         assert visual.vectors.tobytes() == visual_bytes
 
     def test_degenerate_single_text_row(self):
         records = [KnowledgeRecord("s0", "c", "d", Source.MLLM_DATA)]
-        kb = from_parts(records, np.ones((1, 4)))
+        kb = kb_from_parts(records, np.ones((1, 4)))
         visual = np.stack([np.ones(4), np.full(4, 0.5)])
         vectors, texts = resolve_pairs([("s0", 0), ("s0", 1)], visual, kb)
         with pytest.raises(DegenerateBatch):
@@ -149,7 +151,7 @@ class TestTrain:
         kb, visual = paired_kb(12, 5, seed=14, categories=3)
         pairs = [("sample_7", 2), ("sample_0", 11), ("sample_3", 3)]
         vectors, texts = resolve_pairs(pairs, visual, kb)
-        expected = normalize_rows(kb.embeddings.vectors[[kb.pair_index[s] for s, _ in pairs]])
+        expected = normalize_rows(kb_rows(kb)[[kb.pair_index[s] for s, _ in pairs]])
         assert texts.dtype == np.float64
         assert texts.tobytes() == expected.tobytes()
         assert vectors.tobytes() == visual.vectors[[2, 11, 3]].astype(np.float64).tobytes()

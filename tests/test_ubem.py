@@ -8,7 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modalign.errors import ModalignError
-from modalign.ubem import MAGIC, read_ubem, read_ubem_stream, write_ubem, write_ubem_stream
+from modalign.ubem import (
+    MAGIC,
+    naming,
+    read_header,
+    read_label_block,
+    read_payload,
+    read_ubem,
+    read_ubem_stream,
+    write_ubem,
+    write_ubem_stream,
+)
 from modalign.vectors import EmbeddingMatrix
 
 
@@ -184,25 +194,51 @@ def test_later_label_length_counts_the_labels_before_it(tmp_path):
     assert read_ubem(path).labels == ["a", "bc"]
 
 
-def test_labels_dropped_on_request(tmp_path):
-    m = EmbeddingMatrix(np.arange(6, dtype=np.float32).reshape(2, 3), ["x", "é"])
-    path = tmp_path / "m.ubem"
-    write_ubem(path, m)
-    back = read_ubem(path, keep_labels=False)
-    assert back.labels is None
-    assert back.vectors.tobytes() == m.vectors.tobytes()
-    assert read_ubem(path).labels == m.labels
+def test_labels_dropped_on_request():
+    # The pieces `read_ubem_stream` is made of, as a reader that holds one
+    # block of rows at a time, and checks each label and drops it, uses them.
+    m = EmbeddingMatrix(np.arange(15, dtype=np.float32).reshape(5, 3), ["x", "é", "", "y", "z"])
+    stream = io.BytesIO(roundtrip_bytes(m) + b"next")
+    assert read_header(stream) == (3, 5)
+    block = np.empty((2, 3), dtype="<f4")
+    for start in (0, 2):
+        read_payload(stream, block)
+        assert block.tobytes() == m.vectors[start : start + 2].tobytes()
+    read_payload(stream, block[:1])
+    assert block[:1].tobytes() == m.vectors[4:].tobytes()
+    labels = read_label_block(stream, 5)
+    assert next(labels) == "x"
+    assert list(labels) == m.labels[1:]
+    assert stream.read() == b"next"
+    assert read_label_block(io.BytesIO(b"\x00"), 5) is None
+    assert read_label_block(io.BytesIO(b""), 5) is None
 
 
 def test_dropped_label_that_is_not_utf8_still_names_its_row(tmp_path):
     path = tmp_path / "bad.ubem"
     raw = roundtrip_bytes(EmbeddingMatrix(np.ones((3, 2), dtype=np.float32), ["a", "b", "c"]))
     path.write_bytes(raw[:-6] + b"\xff" + raw[-5:])  # the second label's one byte
-    with pytest.raises(ValueError) as info:
-        read_ubem(path, keep_labels=False)
+    with open(path, "rb") as f, pytest.raises(ValueError) as info, naming(path):
+        f.seek(20 + 3 * 2 * 4)
+        for _ in read_label_block(f, 3):
+            pass  # each label is checked and dropped
     assert str(info.value) == (
         f"{path}: label of row 1: invalid UTF-8 (byte 0xff at offset 0: invalid start byte)"
     )
+
+
+def test_header_claiming_rows_of_dim_0_rejected(tmp_path):
+    # 21 bytes that claim 2^40 rows: a payload of 0 bytes fits, and a
+    # (2^40, 0) array costs nothing, but its 2^40 row ids would not.
+    path = tmp_path / "dim0.ubem"
+    path.write_bytes(MAGIC + struct.pack("<HHIQ", 1, 0, 0, 1 << 40) + b"\x00")
+    with pytest.raises(ValueError) as info:
+        read_ubem(path)
+    assert str(info.value) == f"{path}: UBEM header claims {1 << 40} rows of dim 0"
+    # Zero rows are a valid matrix whatever the dim, dim 0 included.
+    for dim in (0, 3):
+        empty = read_ubem_stream(io.BytesIO(MAGIC + struct.pack("<HHIQ", 1, 0, dim, 0) + b"\x00"))
+        assert empty.vectors.shape == (0, dim) and empty.labels is None
 
 
 def test_unsupported_version_rejected():
