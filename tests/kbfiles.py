@@ -5,6 +5,7 @@ each one built here gets a directory of its own that lives until the test
 process exits.
 """
 
+import functools
 import tempfile
 from pathlib import Path
 
@@ -14,7 +15,11 @@ from modalign.kb import KnowledgeBase, build, save_records
 from modalign.ubem import write_ubem
 from modalign.vectors import UNIT_TOLERANCE, EmbeddingMatrix
 
-_ROOT = tempfile.TemporaryDirectory(prefix="modalign-test-kb-")
+
+@functools.cache
+def _root() -> tempfile.TemporaryDirectory:
+    """One directory for every knowledge base built here, removed at exit."""
+    return tempfile.TemporaryDirectory(prefix="modalign-test-kb-")
 
 
 def write_kb_files(directory, records, vectors) -> tuple[Path, Path]:
@@ -29,7 +34,7 @@ def write_kb_files(directory, records, vectors) -> tuple[Path, Path]:
 
 def kb_from_parts(records, vectors) -> KnowledgeBase:
     """The knowledge base `build` makes of `records` and `vectors`."""
-    return build(*write_kb_files(tempfile.mkdtemp(dir=_ROOT.name), records, vectors))
+    return build(*write_kb_files(tempfile.mkdtemp(dir=_root().name), records, vectors))
 
 
 def kb_rows(kb: KnowledgeBase) -> np.ndarray:
