@@ -15,11 +15,12 @@ at a time (NORM_BLOCK_ROWS rows; a lone last row joins the block before it)
 and the blocks' winners merged. `KnowledgeBase.read_rows` reads the unit
 rows of each block from the knowledge base's file, and those of the members
 once per k, so ranking holds one block's float32 rows and float64 copy at a
-time, never the payload or a copy of every candidate. The merge is exact: members and tie-break are those of one `top_k` over every
-candidate given the same scores. A score is computed within its block, so,
-as `vectors` says of query blocks, it can differ in the last bits from the
-score one call over all candidates gives where the BLAS splits the two
-products differently.
+time, never the payload or a copy of every candidate. The merge is exact:
+members and tie-break are those of one `top_k` over every candidate given
+the same scores. A score is computed within its block, so, as `vectors`
+says of query blocks, it can differ in the last bits from the score one
+call over all candidates gives where the BLAS splits the two products
+differently.
 """
 
 from __future__ import annotations

@@ -194,7 +194,7 @@ class KnowledgeBase:
 
 
 def _record_problem(obj) -> str:
-    """How a parsed records line that `_parse` refused breaks the table:
+    """How a parsed records line that `load_records` refused breaks the table:
     the first check it fails, in the order the fields are listed."""
     if type(obj) is not dict:
         return "record is not a JSON object"
@@ -223,15 +223,13 @@ def _record_line(
     )
 
 
-def _parse(
-    numbered: Iterable[tuple[int, object]], path=None, sink: TextIO | None = None
-) -> RecordColumns:
-    """The columns of numbered records, each a parsed JSON value, in one pass.
+def load_records(path, sink: TextIO | None = None) -> RecordColumns:
+    """The columns of a records JSONL file, parsed in one pass.
 
     Each record's canonical line goes to the text stream `sink`, when one is
-    given, as soon as it is checked. The first value that breaks the table
-    raises MalformedRecord, and the first repeated id DuplicateId, each
-    naming its line, and `path` when one is given.
+    given, as soon as it is checked. Blank lines are skipped. The first line
+    that breaks the table raises MalformedRecord, and the first repeated id
+    DuplicateId, each naming the file and the line.
     """
     write = None if sink is None else sink.write
     ids: list[str] = []
@@ -239,7 +237,7 @@ def _parse(
     categories: dict[str, float] = {}
     category_codes = array("d")
     sources = array("B")
-    for line_number, obj in numbered:
+    for line_number, obj in read_jsonl(path):
         # JSON decodes objects and strings to exact dicts and strs.
         if type(obj) is dict:
             rid, category, description, source, generator = (
@@ -255,8 +253,9 @@ def _parse(
                 if write is not None:
                     write(_record_line(rid, category, description, source, generator))
                 if rid in seen:
-                    problem = f"line {line_number}: record id {rid!r} appears more than once"
-                    raise DuplicateId(problem if path is None else f"{path}: {problem}")
+                    raise DuplicateId(
+                        f"{path}: line {line_number}: record id {rid!r} appears more than once"
+                    )
                 seen.add(rid)
                 ids.append(rid)
                 code = categories.get(category)
@@ -267,13 +266,6 @@ def _parse(
                 continue
         raise MalformedRecord(line_number, _record_problem(obj), path)
     return RecordColumns(ids, categories, category_codes, sources)
-
-
-def load_records(path, sink: TextIO | None = None) -> RecordColumns:
-    """Parse a records JSONL file in one pass (`_parse`); blank lines are
-    skipped, and the first malformed line or repeated id raises, naming the
-    file and the line."""
-    return _parse(read_jsonl(path), path, sink)
 
 
 @contextmanager
