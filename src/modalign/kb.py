@@ -289,17 +289,25 @@ def _ingest_rows(x: np.ndarray, path, rows) -> None:
     The first row that is not finite or has a norm below ZERO_NORM raises,
     naming `path` and its row. Rows whose norm is within UNIT_TOLERANCE of 1
     are not touched, so a normalize-store-reload cycle is idempotent at the
-    byte level. Norms are `row_norms` in float64, and a float32 row's sum of
-    squares is finite in float64 exactly when the row is; the rows that need
-    scaling are divided in float64 and rounded back into the array by one
-    masked `np.divide`.
+    byte level. Norms are `row_norms` in float64, where a float32 row's sum
+    of squares is finite exactly when the row is; the rows that need scaling
+    are divided in float64 and rounded back into the array by one masked
+    `np.divide`. The checks on a clean block run only numpy routines that
+    an ingest of the whole payload ran.
     """
     if not len(x):
         return
-    with np.errstate(invalid="ignore"):  # a signaling NaN is named below, not warned of
+    # NaN propagates through `min` and `max`, so both are finite exactly when
+    # every entry is.
+    if np.isfinite(x.min()) and np.isfinite(x.max()):
         norms = row_norms(x)
-    if not (norms.min() >= ZERO_NORM and norms.max() < np.inf):
-        i = next(i for i, n in enumerate(norms.tolist()) if not ZERO_NORM <= n < np.inf)
+        bad = np.flatnonzero(norms < ZERO_NORM)
+    else:
+        with np.errstate(invalid="ignore"):  # a signaling NaN is named, not warned of
+            norms = row_norms(x)
+        bad = np.flatnonzero(~((norms >= ZERO_NORM) & (norms < np.inf)))
+    if bad.size:
+        i = int(bad[0])
         if norms[i] < np.inf:
             raise ZeroVector(f"{path}: embedding row {rows[i]} has norm {norms[i]:.3e}")
         raise ValueError(f"{path}: embedding matrix contains NaN or Inf in row {rows[i]}")
