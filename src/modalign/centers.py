@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, MissingCategory
 from .kb import KnowledgeBase, Source
-from .serialize import INTEGER, LIST, STRING, atomic_write_bytes, field_problem, is_int, read_header
-from .ubem import read_ubem_file_stream, write_ubem_stream
+from .serialize import INTEGER, LIST, STRING, atomic_write_bytes, field_problem, is_int
+from .ubem import read_container, write_ubem_stream
 from .vectors import EmbeddingMatrix, row_blocks, top_k
 
 logger = logging.getLogger(__name__)
@@ -235,7 +235,7 @@ def _is_cosine(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and -1 <= value <= 1
 
 
-_HEADER_FIELDS = {"k": INTEGER, "categories": LIST, "prompt_template": STRING}
+_HEADER_FIELDS = {"k": INTEGER, "dim": INTEGER, "categories": LIST, "prompt_template": STRING}
 # The field table of one center-set category entry.
 _ENTRY_FIELDS = {
     "category": STRING,
@@ -252,14 +252,11 @@ _ENTRY_FIELDS = {
 
 
 def load_center_set(path) -> CenterSet:
-    """Read a center-set file; a malformed header or blob raises ValueError
-    naming the file and, for a bad category entry, its index and the key."""
-    with open(path, "rb") as f:
-        header = read_header(f, path, "center-set")
-        members = read_ubem_file_stream(f, path)
-        prompts = read_ubem_file_stream(f, path)
-
-    problem = field_problem(header, _HEADER_FIELDS, ("k", "categories"))
+    """Read a center-set file; a malformed header or blob, or blobs whose
+    dim is not the header's, raises ValueError naming the file and, for a
+    bad category entry, its index and the key."""
+    header, (members, prompts) = read_container(path, "center-set", 2)
+    problem = field_problem(header, _HEADER_FIELDS, ("k", "categories", "dim"))
     if problem is not None:
         raise ValueError(f"{path}: center-set header: {problem}")
     template = header.get("prompt_template", DEFAULT_PROMPT_TEMPLATE)
@@ -280,4 +277,9 @@ def load_center_set(path) -> CenterSet:
         raise ValueError(f"{path}: center-set member blob does not match header counts")
     if prompts.labels != list(centers):
         raise ValueError(f"{path}: center-set prompt blob labels must be the header's categories")
+    if not members.dim == prompts.dim == header["dim"]:
+        raise ValueError(
+            f"{path}: center-set blobs of dim {members.dim} and {prompts.dim}, "
+            f"not the header's dim {header['dim']}"
+        )
     return CenterSet(centers, members, prompts, header["k"], template)

@@ -134,7 +134,7 @@ def cmd_train(args) -> int:
     kb = load_kb_dir(args.kb)
     visual = read_ubem(args.visual)
     config = load_train_config(args.config) if args.config else TrainConfig()
-    vectors, texts = resolve_pairs(load_pairs_file(args.pairs), visual, kb)
+    vectors, texts = resolve_pairs(load_pairs_file(args.pairs), visual, kb, args.pairs)
     del kb  # its last use: nothing holds the KB while the adapter trains
     adapter, history = train(vectors, texts, config, modality=args.modality)
     save_adapter(args.out, adapter)

@@ -8,26 +8,27 @@ a rebuild. Embeddings are unit-normalized at ingest; rows already within
 tolerance of unit norm are stored byte-for-byte untouched, which keeps
 export -> build round trips lossless.
 
-Ingest memory: the records file is parsed once, in one pass, and a built
-knowledge base keeps of it only what the flow reads: the ids, once; each
-row's source as one uint8 code; `category_index`, which maps each category
-to one ascending intp array of its rows and is cut from a per-row category
-code; and `pair_index`. No description or generator string outlives the
-parse, and the set of ids that checks them for duplicates is freed before
-the embeddings are read. The knowledge base never holds its float payload
-either, only the path of a UBEM file of its rows. `build` reads the
-embeddings file once, one `vectors.row_blocks` block at a time through one
-reused float32 buffer, and checks and normalizes each block in place with
-the ingest rule (`_ingest_rows`). When it exports, it writes each normalized
-block straight into the atomic temp file of `embeddings.ubem`, and the
-knowledge base it returns reads that file back. `KnowledgeBase.read_rows`
-is the one reader of the rows after build: it reads only the rows it is
-asked for, one `readinto` per run of consecutive rows, and runs the ingest
-rule on them again, so a file changed after build raises rather than
-scores NaN. On rows that are already unit, as an exported file's are, the
-rule computes their norms and divides nothing. Norms come from
-`vectors.row_norms`; one masked `np.divide` scales the rows that need it in
-float64 and rounds them back in place, so no float64 block outlives it.
+Ingest memory: the records file is parsed once, in one pass, into only what
+the flow reads (`RecordColumns`): the ids, once; each row's source as one
+uint8 code; `category_index`, which maps each category to one ascending intp
+array of its rows; and `pair_index`. Both indexes grow as the lines are
+read, each line checked by the one schema check `_record_problem`. No
+description or generator string outlives the parse, and the set of ids that
+checks them for duplicates is freed before the embeddings are read. The
+knowledge base never holds its float payload either, only the path of a UBEM
+file of its rows. `build` reads the embeddings file once, one
+`vectors.row_blocks` block at a time through one reused float32 buffer, and
+checks and normalizes each block in place with the ingest rule
+(`_ingest_rows`). When it exports, it writes each normalized block straight
+into the atomic temp file of `embeddings.ubem`, and the knowledge base it
+returns reads that file back. `KnowledgeBase.read_rows` is the one reader of
+the rows after build: it reads only the rows it is asked for, one `readinto`
+per run of consecutive rows, and runs the ingest rule on them again, so a
+file changed after build raises rather than scores NaN. On rows that are
+already unit, as an exported file's are, the rule computes their norms and
+divides nothing. Norms come from `vectors.row_norms`; one masked `np.divide`
+scales the rows that need it in float64 and rounds them back in place, so no
+float64 block outlives it.
 
 Export memory: neither file is ever held whole. `write_kb_dir` yields the
 atomic temp files of a knowledge-base directory, and `build` writes into
@@ -52,10 +53,12 @@ from __future__ import annotations
 
 import io
 from array import array
+from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import starmap
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -98,6 +101,7 @@ class Source(str, Enum):
 # A row's source code is its source's position in `Source`. Source is a str
 # enum, so a source's JSON value finds the same code as its member.
 _SOURCE_CODE = {s: code for code, s in enumerate(Source)}
+_INTP = np.dtype(np.intp).char  # the `array` typecode of numpy's intp
 
 
 class KnowledgeRecord(NamedTuple):
@@ -112,12 +116,13 @@ class KnowledgeRecord(NamedTuple):
 
 
 class RecordColumns(NamedTuple):
-    """What a knowledge base keeps of its records, row for row."""
+    """What a knowledge base keeps of its records: the `KnowledgeBase`
+    fields that `load_records` builds, in their order there."""
 
     ids: list[str]
-    categories: dict[str, float]  # each category's code, in order of first appearance
-    category_codes: array  # "d": each row's category code
-    sources: array  # "B": each row's source code
+    sources: np.ndarray  # uint8: each row's source code
+    category_index: dict[str, np.ndarray]  # ascending intp rows, by first appearance
+    pair_index: dict[str, int]  # each MLLM_DATA record's id -> its row
 
 
 class KbSink(NamedTuple):
@@ -142,8 +147,8 @@ class KnowledgeBase:
     dim: int
     ids: list[str]
     sources: np.ndarray
-    category_index: dict[str, np.ndarray] = field(default_factory=dict)
-    pair_index: dict[str, int] = field(default_factory=dict)
+    category_index: dict[str, np.ndarray]
+    pair_index: dict[str, int]
 
     @property
     def size(self) -> int:
@@ -193,21 +198,22 @@ class KnowledgeBase:
         return out
 
 
-def _record_problem(obj) -> str:
-    """How a parsed records line that `load_records` refused breaks the table:
-    the first check it fails, in the order the fields are listed."""
+def _record_problem(obj) -> str | None:
+    """How a parsed records line breaks the table: the first check it fails,
+    in the order the fields are listed, or None for a good record."""
+    # JSON decodes objects and strings to exact dicts and strs.
     if type(obj) is not dict:
         return "record is not a JSON object"
     for key in ("id", "category", "description", "source"):
-        if key not in obj:
-            return f"missing field {key!r}"
-        if type(obj[key]) is not str:
-            return f"field {key!r} is not a string"
+        if type(obj.get(key)) is not str:
+            return f"field {key!r} is not a string" if key in obj else f"missing field {key!r}"
     if not obj["category"]:
         return "category is empty"
     if obj["source"] not in _SOURCE_CODE:
         return f"source must be one of {[s.value for s in Source]}, got {obj['source']!r}"
-    return "field 'generator' is not a string"  # the one check left
+    if type(obj.get("generator", "")) is not str:
+        return "field 'generator' is not a string"
+    return None
 
 
 def _record_line(
@@ -224,48 +230,48 @@ def _record_line(
 
 
 def load_records(path, sink: TextIO | None = None) -> RecordColumns:
-    """The columns of a records JSONL file, parsed in one pass.
+    """The columns of a records JSONL file, and its indexes, parsed in one pass.
 
-    Each record's canonical line goes to the text stream `sink`, when one is
-    given, as soon as it is checked. Blank lines are skipped. The first line
-    that breaks the table raises MalformedRecord, and the first repeated id
-    DuplicateId, each naming the file and the line.
+    Each row is appended to its category's rows, and an MLLM_DATA row to
+    `pair_index`, as it is read. Each record's canonical line goes to the
+    text stream `sink`, when one is given, as soon as it is checked. Blank
+    lines are skipped. The first line that breaks the table raises
+    MalformedRecord, and the first repeated id DuplicateId, each naming the
+    file and the line.
     """
     write = None if sink is None else sink.write
     ids: list[str] = []
     seen: set[str] = set()
-    categories: dict[str, float] = {}
-    category_codes = array("d")
     sources = array("B")
+    category_rows: dict[str, array] = defaultdict(partial(array, _INTP))
+    pair_index: dict[str, int] = {}
+    mllm_data = _SOURCE_CODE[Source.MLLM_DATA]
     for line_number, obj in read_jsonl(path):
-        # JSON decodes objects and strings to exact dicts and strs.
-        if type(obj) is dict:
-            rid, category, description, source, generator = (
-                obj.get("id"), obj.get("category"), obj.get("description"),
-                obj.get("source"), obj.get("generator", ""),
+        problem = _record_problem(obj)
+        if problem is not None:
+            raise MalformedRecord(line_number, problem, path)
+        rid, category, source = obj["id"], obj["category"], obj["source"]
+        if write is not None:
+            generator = obj.get("generator", "")
+            write(_record_line(rid, category, obj["description"], source, generator))
+        if rid in seen:
+            raise DuplicateId(
+                f"{path}: line {line_number}: record id {rid!r} appears more than once"
             )
-            if (
-                type(rid) is type(category) is type(description) is type(source) is str
-                and category
-                and source in _SOURCE_CODE
-                and type(generator) is str
-            ):
-                if write is not None:
-                    write(_record_line(rid, category, description, source, generator))
-                if rid in seen:
-                    raise DuplicateId(
-                        f"{path}: line {line_number}: record id {rid!r} appears more than once"
-                    )
-                seen.add(rid)
-                ids.append(rid)
-                code = categories.get(category)
-                if code is None:
-                    code = categories[category] = float(len(categories))
-                category_codes.append(code)
-                sources.append(_SOURCE_CODE[source])
-                continue
-        raise MalformedRecord(line_number, _record_problem(obj), path)
-    return RecordColumns(ids, categories, category_codes, sources)
+        seen.add(rid)
+        row = len(ids)
+        ids.append(rid)
+        code = _SOURCE_CODE[source]
+        sources.append(code)
+        category_rows[category].append(row)
+        if code == mllm_data:
+            pair_index[rid] = row
+    return RecordColumns(
+        ids,
+        np.frombuffer(sources, np.uint8),
+        {category: np.frombuffer(rows, np.intp) for category, rows in category_rows.items()},
+        pair_index,
+    )
 
 
 @contextmanager
@@ -316,23 +322,6 @@ def _ingest_rows(x: np.ndarray, path, rows) -> None:
         np.divide(x, norms[:, None], out=x, where=needs[:, None], casting="same_kind")
 
 
-def _category_index(columns: RecordColumns) -> dict[str, np.ndarray]:
-    """Each category's rows as one ascending intp array.
-
-    A stable sort of the rows by category code groups each category's rows
-    in ascending order; the groups are cut where the sorted code rises.
-    The codes are float64, so the sort is the one `top_k` already runs.
-    """
-    keys = np.frombuffer(columns.category_codes, np.float64)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    # The cuts are shifted in Python: an intp `+ 1` would page in numpy code
-    # that no other stage runs, which raises every workload's peak RSS.
-    rises = np.flatnonzero(keys[1:] > keys[:-1]).tolist()
-    cuts = [0, *(i + 1 for i in rises), len(keys)]
-    return {c: order[a:b] for c, a, b in zip(columns.categories, cuts, cuts[1:])}
-
-
 def build(records_path, embeddings_path, sink: KbSink | None = None) -> KnowledgeBase:
     """Load, validate, and index a knowledge base from its two files,
     writing both into `sink` when one is given (see `write_kb_dir`). The
@@ -364,17 +353,8 @@ def build(records_path, embeddings_path, sink: KbSink | None = None) -> Knowledg
                 pass  # each label is checked; the record ids label the rows
     if sink is not None:
         write_label_block(sink.embeddings, ids)
-    mllm_data = _SOURCE_CODE[Source.MLLM_DATA]
-    pair_index = {
-        rid: row for row, (rid, code) in enumerate(zip(ids, columns.sources)) if code == mllm_data
-    }
     return KnowledgeBase(
-        Path(embeddings_path) if sink is None else sink.embeddings_path,
-        dim,
-        ids,
-        np.frombuffer(columns.sources, np.uint8),
-        _category_index(columns),
-        pair_index,
+        Path(embeddings_path) if sink is None else sink.embeddings_path, dim, *columns
     )
 
 

@@ -16,7 +16,6 @@ and the KB is released after it, so no adapter trains while it is held.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -51,6 +50,7 @@ from .serialize import (
     field_problem,
     fixed_json,
     is_int,
+    read_json,
     read_jsonl_objects,
     sha256_file,
     sha256_text,
@@ -128,10 +128,7 @@ def load_pipeline_config(path, out_dir=None) -> PipelineConfig:
     raise ValueError naming the file (and the key); keys left out keep
     PipelineConfig's defaults."""
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as e:  # invalid JSON or UTF-8, or nested too deeply
-        raise ValueError(f"{path}: invalid JSON ({e})") from e
+    obj = read_json(path)
     problem = field_problem(obj, _CONFIG_FIELDS, _PATH_KEYS + ("modalities",), closed=True)
     if problem is not None:
         raise ValueError(f"{path}: config: {problem}")
@@ -197,12 +194,15 @@ def load_pairs_file(path) -> list[tuple[str, int]]:
     """Parse a pairs JSONL ({"sample_id": ..., "visual_row": ...} per line).
 
     A `sample_id` that is not a JSON string, a `visual_row` that is not a
-    JSON integer, a repeated `sample_id`, and a `visual_row` already paired
-    with another `sample_id` raise MalformedRecord naming the file and line.
+    JSON integer, a repeated `sample_id`, a negative `visual_row` and one
+    already paired with another `sample_id` raise MalformedRecord naming the
+    file and line.
     """
     row_owner: dict[int, str] = {}  # in line order
     for line_number, obj in read_jsonl_objects(path, _PAIR_FIELDS, "sample_id"):
         row = obj["visual_row"]
+        if row < 0:
+            raise MalformedRecord(line_number, f"'visual_row' must be >= 0, got {row}", path)
         if row in row_owner:
             raise MalformedRecord(
                 line_number,
@@ -318,7 +318,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         save_center_set(out / "centers.cset", centers)
 
     with _stage("pairs"):
-        paired = {name: resolve_pairs(pair_rows[name], visual[name], kb) for name in names}
+        paired = {
+            name: resolve_pairs(pair_rows[name], visual[name], kb, config.modalities[name].pairs)
+            for name in names
+        }
     del kb  # its last use: nothing holds the KB while adapters train
 
     adapters: dict[str, LinearAdapter] = {}

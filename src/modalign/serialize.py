@@ -1,5 +1,9 @@
-"""Serialization helpers: JSONL reading, binary-file header lines, field-table
+"""Serialization helpers: JSONL and whole-file JSON reading, field-table
 checks, diffable report JSON, atomic writes, file hashing.
+
+`read_jsonl` is the one reader of JSONL inputs and `read_json` the one reader
+of the JSON config files; both name the file in every fault. The header line
+of a binary container file is read by `ubem.read_container`.
 
 Every file is written atomically through `atomic_writer`: the bytes go to a
 temporary file beside the target, which replaces the target only when the
@@ -137,20 +141,14 @@ def field_problem(obj, fields: dict, required=(), closed: bool = False) -> str |
     return None
 
 
-def read_header(f, path, kind: str) -> dict:
-    """Decode the JSON header line that opens a `kind` binary file.
-
-    The line must hold an object whose `format` is `kind` and whose `version`
-    is the integer 1; anything else raises ValueError naming the file.
-    """
+def read_json(path):
+    """The JSON value of a whole file, such as a config. A file that is not
+    UTF-8 or not valid JSON, or is nested too deeply to parse, raises
+    ValueError naming it."""
     try:
-        header = json.loads(f.readline())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as e:  # invalid JSON or UTF-8, or nested too deeply
-        raise ValueError(f"{path}: bad {kind} header: {e}") from e
-    version = header.get("version") if isinstance(header, dict) else None
-    if not (is_int(version) and version == 1 and header.get("format") == kind):
-        raise ValueError(f"{path}: not a version-1 {kind} file")
-    return header
+        raise ValueError(f"{path}: invalid JSON ({e})") from e
 
 
 def fixed_json(obj, indent: int = 2) -> str:

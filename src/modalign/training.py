@@ -35,9 +35,9 @@ from .serialize import (
     atomic_write_bytes,
     field_problem,
     is_int,
-    read_header,
+    read_json,
 )
-from .ubem import read_ubem_file_stream, write_ubem_stream
+from .ubem import read_container, write_ubem_stream
 from .vectors import ZERO_NORM, EmbeddingMatrix, as_vectors, normalize_rows
 
 
@@ -124,26 +124,33 @@ def default_adapter(dim_in: int, dim_out: int, seed: int, modality: str = "") ->
 
 
 def resolve_pairs(
-    pairs: list[tuple[str, int]], visual, kb: KnowledgeBase
+    pairs: list[tuple[str, int]], visual, kb: KnowledgeBase, path=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Map (sample_id, visual_row) pairs to training arrays.
+    """Map (sample_id, visual_row) pairs, read from the pairs file `path`
+    when one is given, to training arrays.
 
     Returns the float64 visual rows in pair order and, for each pair, the
     unit-length float64 embedding of the sample's paired description. The
     arrays hold no reference to `kb`, so the knowledge base can be freed
-    before training.
+    before training. A row out of range raises ValueError, and a sample
+    with no paired description UnknownSample, each naming the sample and
+    `path` if given.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
     v = as_vectors(visual)
+    where = f" in {path}" if path else ""
     visual_rows = []
     text_rows = []
     for sample_id, row in pairs:
         if not 0 <= row < v.shape[0]:
-            raise ValueError(f"pair row {row} out of range for {v.shape[0]} visual rows")
+            raise ValueError(
+                f"pair row {row} of sample {sample_id!r}{where} "
+                f"out of range for {v.shape[0]} visual rows"
+            )
         text_row = kb.pair_index.get(sample_id)
         if text_row is None:
-            raise UnknownSample(f"no paired description for sample {sample_id!r}")
+            raise UnknownSample(f"no paired description for sample {sample_id!r}{where}")
         visual_rows.append(row)
         text_rows.append(text_row)
     return (
@@ -336,10 +343,9 @@ def train_config_from_dict(obj) -> TrainConfig:
 def load_train_config(path) -> TrainConfig:
     """Read a training config file: the JSON object a pipeline config holds
     under `"train"`. Any error raises ValueError naming the file."""
+    obj = read_json(path)
     try:
-        return train_config_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise ValueError(f"{path}: invalid JSON ({e})") from e
+        return train_config_from_dict(obj)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
 
@@ -368,15 +374,12 @@ _HEADER_FIELDS = {"dim_in": INTEGER, "dim_out": INTEGER, "modality": STRING}
 def load_adapter(path) -> LinearAdapter:
     """Read an adapter file; a malformed header or blob raises ValueError
     naming the file (and, for a bad header key, the key)."""
-    with open(path, "rb") as f:
-        header = read_header(f, path, "linear-adapter")
-        weight = read_ubem_file_stream(f, path).vectors
-        bias = read_ubem_file_stream(f, path).vectors
+    header, (weight, bias) = read_container(path, "linear-adapter", 2)
     problem = field_problem(header, _HEADER_FIELDS, ("dim_in", "dim_out"))
     if problem is not None:
         raise ValueError(f"{path}: adapter header: {problem}")
     dim_in, dim_out = header["dim_in"], header["dim_out"]
     modality = header.get("modality", "")
-    if weight.shape != (dim_out, dim_in) or bias.shape != (1, dim_out):
+    if weight.vectors.shape != (dim_out, dim_in) or bias.vectors.shape != (1, dim_out):
         raise ValueError(f"{path}: adapter blob shapes do not match header")
-    return LinearAdapter(weight, bias[0], modality)
+    return LinearAdapter(weight.vectors, bias.vectors[0], modality)

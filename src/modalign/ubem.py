@@ -22,16 +22,28 @@ ValueError, so no uninitialised memory escapes. `read_label_block` reads the
 flag and yields each label once it is checked against the bytes left and
 decoded, so a caller that only checks the labels holds none of them.
 `read_ubem_stream` is these three in turn, and the knowledge base reads its
-payload through the same three, one block of rows at a time. The writer
-passes a float32 C-ordered array's own buffer to the stream (no `tobytes`
-copy) and writes the label block, grown in one bytearray, in one call.
-`write_ubem` streams the header, payload and label block straight into the
-atomic temp file, so writing a matrix to disk holds no copy of its payload.
+payload through the same three, one block of rows at a time.
+
+Files: `read_ubem` reads a UBEM file, and `read_container` the container
+files that hold UBEM blobs (a `.cset` center set, a `.adapter` adapter):
+one JSON header line naming the file's format and version 1, then the
+blobs, each read by `read_ubem_stream`. Every fault either reader meets
+raises ValueError naming the file, so the framing of every binary input
+is read in this module alone.
+
+The writer passes a float32 C-ordered array's own buffer to the stream (no
+`tobytes` copy) and writes the label block, grown in one bytearray, in one
+call. `write_ubem` streams the header, payload and label block straight into
+the atomic temp file, so writing a matrix to disk holds no copy of its
+payload. A container file's writer (`centers.save_center_set`,
+`training.save_adapter`) writes its header line and `write_ubem_stream`s its
+blobs itself.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import struct
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -39,7 +51,7 @@ from contextlib import contextmanager
 import numpy as np
 
 # `atomic_write_bytes` is unused here; the benchmark tracer binds the name.
-from .serialize import _bad_utf8, atomic_write_bytes, atomic_writer  # noqa: F401
+from .serialize import _bad_utf8, atomic_write_bytes, atomic_writer, is_int  # noqa: F401
 from .vectors import EmbeddingMatrix
 
 MAGIC = b"UBEM"
@@ -178,12 +190,27 @@ def naming(path) -> Iterator[None]:
         raise ValueError(f"{path}: {e}") from e
 
 
-def read_ubem_file_stream(stream, path) -> EmbeddingMatrix:
-    """`read_ubem_stream` on an open file; a ValueError names the file."""
-    with naming(path):
-        return read_ubem_stream(stream)
-
-
 def read_ubem(path) -> EmbeddingMatrix:
-    with open(path, "rb") as f:
-        return read_ubem_file_stream(f, path)
+    """The matrix of a UBEM file; a ValueError names the file."""
+    with open(path, "rb") as f, naming(path):
+        return read_ubem_stream(f)
+
+
+def read_container(path, kind: str, blobs: int) -> tuple[dict, list[EmbeddingMatrix]]:
+    """The JSON header and the `blobs` UBEM matrices of a `kind` container
+    file (a `.cset` or `.adapter` file): one header line, then the blobs.
+
+    The header must be a JSON object whose `format` is `kind` and whose
+    `version` is the integer 1. Any fault of the header line or a blob
+    raises ValueError naming the file; the header's other keys are the
+    caller's to check.
+    """
+    with open(path, "rb") as f, naming(path):
+        try:
+            header = json.loads(f.readline())
+        except (ValueError, RecursionError) as e:  # invalid JSON or UTF-8, or nested too deeply
+            raise ValueError(f"bad {kind} header: {e}") from e
+        version = header.get("version") if isinstance(header, dict) else None
+        if not (is_int(version) and version == 1 and header.get("format") == kind):
+            raise ValueError(f"not a version-1 {kind} file")
+        return header, [read_ubem_stream(f) for _ in range(blobs)]

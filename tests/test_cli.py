@@ -1,3 +1,4 @@
+import io
 import json
 import os
 from collections import Counter
@@ -18,7 +19,7 @@ from modalign.pipeline import categories_for, load_labels
 from modalign.serialize import fixed_json
 from modalign.synthetic import SyntheticSpec, generate_synthetic
 from modalign.training import default_adapter, load_adapter, save_adapter
-from modalign.ubem import MAGIC, read_ubem, write_ubem
+from modalign.ubem import MAGIC, read_ubem, read_ubem_stream, write_ubem, write_ubem_stream
 from modalign.vectors import EmbeddingMatrix
 
 
@@ -665,6 +666,96 @@ def test_center_set_bad_category_entry_exits_2(bundle, centers_file, tmp_path, k
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"{path}: center-set category 1: {key!r}" in proc.stderr
+
+
+def _narrowed_prompts(header, blobs):
+    """The center-set file's bytes with its prompt blob cut to 3 columns."""
+    stream = io.BytesIO(blobs)
+    members = read_ubem_stream(stream)
+    prompts = read_ubem_stream(stream)
+    out = io.BytesIO()
+    write_ubem_stream(out, members)
+    write_ubem_stream(out, EmbeddingMatrix(prompts.vectors[:, :3], prompts.labels))
+    return header, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (
+            lambda h, b: ({**h, "dim": 999}, b),
+            "center-set blobs of dim 10 and 10, not the header's dim 999",
+        ),
+        (
+            lambda h, b: ({k: v for k, v in h.items() if k != "dim"}, b),
+            "center-set header: missing key 'dim'",
+        ),
+        (_narrowed_prompts, "center-set blobs of dim 10 and 3, not the header's dim 10"),
+    ],
+    ids=["header-999", "header-without-dim", "narrow-prompt-blob"],
+)
+@pytest.mark.parametrize("mode", ["center_max", "prompt_mean"])
+def test_center_set_dim_must_match_both_blobs(
+    bundle, centers_file, tmp_path, capsys, edit, problem, mode
+):
+    header_line, blobs = centers_file.read_bytes().split(b"\n", 1)
+    header, blobs = edit(json.loads(header_line), blobs)
+    path = tmp_path / "bad.cset"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blobs)
+    report = tmp_path / "r.json"
+    code = main([
+        "eval", "zeroshot", "--centers", str(path), "--queries", str(bundle.visual["mod0"]),
+        "--labels", str(bundle.labels), "--mode", mode, "--report", str(report),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}: {problem}\n"
+    assert not report.exists()
+
+
+def _train_on_pairs(bundle, kb_dir, tmp_path, capsys, edit):
+    """In-process `modalign train` on mod0's pairs file with line 2 edited."""
+    lines = bundle.pairs["mod0"].read_text().splitlines()
+    pair = json.loads(lines[1])
+    edit(pair)
+    lines[1] = json.dumps(pair)
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "mod0.adapter"
+    capsys.readouterr()
+    code = main([
+        "train", "--kb", str(kb_dir), "--pairs", str(pairs), "--visual",
+        str(bundle.visual["mod0"]), "--modality", "mod0", "--out", str(out),
+    ])
+    assert not out.exists()
+    return code, capsys.readouterr().err, pairs, pair["sample_id"]
+
+
+def test_negative_visual_row_exits_2_naming_file_and_line(bundle, kb_dir, tmp_path, capsys):
+    code, err, pairs, _ = _train_on_pairs(
+        bundle, kb_dir, tmp_path, capsys, lambda p: p.update(visual_row=-1)
+    )
+    assert code == 2
+    assert err == f"error: {pairs}: line 2: 'visual_row' must be >= 0, got -1\n"
+
+
+def test_visual_row_past_the_end_exits_2_naming_file_and_sample(bundle, kb_dir, tmp_path, capsys):
+    rows = read_ubem(bundle.visual["mod0"]).rows
+    code, err, pairs, sample = _train_on_pairs(
+        bundle, kb_dir, tmp_path, capsys, lambda p: p.update(visual_row=rows)
+    )
+    assert code == 2
+    assert err == (
+        f"error: pair row {rows} of sample {sample!r} in {pairs} "
+        f"out of range for {rows} visual rows\n"
+    )
+
+
+def test_unknown_sample_exits_2_naming_file_and_sample(bundle, kb_dir, tmp_path, capsys):
+    code, err, pairs, _ = _train_on_pairs(
+        bundle, kb_dir, tmp_path, capsys, lambda p: p.update(sample_id="ghost-sample")
+    )
+    assert code == 2
+    assert err == f"error: no paired description for sample 'ghost-sample' in {pairs}\n"
 
 
 def test_oversized_ubem_header_exits_2(bundle, tmp_path):

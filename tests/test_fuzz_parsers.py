@@ -350,6 +350,65 @@ def test_kb_build_and_stats_on_a_mutated_embeddings_file_exit_0_or_2(
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def tiny_center_set(tiny_bundle, tmp_path_factory):
+    """The bytes of a center set localized from the tiny bundle's KB."""
+    root = tmp_path_factory.mktemp("tiny_cset")
+    assert main([
+        "kb", "build", "--records", str(tiny_bundle.records),
+        "--embeddings", str(tiny_bundle.kb_embeddings), "--out", str(root / "kb"),
+    ]) == 0
+    assert main([
+        "centers", "localize", "--kb", str(root / "kb"), "--prompts", str(tiny_bundle.prompts),
+        "--k", "2", "--out", str(root / "centers.cset"),
+    ]) == 0
+    return (root / "centers.cset").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["center_max", "prompt_mean"])
+@given(data=st.data())
+@settings(FUZZ, max_examples=120)
+def test_eval_zeroshot_on_a_mutated_center_set_exits_0_or_2(
+    tmp_path, tiny_bundle, tiny_center_set, capsys, mode, data
+):
+    # A `.cset` truncated, flipped or spliced anywhere, header line or blob,
+    # ends in exit 0, or in exit 2 with the file named, never a traceback.
+    path = tmp_path / "centers.cset"
+    path.write_bytes(data.draw(mutated_bytes(tiny_center_set)))
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    code = main([
+        "eval", "zeroshot", "--centers", str(path),
+        "--queries", str(tiny_bundle.visual["mod0"]), "--labels", str(tiny_bundle.labels),
+        "--mode", mode, "--report", str(report),
+    ])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith(f"error: {path}: ")
+
+
+@pytest.fixture(scope="module")
+def adapter_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("adapter_bytes") / "valid.adapter"
+    save_adapter(path, default_adapter(3, 4, seed=0, modality="image"))
+    return path.read_bytes()
+
+
+@given(data=st.data())
+@settings(FUZZ, max_examples=200)
+def test_mutated_adapter_file_loads_or_raises_naming_the_file(tmp_path, adapter_bytes, data):
+    path = tmp_path / "fuzz.adapter"
+    path.write_bytes(data.draw(mutated_bytes(adapter_bytes)))
+    try:
+        adapter = load_adapter(path)
+    except (ValueError, ModalignError) as e:
+        assert str(e).startswith(f"{path}: ")
+    else:
+        assert isinstance(adapter, LinearAdapter)
+
+
 DEEP = "[" * 100_000 + "]" * 100_000
 
 

@@ -38,6 +38,25 @@ def make_records(n, category="fish", source=Source.LLM_CATEGORY, prefix="rec"):
     ]
 
 
+def scanned_indexes(records) -> tuple[dict, dict]:
+    """Each category's rows, in order of first appearance, and each paired
+    sample's row, by a plain scan of `records`."""
+    category_rows: dict[str, list[int]] = {}
+    for row, r in enumerate(records):
+        category_rows.setdefault(r.category, []).append(row)
+    pairs = {r.id: row for row, r in enumerate(records) if r.source == Source.MLLM_DATA}
+    return category_rows, pairs
+
+
+def assert_indexes_match_a_scan(columns, records) -> None:
+    category_rows, pairs = scanned_indexes(records)
+    assert list(columns.category_index) == list(category_rows)
+    for category, rows in columns.category_index.items():
+        assert rows.dtype == np.intp
+        assert rows.tolist() == category_rows[category]
+    assert columns.pair_index == pairs
+
+
 def parsed_text(path) -> str:
     """The canonical lines `load_records` writes for the records file `path`."""
     sink = io.StringIO(newline="")
@@ -234,9 +253,9 @@ class TestRecordsFile:
         assert parsed_text(path).encode("utf-8") == path.read_bytes()
 
     def test_columns_hold_no_description_or_generator_text(self, tmp_path):
-        # Of each record only its id and two codes outlive the parse, plus
-        # one string per category: descriptions and generators are only
-        # written back out.
+        # Of each record only its id, its source code and its row in the
+        # indexes outlive the parse, plus one string per category:
+        # descriptions and generators are only written back out.
         rows = 5_000
         records = [
             KnowledgeRecord(
@@ -256,9 +275,9 @@ class TestRecordsFile:
             tracemalloc.stop()
         assert held < 0.1 * text_size
         assert columns.ids == [r.id for r in records]
-        assert columns.categories == {"cat0": 0.0, "cat1": 1.0, "cat2": 2.0}
-        assert columns.category_codes.tolist() == [float(i % 3) for i in range(rows)]
+        assert columns.sources.dtype == np.uint8
         assert columns.sources.tolist() == [i % 2 for i in range(rows)]
+        assert_indexes_match_a_scan(columns, records)
 
     # Text that exercises every escape the JSON encoder makes: quotes,
     # backslashes, control characters, and text outside the BMP. Characters
@@ -308,10 +327,7 @@ class TestRecordsFile:
             columns = load_records(path, sink)
             assert columns.ids == ids
             assert [list(Source)[code] for code in columns.sources] == [r.source for r in records]
-            names = list(columns.categories)
-            assert [names[int(code)] for code in columns.category_codes] == [
-                r.category for r in records
-            ]
+            assert_indexes_match_a_scan(columns, records)
         else:
             with pytest.raises(DuplicateId) as info:
                 load_records(path, sink)

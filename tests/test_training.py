@@ -303,12 +303,13 @@ class TestTrainConfig:
             ('{"epochs": 2, "momentum": 0.9}', "'momentum'"),
             ('{"epochs": "2"}', "'epochs'"),
             ("[2]", "JSON object"),
+            ('{"epochs": "\xff"}', "invalid JSON ('utf-8' codec can't decode byte 0xff"),
         ],
-        ids=["key-value-text", "unknown-key", "string-epochs", "list"],
+        ids=["key-value-text", "unknown-key", "string-epochs", "list", "not-utf8"],
     )
     def test_file_errors_name_the_file(self, tmp_path, text, named):
         path = tmp_path / "train.json"
-        path.write_text(text)
+        path.write_bytes(text.encode("latin-1"))  # one byte per character: 0xff stays 0xff
         with pytest.raises(ValueError) as e:
             load_train_config(path)
         assert str(e.value).startswith(f"{path}: ") and named in str(e.value)
