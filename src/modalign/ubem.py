@@ -22,22 +22,14 @@ ValueError, so no uninitialised memory escapes. `read_label_block` reads the
 flag and yields each label once it is checked against the bytes left and
 decoded, so a caller that only checks the labels holds none of them.
 `read_ubem_stream` is these three in turn, and the knowledge base reads its
-payload through the same three, one block of rows at a time.
-
-Files: `read_ubem` reads a UBEM file, and `read_container` the container
-files that hold UBEM blobs (a `.cset` center set, a `.adapter` adapter):
-one JSON header line naming the file's format and version 1, then the
-blobs, each read by `read_ubem_stream`. Every fault either reader meets
-raises ValueError naming the file, so the framing of every binary input
-is read in this module alone.
-
-The writer passes a float32 C-ordered array's own buffer to the stream (no
-`tobytes` copy) and writes the label block, grown in one bytearray, in one
-call. `write_ubem` streams the header, payload and label block straight into
-the atomic temp file, so writing a matrix to disk holds no copy of its
-payload. A container file's writer (`centers.save_center_set`,
-`training.save_adapter`) writes its header line and `write_ubem_stream`s its
-blobs itself.
+payload through the same three, one block of rows at a time. `read_ubem`
+reads a UBEM file, and `read_container` a `.cset` or `.adapter` file: one
+JSON header line, then UBEM blobs. Both name the file in every ValueError,
+so the framing of every binary input is read in this module. The writer
+passes a float32 C-ordered array's own buffer to the stream (no `tobytes`
+copy) and writes the label block, grown in one bytearray, in one call.
+`write_ubem` streams the header, payload and label block straight into the
+atomic temp file, so writing a matrix to disk holds no copy of its payload.
 """
 
 from __future__ import annotations
