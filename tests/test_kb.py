@@ -38,18 +38,13 @@ def make_records(n, category="fish", source=Source.LLM_CATEGORY, prefix="rec"):
     ]
 
 
-def scanned_indexes(records) -> tuple[dict, dict]:
+def assert_indexes_match_a_scan(columns, records) -> None:
     """Each category's rows, in order of first appearance, and each paired
-    sample's row, by a plain scan of `records`."""
+    sample's row equal those of a plain scan of `records`."""
     category_rows: dict[str, list[int]] = {}
     for row, r in enumerate(records):
         category_rows.setdefault(r.category, []).append(row)
     pairs = {r.id: row for row, r in enumerate(records) if r.source == Source.MLLM_DATA}
-    return category_rows, pairs
-
-
-def assert_indexes_match_a_scan(columns, records) -> None:
-    category_rows, pairs = scanned_indexes(records)
     assert list(columns.category_index) == list(category_rows)
     for category, rows in columns.category_index.items():
         assert rows.dtype == np.intp
