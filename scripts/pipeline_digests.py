@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""SHA-256 of every `pipeline run` output file on the benchmark's bundles.
+"""SHA-256 of every bundle file and `pipeline run` output file on the benchmark's bundles.
 
 For each workload and seed, builds the bundle with `perfbench/run.py`'s own
 generator under `OUT/<workload>-<seed>/bundle`, runs `run_pipeline` in this
 process into `OUT/<workload>-<seed>/out`, and prints one
+`<sha256>  <workload>-<seed>/bundle/<file>` line per bundle file, then one
 `<sha256>  <workload>-<seed>/<path>` line per output file. Each
 `<workload>-<seed>` directory is emptied first.
 
@@ -51,10 +52,16 @@ def main():
             case = Path(args.out).resolve() / f"{workload}-{seed}"
             shutil.rmtree(case, ignore_errors=True)
             config = make_bundle(workload, seed, case / "bundle")
+            print_digests(case / "bundle", f"{case.name}/bundle/")
             out = case / "out"
             run_pipeline(load_pipeline_config(config, out_dir=out))
-            for path in sorted(p for p in out.rglob("*") if p.is_file()):
-                print(f"{sha256_file(path)}  {case.name}/{path.relative_to(out).as_posix()}")
+            print_digests(out, f"{case.name}/")
+
+
+def print_digests(root: Path, prefix: str) -> None:
+    """One `<sha256>  <prefix><path>` line per file under `root`, in path order."""
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        print(f"{sha256_file(path)}  {prefix}{path.relative_to(root).as_posix()}")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ differently.
 from __future__ import annotations
 
 import io
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +35,7 @@ import numpy as np
 from .errors import DimensionMismatch, MissingCategory
 from .kb import KnowledgeBase, Source
 from .serialize import INTEGER, LIST, STRING, atomic_write_bytes, field_problem, is_int
-from .ubem import read_container, write_ubem_stream
+from .ubem import read_container, write_container_header, write_ubem_stream
 from .vectors import EmbeddingMatrix, row_blocks, top_k
 
 logger = logging.getLogger(__name__)
@@ -207,8 +206,6 @@ def save_center_set(path, center_set: CenterSet) -> None:
     if template.count(_PLACEHOLDER) != 1:
         raise ValueError(f"basic template must contain exactly one {_PLACEHOLDER!r} placeholder")
     header = {
-        "format": "center-set",
-        "version": 1,
         "k": center_set.k,
         "dim": center_set.members.dim,
         "prompt_template": template,
@@ -224,8 +221,7 @@ def save_center_set(path, center_set: CenterSet) -> None:
         ],
     }
     buf = io.BytesIO()
-    buf.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
-    buf.write(b"\n")
+    write_container_header(buf, "center-set", header)
     write_ubem_stream(buf, center_set.members)
     write_ubem_stream(buf, center_set.prompts)
     atomic_write_bytes(Path(path), buf.getvalue())

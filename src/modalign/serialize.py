@@ -3,7 +3,8 @@ checks, diffable report JSON, atomic writes, file hashing.
 
 `read_jsonl` is the one reader of JSONL inputs and `read_json` the one reader
 of the JSON config files; both name the file in every fault. The header line
-of a binary container file is read by `ubem.read_container`.
+of a binary container file is read by `ubem.read_container` and written by
+`ubem.write_container_header`.
 
 Every file is written atomically through `atomic_writer`: the bytes go to a
 temporary file beside the target, which replaces the target only when the
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import tempfile
@@ -155,7 +157,9 @@ def fixed_json(obj, indent: int = 2) -> str:
     """Render JSON with insertion-order keys and 6-decimal fixed-point floats.
 
     Reports are diffed byte-for-byte across runs, so float rendering must not
-    depend on repr shortest-form quirks.
+    depend on repr shortest-form quirks. A NaN or infinite float raises
+    ValueError: JSON cannot hold it, so no report is written that a JSON
+    reader would refuse.
     """
     out: list[str] = []
     _render(obj, out, indent, 0)
@@ -191,6 +195,8 @@ def _render(obj, out: list[str], indent: int, level: int) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
+        if not math.isfinite(obj):  # JSON has no literal for NaN or infinity
+            raise ValueError(f"cannot write the non-finite float {obj!r} into a report")
         out.append(f"{obj:.6f}")
     elif isinstance(obj, str):
         out.append(f'"{_escape(obj)}"')

@@ -8,11 +8,22 @@ modality geometry that adapter training is supposed to undo.
 
 All randomness flows from one seed through fixed spawn keys per stage, so
 adding a modality or more classes never perturbs the draws of existing ones.
+
+Embeddings are drawn in class blocks: one draw per (stage, modality, class)
+gives all of that class's rows as `center + noise_sigma * noise` in float64,
+rounded to float32. A visual block's center is the class direction plus the
+modality's offset; a description block's center is the class direction.
+Each embedding file concatenates its blocks once: the KB holds the category
+descriptions class by class, then each modality's paired descriptions.
+Every file name of a bundle is written once, in the table that `bundle.json`
+stores under `files`; the pipeline config and the returned `SyntheticBundle`
+take their paths from it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -48,8 +59,8 @@ class SyntheticSpec:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("class_separation", "modality_offset", "noise_sigma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -108,111 +119,114 @@ def modality_offsets(spec: SyntheticSpec) -> np.ndarray:
     return out
 
 
+def _class_block(spec: SyntheticSpec, center: np.ndarray, rows: int, *key: int) -> np.ndarray:
+    """`rows` Gaussian draws around `center` from the stream `key`, rounded to float32."""
+    noise = _rng(spec.seed, *key).standard_normal((rows, spec.dim))
+    return (center + spec.noise_sigma * noise).astype(np.float32)
+
+
+def _write_jsonl(path: Path, rows) -> None:
+    """Write one `json.dumps` line per row."""
+    atomic_write_text(path, "".join(json.dumps(row) + "\n" for row in rows))
+
+
 def generate_synthetic(spec: SyntheticSpec, out_dir) -> SyntheticBundle:
     """Write a complete bundle: KB files, prompts, per-modality data, labels."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     centers = class_directions(spec)
     offsets = modality_offsets(spec)
-
-    records: list[KnowledgeRecord] = []
-    kb_rows: list[np.ndarray] = []
+    categories = [category_name(g) for g in range(spec.categories)]
+    modality_names = tuple(modality_name(m) for m in range(spec.modalities))
+    files = {
+        "records": "records.jsonl",
+        "kb_embeddings": "kb_embeddings.ubem",
+        "prompts": "prompts.ubem",
+        "labels": "labels.jsonl",
+        "pipeline_config": "pipeline_config.json",
+        "modalities": {
+            name: {"visual": f"{name}.ubem", "pairs": f"{name}_pairs.jsonl"}
+            for name in modality_names
+        },
+    }
+    paths = {key: root / name for key, name in files.items() if key != "modalities"}
+    visual_paths = {name: root / f["visual"] for name, f in files["modalities"].items()}
+    pair_paths = {name: root / f["pairs"] for name, f in files["modalities"].items()}
 
     # Category-level descriptions: class direction plus isotropic noise.
-    for g in range(spec.categories):
-        rng = _rng(spec.seed, _STAGE_CATEGORY_DESCRIPTIONS, g)
-        noise = rng.standard_normal((spec.descriptions_per_class, spec.dim))
-        block = centers[g] + spec.noise_sigma * noise
-        for i in range(spec.descriptions_per_class):
-            records.append(
-                KnowledgeRecord(
-                    id=f"desc_{category_name(g)}_{i:04d}",
-                    category=category_name(g),
-                    description=f"synthetic category description {i} for {category_name(g)}",
-                    source=Source.LLM_CATEGORY,
-                    generator="synthetic",
-                )
-            )
-            kb_rows.append(block[i])
+    records = [
+        KnowledgeRecord(
+            id=f"desc_{category}_{i:04d}",
+            category=category,
+            description=f"synthetic category description {i} for {category}",
+            source=Source.LLM_CATEGORY,
+            generator="synthetic",
+        )
+        for category in categories
+        for i in range(spec.descriptions_per_class)
+    ]
+    kb_blocks = [
+        _class_block(spec, centers[g], spec.descriptions_per_class, _STAGE_CATEGORY_DESCRIPTIONS, g)
+        for g in range(spec.categories)
+    ]
 
     # Per-sample visual embeddings and their paired descriptions.
-    visual_paths: dict[str, Path] = {}
-    pair_paths: dict[str, Path] = {}
     labels: list[tuple[str, str]] = []
-    modality_names = tuple(modality_name(m) for m in range(spec.modalities))
-    for m in range(spec.modalities):
-        sample_vectors = []
-        sample_ids = []
-        for g in range(spec.categories):
-            rng_v = _rng(spec.seed, _STAGE_MODALITY_SAMPLES, m, g)
-            rng_t = _rng(spec.seed, _STAGE_PAIRED_DESCRIPTIONS, m, g)
-            noise_v = rng_v.standard_normal((spec.samples_per_class, spec.dim))
-            noise_t = rng_t.standard_normal((spec.samples_per_class, spec.dim))
-            for i in range(spec.samples_per_class):
-                sid = sample_name(m, g, i)
-                sample_ids.append(sid)
-                sample_vectors.append(centers[g] + offsets[m] + spec.noise_sigma * noise_v[i])
-                records.append(
-                    KnowledgeRecord(
-                        id=sid,
-                        category=category_name(g),
-                        description=f"synthetic paired description for {sid}",
-                        source=Source.MLLM_DATA,
-                        generator="synthetic",
-                    )
-                )
-                kb_rows.append(centers[g] + spec.noise_sigma * noise_t[i])
-                labels.append((sid, category_name(g)))
-
-        name = modality_names[m]
-        visual_paths[name] = root / f"{name}.ubem"
-        pair_paths[name] = root / f"{name}_pairs.jsonl"
-        write_ubem(
-            visual_paths[name],
-            EmbeddingMatrix(np.stack(sample_vectors).astype(np.float32), sample_ids),
-        )
-        pair_lines = [
-            json.dumps({"sample_id": sid, "visual_row": i})
-            for i, sid in enumerate(sample_ids)
+    for m, name in enumerate(modality_names):
+        samples = [
+            (sample_name(m, g, i), category)
+            for g, category in enumerate(categories)
+            for i in range(spec.samples_per_class)
         ]
-        atomic_write_text(pair_paths[name], "\n".join(pair_lines) + "\n")
+        sample_ids = [sid for sid, _ in samples]
+        visual_blocks = [
+            _class_block(
+                spec, centers[g] + offsets[m], spec.samples_per_class,
+                _STAGE_MODALITY_SAMPLES, m, g,
+            )
+            for g in range(spec.categories)
+        ]
+        write_ubem(visual_paths[name], EmbeddingMatrix(np.concatenate(visual_blocks), sample_ids))
+        _write_jsonl(
+            pair_paths[name],
+            ({"sample_id": sid, "visual_row": i} for i, sid in enumerate(sample_ids)),
+        )
+        kb_blocks += [
+            _class_block(
+                spec, centers[g], spec.samples_per_class, _STAGE_PAIRED_DESCRIPTIONS, m, g
+            )
+            for g in range(spec.categories)
+        ]
+        records += [
+            KnowledgeRecord(
+                id=sid,
+                category=category,
+                description=f"synthetic paired description for {sid}",
+                source=Source.MLLM_DATA,
+                generator="synthetic",
+            )
+            for sid, category in samples
+        ]
+        labels += samples
 
-    records_path = root / "records.jsonl"
-    kb_embeddings_path = root / "kb_embeddings.ubem"
-    save_records(records_path, records)
+    save_records(paths["records"], records)
     write_ubem(
-        kb_embeddings_path,
-        EmbeddingMatrix(np.stack(kb_rows).astype(np.float32), [r.id for r in records]),
+        paths["kb_embeddings"],
+        EmbeddingMatrix(np.concatenate(kb_blocks), [r.id for r in records]),
     )
+    # One prompt per class: its direction scaled to unit length.
+    prompt_vectors = np.stack([_unit(center) for center in centers])
+    write_ubem(paths["prompts"], EmbeddingMatrix(prompt_vectors.astype(np.float32), categories))
+    _write_jsonl(paths["labels"], ({"id": sid, "category": cat} for sid, cat in labels))
 
-    prompts_path = root / "prompts.ubem"
-    prompt_vectors = np.stack([_unit(centers[g]) for g in range(spec.categories)])
-    write_ubem(
-        prompts_path,
-        EmbeddingMatrix(
-            prompt_vectors.astype(np.float32),
-            [category_name(g) for g in range(spec.categories)],
-        ),
-    )
-
-    labels_path = root / "labels.jsonl"
-    label_lines = [
-        json.dumps({"id": sid, "category": cat}) for sid, cat in labels
-    ]
-    atomic_write_text(labels_path, "\n".join(label_lines) + "\n")
-
-    config_path = root / "pipeline_config.json"
     # per-category candidate pool: category descriptions plus paired ones
     pool = spec.descriptions_per_class + spec.modalities * spec.samples_per_class
     config = {
-        "records": records_path.name,
-        "embeddings": kb_embeddings_path.name,
-        "prompts": prompts_path.name,
-        "labels": labels_path.name,
-        "modalities": {
-            name: {"visual": visual_paths[name].name, "pairs": pair_paths[name].name}
-            for name in modality_names
-        },
+        "records": files["records"],
+        "embeddings": files["kb_embeddings"],
+        "prompts": files["prompts"],
+        "labels": files["labels"],
+        "modalities": files["modalities"],
         "k": min(50, pool),
         "retrieval_ks": [1, 5, 10, 20],
         "train": {
@@ -225,32 +239,13 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> SyntheticBundle:
             "symmetric_loss": False,
         },
     }
-    atomic_write_text(config_path, fixed_json(config))
-
-    bundle_manifest = {
-        "spec": asdict(spec),
-        "files": {
-            "records": records_path.name,
-            "kb_embeddings": kb_embeddings_path.name,
-            "prompts": prompts_path.name,
-            "labels": labels_path.name,
-            "pipeline_config": config_path.name,
-            "modalities": {
-                name: {"visual": visual_paths[name].name, "pairs": pair_paths[name].name}
-                for name in modality_names
-            },
-        },
-    }
-    atomic_write_text(root / "bundle.json", fixed_json(bundle_manifest))
+    atomic_write_text(paths["pipeline_config"], fixed_json(config))
+    atomic_write_text(root / "bundle.json", fixed_json({"spec": asdict(spec), "files": files}))
 
     return SyntheticBundle(
         root=root,
-        records=records_path,
-        kb_embeddings=kb_embeddings_path,
-        prompts=prompts_path,
-        labels=labels_path,
+        **paths,
         modality_names=modality_names,
         visual=visual_paths,
         pairs=pair_paths,
-        pipeline_config=config_path,
     )

@@ -10,8 +10,8 @@ fixed seed, bit-reproducible.
 from __future__ import annotations
 
 import io
-import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -37,7 +37,7 @@ from .serialize import (
     is_int,
     read_json,
 )
-from .ubem import read_container, write_ubem_stream
+from .ubem import read_container, write_container_header, write_ubem_stream
 from .vectors import ZERO_NORM, EmbeddingMatrix, as_vectors, normalize_rows
 
 
@@ -309,8 +309,12 @@ def gradient_check_arrays(
 
 # --- persistence -----------------------------------------------------------
 
+# NaN, infinity and an integer past the float range all fail the bounds.
 _POSITIVE = (
-    lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0, "a number > 0"
+    lambda v: isinstance(v, (int, float))
+    and not isinstance(v, bool)
+    and 0 < v <= sys.float_info.max,
+    "a finite number > 0",
 )
 _OPTIMIZERS = [o.value for o in OptimizerKind]
 # The train config's field table, each key optional; TrainConfig checks itself against it.
@@ -353,16 +357,9 @@ def load_train_config(path) -> TrainConfig:
 def save_adapter(path, adapter: LinearAdapter) -> None:
     """Adapter file: JSON header line + weight UBEM blob + 1-row bias blob."""
     adapter.require_finite()
-    header = {
-        "format": "linear-adapter",
-        "version": 1,
-        "modality": adapter.modality,
-        "dim_in": adapter.dim_in,
-        "dim_out": adapter.dim_out,
-    }
+    header = {"modality": adapter.modality, "dim_in": adapter.dim_in, "dim_out": adapter.dim_out}
     buf = io.BytesIO()
-    buf.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
-    buf.write(b"\n")
+    write_container_header(buf, "linear-adapter", header)
     write_ubem_stream(buf, EmbeddingMatrix(adapter.weight.astype(np.float32)))
     write_ubem_stream(buf, EmbeddingMatrix(adapter.bias.astype(np.float32)[None, :]))
     atomic_write_bytes(Path(path), buf.getvalue())

@@ -25,7 +25,8 @@ decoded, so a caller that only checks the labels holds none of them.
 payload through the same three, one block of rows at a time. `read_ubem`
 reads a UBEM file, and `read_container` a `.cset` or `.adapter` file: one
 JSON header line, then UBEM blobs. Both name the file in every ValueError,
-so the framing of every binary input is read in this module. The writer
+so the framing of every binary input is read in this module; the header line
+of a container is written by `write_container_header`. The writer
 passes a float32 C-ordered array's own buffer to the stream (no `tobytes`
 copy) and writes the label block, grown in one bytearray, in one call.
 `write_ubem` streams the header, payload and label block straight into the
@@ -186,6 +187,15 @@ def read_ubem(path) -> EmbeddingMatrix:
     """The matrix of a UBEM file; a ValueError names the file."""
     with open(path, "rb") as f, naming(path):
         return read_ubem_stream(f)
+
+
+def write_container_header(stream, kind: str, header: dict) -> None:
+    """Write the header line of a `kind` container file: `header` after the
+    `format` and `version` keys that `read_container` checks, as one UTF-8
+    JSON line. The caller writes the UBEM blobs after it."""
+    line = json.dumps({"format": kind, "version": 1, **header}, ensure_ascii=False)
+    stream.write(line.encode("utf-8"))
+    stream.write(b"\n")
 
 
 def read_container(path, kind: str, blobs: int) -> tuple[dict, list[EmbeddingMatrix]]:

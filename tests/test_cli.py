@@ -306,6 +306,21 @@ class TestPipelineAndDiagnostics:
         assert (out / "pipeline_config.json").is_file()
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--noise-sigma", "nan", "noise_sigma"), ("--class-separation", "inf", "class_separation"),
+     ("--modality-offset", "Infinity", "modality_offset")],
+)
+def test_synth_generate_non_finite_magnitude_exits_2_naming_the_field(
+    tmp_path, capsys, flag, value, field
+):
+    out = tmp_path / "bundle"
+    assert main(["synth", "generate", flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {field} must be a finite number >= 0, got {float(value)}\n"
+    assert not out.exists()
+
+
 def test_synth_generate_without_flags_writes_the_default_spec(tmp_path):
     # The flags state no defaults of their own, so SyntheticSpec's hold.
     assert main(["synth", "generate", "--out", str(tmp_path / "cli")]) == 0
@@ -357,6 +372,37 @@ def test_bad_pipeline_config_exits_2_naming_file_and_key(bundle, tmp_path, key, 
     assert str(path) in proc.stderr
     assert repr(key) in proc.stderr
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "1e400"])  # Python's json reads both as inf
+def test_non_finite_temperature_exits_2_naming_file_and_key(bundle, tmp_path, literal):
+    config = json.loads(bundle.pipeline_config.read_text())
+    config["train"]["temperature"] = "TEMPERATURE"
+    path = bundle.root / f"temperature_{literal}.json"
+    path.write_text(json.dumps(config).replace('"TEMPERATURE"', literal))
+    proc = run_cli("pipeline", "run", "--config", path, "--out", tmp_path / "run")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(path) in proc.stderr
+    assert "'temperature'" in proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_config_with_infinite_temperature_exits_2_naming_file_and_key(
+    bundle, kb_dir, tmp_path
+):
+    config = tmp_path / "train.json"
+    config.write_text('{"temperature": Infinity, "epochs": 1}')
+    out = tmp_path / "mod0.adapter"
+    proc = run_cli(
+        "train", "--kb", kb_dir, "--pairs", bundle.pairs["mod0"], "--visual",
+        bundle.visual["mod0"], "--modality", "mod0", "--config", config, "--out", out,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(config) in proc.stderr
+    assert "'temperature'" in proc.stderr
+    assert not out.exists()
 
 
 def test_header_claiming_rows_of_dim_0_exits_2_naming_the_file(bundle, tmp_path, capsys):

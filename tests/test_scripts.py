@@ -45,6 +45,7 @@ def test_script_runs(tmp_path, script, args):
         lines = proc.stdout.splitlines()
         assert all(re.fullmatch(r"[0-9a-f]{64}  eval-heavy-0/\S+", line) for line in lines)
         assert any(line.endswith("  eval-heavy-0/manifest.json") for line in lines)
+        assert any(line.endswith("  eval-heavy-0/bundle/bundle.json") for line in lines)
     if script == "stage_rss.py":
         rows = [line.split("  ") for line in proc.stdout.splitlines()]
         by_workload = {}

@@ -82,6 +82,13 @@ def test_unserializable_type_rejected():
         fixed_json({"bad": object()})
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_float_rejected(value):
+    # `json.load` refuses "inf" and "nan", so no report may hold them.
+    with pytest.raises(ValueError, match="non-finite"):
+        fixed_json({"t": [1.0, {"u": value}]})
+
+
 def test_deterministic_bytes():
     obj = {"metrics": {"a": 1 / 3, "b": 2 / 3}}
     assert fixed_json(obj) == fixed_json(obj)

@@ -290,6 +290,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             train_config_from_dict({"momentum": 0.9})
 
+    @pytest.mark.parametrize("key", ["temperature", "learning_rate"])
+    @pytest.mark.parametrize(
+        "value", [float("inf"), float("nan"), 10**400], ids=["inf", "nan", "int-past-float-range"]
+    )
+    def test_non_finite_rate_rejected_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=f"'{key}' must be a finite number > 0"):
+            train_config_from_dict({key: value})
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "train.json"
         path.write_text('{"epochs": 2, "seed": 5}')

@@ -15,7 +15,9 @@ from modalign.ubem import (
     read_label_block,
     read_payload,
     read_ubem,
+    read_container,
     read_ubem_stream,
+    write_container_header,
     write_ubem,
     write_ubem_stream,
 )
@@ -326,3 +328,19 @@ def test_write_ubem_streams_the_payload_without_copying_it(tmp_path):
     back = read_ubem(tmp_path / "m.ubem")
     assert back.vectors.tobytes() == matrix.vectors.tobytes()
     assert back.labels == matrix.labels
+
+
+def test_container_header_line_reads_back_with_its_blob(tmp_path):
+    buf = io.BytesIO()
+    write_container_header(buf, "center-set", {"k": 2, "prompt_template": "a photo of é"})
+    header_line = buf.getvalue()
+    assert header_line == (
+        '{"format": "center-set", "version": 1, "k": 2, "prompt_template": "a photo of é"}\n'
+    ).encode("utf-8")
+    matrix = EmbeddingMatrix(np.eye(2, dtype=np.float32))
+    write_ubem_stream(buf, matrix)
+    path = tmp_path / "c.cset"
+    path.write_bytes(buf.getvalue())
+    header, (blob,) = read_container(path, "center-set", 1)
+    assert header == {"format": "center-set", "version": 1, "k": 2, "prompt_template": "a photo of é"}
+    assert blob.vectors.tobytes() == matrix.vectors.tobytes()
