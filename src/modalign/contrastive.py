@@ -6,10 +6,10 @@ descriptions in the batch act as negatives. The loss for row i is
     -log( exp(s_ii / t) / sum_j exp(s_ij / t) )
 
 averaged over the batch, where s_ij is the dot product of row-normalized
-inputs and t the temperature. Softmax is computed with per-row max
-subtraction for stability. The returned gradient is the analytic derivative
-with respect to the (already normalized) adapted rows, so finite-difference
-checks can perturb the input matrix directly.
+inputs and t the temperature. Each softmax subtracts its max and takes one
+exp. The gradient is taken with respect to the (already normalized) adapted
+rows, so finite-difference checks can perturb them directly, and is built in
+place from the softmax probabilities.
 """
 
 from __future__ import annotations
@@ -40,9 +40,14 @@ def _checked_inputs(adapted, texts) -> tuple[np.ndarray, np.ndarray]:
     return a, z
 
 
-def _log_softmax(logits: np.ndarray, axis: int) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def _softmax(logits: np.ndarray, axis: int):
+    """Softmax along `axis` from one exp, and mean(log sum - shifted diagonal)."""
+    p = logits - logits.max(axis=axis, keepdims=True)
+    positives = p.diagonal().copy()
+    np.exp(p, out=p)
+    sums = p.sum(axis=axis, keepdims=True)
+    p /= sums
+    return p, (np.log(sums).ravel() - positives).mean()
 
 
 def info_nce_forward(adapted, texts, temperature: float, symmetric: bool = False):
@@ -50,17 +55,16 @@ def info_nce_forward(adapted, texts, temperature: float, symmetric: bool = False
 
     Takes (B, d) arrays that are already row-normalized and checks nothing,
     so the gradient check can evaluate it in extended precision. Returns
-    (loss, row log-softmax, column log-softmax or None when not symmetric).
+    (loss, row softmax, column softmax or None when not symmetric).
     """
-    logits = (adapted @ texts.T) / temperature
-    diag = np.arange(logits.shape[0])
-    log_p_rows = _log_softmax(logits, axis=1)
-    loss = -log_p_rows[diag, diag].mean()
-    log_p_cols = None
+    logits = adapted @ texts.T
+    logits /= temperature
+    p_rows, loss = _softmax(logits, 1)
+    p_cols = None
     if symmetric:
-        log_p_cols = _log_softmax(logits, axis=0)
-        loss = 0.5 * (loss + -log_p_cols[diag, diag].mean())
-    return loss, log_p_rows, log_p_cols
+        p_cols, loss_cols = _softmax(logits, 0)
+        loss = 0.5 * (loss + loss_cols)
+    return loss, p_rows, p_cols
 
 
 def info_nce_loss(
@@ -83,15 +87,13 @@ def info_nce_loss(
     a, z = _checked_inputs(adapted, texts)
     batch = a.shape[0]
 
-    loss, log_p_rows, log_p_cols = info_nce_forward(a, z, temperature, symmetric)
+    loss, dlogits, p_cols = info_nce_forward(a, z, temperature, symmetric)
     diag = np.arange(batch)
-    dlogits = np.exp(log_p_rows)
     dlogits[diag, diag] -= 1.0
-
     if symmetric:
-        q_cols = np.exp(log_p_cols)
-        q_cols[diag, diag] -= 1.0
-        dlogits = 0.5 * (dlogits + q_cols)
+        p_cols[diag, diag] -= 1.0
+        dlogits += p_cols
 
-    gradient = dlogits @ z / (batch * temperature)
+    gradient = dlogits @ z
+    gradient /= batch * temperature * (1 + symmetric)
     return float(loss), gradient

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -18,13 +20,17 @@ class SGD:
 
 
 class Adam:
-    """Adam with bias correction; update is lr * m_hat / (sqrt(v_hat) + eps).
+    """Adam with bias correction, in the folded form of Kingma & Ba (Sec. 2).
 
-    `step` updates `m`, `v` and the parameters in place through two scratch
-    buffers per parameter, in the operation order of the textbook formula,
-    so its results are bit-identical to it. The buffers are taken per step,
-    not held: between steps the training temporaries reuse their memory,
-    whereas held buffers would add their size to the training peak.
+    Step t updates m = beta1 * m + (1 - beta1) * g and
+    v = beta2 * v + (1 - beta2) * g * g, then
+    p -= alpha_t * m / (sqrt(v) + eps_t) with
+    alpha_t = lr * sqrt(1 - beta2**t) / (1 - beta1**t) and
+    eps_t = eps * sqrt(1 - beta2**t). This equals the textbook
+    lr * m_hat / (sqrt(v_hat) + eps) up to rounding. `step` updates `m`, `v`
+    and the parameters in place through one scratch array per parameter,
+    and leaves `grads` unmodified. The scratch is taken per step, not held:
+    a held buffer would add its size to the training peak.
     """
 
     def __init__(
@@ -46,18 +52,19 @@ class Adam:
 
     def step(self, grads: list[np.ndarray]) -> None:
         self.t += 1
-        m_scale = 1.0 - self.beta1**self.t
-        v_scale = 1.0 - self.beta2**self.t
+        root = math.sqrt(1.0 - self.beta2**self.t)
+        alpha = self.lr * root / (1.0 - self.beta1**self.t)
+        eps = self.eps * root
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            a, b = np.empty_like(p), np.empty_like(p)
-            # m = beta1 * m + (1 - beta1) * g
-            np.multiply(m, self.beta1, out=m)
-            np.add(m, np.multiply(g, 1.0 - self.beta1, out=a), out=m)
-            # v = beta2 * v + (1 - beta2) * g * g
-            np.multiply(v, self.beta2, out=v)
-            np.multiply(np.multiply(g, 1.0 - self.beta2, out=a), g, out=a)
-            np.add(v, a, out=v)
-            # p -= lr * (m / m_scale) / (sqrt(v / v_scale) + eps)
-            np.multiply(np.divide(m, m_scale, out=a), self.lr, out=a)
-            np.add(np.sqrt(np.divide(v, v_scale, out=b), out=b), self.eps, out=b)
-            p -= np.divide(a, b, out=a)
+            s = np.multiply(g, 1.0 - self.beta1)
+            m *= self.beta1
+            m += s
+            np.multiply(g, 1.0 - self.beta2, out=s)
+            s *= g
+            v *= self.beta2
+            v += s
+            np.sqrt(v, out=s)
+            s += eps
+            np.divide(m, s, out=s)
+            s *= alpha
+            p -= s

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modalign
+from modalign import training
 from modalign.errors import (
     DegenerateBatch,
     DimensionMismatch,
@@ -11,6 +17,7 @@ from modalign.errors import (
     ZeroVector,
 )
 from modalign.kb import KnowledgeRecord, Source
+from modalign.optim import Adam
 from modalign.training import (
     LinearAdapter,
     OptimizerKind,
@@ -167,6 +174,68 @@ class TestTrain:
         texts = np.tile(normalize_rows(rng.standard_normal((1, 4))), (6, 1))
         with pytest.raises(DegenerateBatch, match="identical"):
             train(rng.standard_normal((6, 4)), texts, TrainConfig(epochs=1, batch_size=2, seed=0))
+
+    def test_text_rows_differing_only_in_the_last_row_train(self):
+        rng = np.random.default_rng(16)
+        texts = np.tile(normalize_rows(rng.standard_normal((1, 4))), (6, 1))
+        texts[-1] = normalize_rows(rng.standard_normal((1, 4)))[0]
+        _, history = train(
+            rng.standard_normal((6, 4)), texts, TrainConfig(epochs=1, batch_size=6, seed=0)
+        )
+        assert len(history) == 1
+
+    def test_each_step_calls_the_loss_and_the_optimizer_once(self, monkeypatch):
+        # The benchmark's tracer counts training steps and loss calls by
+        # rebinding these two names, so `train` must call through them.
+        calls = {"loss": 0, "step": 0}
+        loss, step = training.info_nce_loss, Adam.step
+
+        def counting_loss(*args, **kwargs):
+            calls["loss"] += 1
+            return loss(*args, **kwargs)
+
+        def counting_step(self, grads):
+            calls["step"] += 1
+            return step(self, grads)
+
+        monkeypatch.setattr(training, "info_nce_loss", counting_loss)
+        monkeypatch.setattr(Adam, "step", counting_step)
+        kb, visual = paired_kb(9, 4, seed=12, categories=3)
+        vectors, texts = resolve_pairs(all_pairs(visual), visual, kb)
+        train(vectors, texts, TrainConfig(epochs=3, batch_size=4, seed=0))
+        # 9 rows in batches of 4: two steps per epoch, the tail of one skipped.
+        assert calls == {"loss": 6, "step": 6}
+
+    @pytest.mark.parametrize("config", [{}, {"symmetric_loss": True}], ids=["adam", "symmetric"])
+    def test_adapter_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, config):
+        # Batches of 64 rows of 96 dims are past OpenBLAS's threading cutoff
+        # for every product of the step, so two threads split each of them.
+        script = (
+            "import hashlib, json, sys\n"
+            "import numpy as np\n"
+            "from modalign.training import TrainConfig, save_adapter, train\n"
+            "rng = np.random.default_rng(3)\n"
+            "visual = rng.standard_normal((128, 96))\n"
+            "texts = rng.standard_normal((128, 96))\n"
+            "texts /= np.linalg.norm(texts, axis=1, keepdims=True)\n"
+            "config = TrainConfig(epochs=3, batch_size=64, **json.loads(sys.argv[2]))\n"
+            "adapter, history = train(visual, texts, config, 'image')\n"
+            "save_adapter(sys.argv[1], adapter)\n"
+            "print(hashlib.sha256(adapter.weight.tobytes() + adapter.bias.tobytes()).hexdigest())\n"
+            "print(history)\n"
+        )
+        src = str(Path(modalign.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"threads{threads}.adapter"
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(path), json.dumps(config)],
+                capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((path.read_bytes(), proc.stdout))
+        assert outputs[0] == outputs[1]
 
     def test_train_mutates_neither_input(self):
         kb, visual = paired_kb(24, 6, seed=17, categories=4)
