@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Peak and current RSS after each `pipeline run` stage, on the benchmark's bundles.
+"""Peak and current RSS, wall time and minor page faults of each `pipeline run`
+stage, on the benchmark's bundles.
 
 Each workload runs in its own spawned child process, so no workload's peak
 carries over to the next. That child builds the bundle with
@@ -9,10 +10,12 @@ generating it does not count in the pipeline's peak. It then runs
 `run_pipeline` into `OUT/<workload>-<seed>/out` with `pipeline._stage`
 wrapped, and prints one line per finished stage:
 
-    <workload>  <stage>  <ru_maxrss MB>  <current RSS MB>
+    <workload>  <stage>  <ru_maxrss MB>  <current RSS MB>  <wall s>  <minor faults>
 
 MB is 1e6 bytes, as in perfbench's `peak_rss_mb`. Current RSS is read from
-`/proc/self/statm` and printed as `-` where that file does not exist.
+`/proc/self/statm` and printed as `-` where that file does not exist. The
+wall seconds and the minor page faults (the `ru_minflt` delta) are the
+stage's own, so one run shows which stage's time or memory moved.
 
     python scripts/stage_rss.py --out /tmp/stages --workloads kb-large --seed 0
 """
@@ -23,6 +26,7 @@ import os
 import resource
 import shutil
 import sys
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -41,6 +45,10 @@ def peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / MB
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def current_mb() -> str:
     try:
         with open("/proc/self/statm") as f:
@@ -51,20 +59,25 @@ def current_mb() -> str:
 
 
 def reporting_stage(workload: str, stage):
-    """`stage` that prints the RSS line once its block has run."""
+    """`stage` that prints the stage's line once its block has run."""
 
     @contextmanager
     def wrapped(name: str):
+        faults, start = minor_faults(), time.perf_counter()
         with stage(name):
             yield
-        print(f"{workload}  {name}  {peak_mb():.2f}  {current_mb()}", flush=True)
+        seconds, faults = time.perf_counter() - start, minor_faults() - faults
+        print(
+            f"{workload}  {name}  {peak_mb():.2f}  {current_mb()}  {seconds:.4f}  {faults}",
+            flush=True,
+        )
 
     return wrapped
 
 
 def run_workload(workload: str, seed: int, case: Path) -> None:
     """Build the workload's bundle in a child process, then run the pipeline
-    in this one, printing the RSS line of each stage."""
+    in this one, printing the line of each stage."""
     shutil.rmtree(case, ignore_errors=True)
     with multiprocessing.get_context("spawn").Pool(1) as pool:
         config = pool.apply(make_bundle, (workload, seed, case / "bundle"))

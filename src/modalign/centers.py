@@ -12,10 +12,12 @@ rows}` anchors of the anchor-max and prompt-mean scoring rules.
 
 A category's candidates are read and scored one `vectors.row_blocks` block
 at a time (NORM_BLOCK_ROWS rows; a lone last row joins the block before it)
-and the blocks' winners merged. `KnowledgeBase.read_rows` reads the unit
-rows of each block from the knowledge base's file, and those of the members
-once per k, so ranking holds one block's float32 rows and float64 copy at a
-time, never the payload or a copy of every candidate. The merge is exact:
+and the blocks' winners merged. `KnowledgeBase.read_unit_rows` reads each
+block from the knowledge base's file as the float64 unit keys `top_k` takes,
+taking each candidate row's norm once, in the read's ingest check, and
+`KnowledgeBase.read_rows` reads the float32 rows of the members once per k.
+So ranking holds one block's float32 rows and float64 copy at a time, never
+the payload or a copy of every candidate. The merge is exact:
 members and tie-break are those of one `top_k` over every candidate given
 the same scores. A score is computed within its block, so, as `vectors`
 says of query blocks, it can differ in the last bits from the score one
@@ -114,10 +116,11 @@ def _rank_category(
     """The `width` candidate rows of a category most similar to its prompt,
     with their scores, best first and ties to the lower row.
 
-    Each `row_blocks` block of candidates is read (`KnowledgeBase.read_rows`)
-    and ranked by its own `top_k` call. A row in the overall top `width` is in its block's top
-    `width`, so one stable sort of the blocks' winners, concatenated in row
-    order, gives the same rows, order and tie-break as ranking all of them.
+    Each `row_blocks` block of candidates is read as unit keys
+    (`KnowledgeBase.read_unit_rows`) and ranked by its own `top_k` call. A
+    row in the overall top `width` is in its block's top `width`, so one
+    stable sort of the blocks' winners, concatenated in row order, gives
+    the same rows, order and tie-break as ranking all of them.
     """
     rows = kb.category_rows(category, source_filter)
     if not rows:
@@ -130,7 +133,7 @@ def _rank_category(
     winners, winner_scores = [], []
     for block_rows in row_blocks(len(rows)):
         block = rows[block_rows]
-        order, scores = top_k(prompt[None, :], kb.read_rows(block), width)
+        order, scores = top_k(prompt[None, :], kb.read_unit_rows(block), width)
         winners += [block[i] for i in order[0].tolist()]
         winner_scores.append(scores[0])
     scores = np.concatenate(winner_scores)

@@ -8,9 +8,9 @@ anchors as `{category: rows}` (a CenterSet's `member_blocks()`, or
 query against every category with one whole-matrix `unit_similarity`
 product per category, and break argmax ties by ascending category name so
 reports are reproducible.
-Retrieval counts each query's rank over the query blocks of
-`vectors.score_blocks`, which checks the dims and normalizes the gallery
-once, and sorts nothing; it cuts no blocks of its own.
+Retrieval normalizes the gallery once per call and counts each query's
+rank over the query blocks of `vectors.score_blocks` against those unit
+keys, and sorts nothing; it cuts no blocks of its own.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def evaluate_retrieval(
         columns.setdefault(gid, []).append(j)
     query_ids = queries.ids
     ranks = np.empty(queries.rows)
-    for rows, scores in score_blocks(queries, gallery):
+    for rows, scores in score_blocks(queries, normalize_rows(gallery)):
         block_ids = query_ids[rows]
         relevant = np.zeros((len(block_ids), gallery.rows), dtype=bool)
         for i, qid in enumerate(block_ids):

@@ -21,14 +21,19 @@ file of its rows. `build` reads the embeddings file once, one
 checks and normalizes each block in place with the ingest rule
 (`_ingest_rows`). When it exports, it writes each normalized block straight
 into the atomic temp file of `embeddings.ubem`, and the knowledge base it
-returns reads that file back. `KnowledgeBase.read_rows` is the one reader of
+returns reads that file back. One private reader serves both readers of
 the rows after build: it reads only the rows it is asked for, one `readinto`
 per run of consecutive rows, and runs the ingest rule on them again, so a
 file changed after build raises rather than scores NaN. On rows that are
-already unit, as an exported file's are, the rule computes their norms and
-divides nothing. Norms come from `vectors.row_norms`; one masked `np.divide`
-scales the rows that need it in float64 and rounds them back in place, so no
-float64 block outlives it.
+already unit, as an exported file's are, the rule computes their norms,
+divides nothing and hands the norms back. `read_rows` returns the float32
+rows; `read_unit_rows` divides one float64 copy of them by those norms,
+which is `normalize_rows` of the float32 rows bit for bit with one norm
+pass instead of two. Norms come from `vectors.row_norms`;
+one `np.divide` scales the rows that need it in float64 and rounds them
+back in place, so no float64 block outlives it. It is masked only when some
+rows of the block are already unit: a divide without a mask costs about
+half as much.
 
 Export memory: neither file is ever held whole. `write_kb_dir` yields the
 atomic temp files of a knowledge-base directory, and `build` writes into
@@ -140,7 +145,8 @@ class KnowledgeBase:
 
     `ids` is the knowledge base's one list of record ids; `sources` holds
     each row's source code (its source's position in `Source`) as a uint8
-    array. The rows are read from `path` by `read_rows` and never held.
+    array. The rows are read from `path` by `read_rows` and
+    `read_unit_rows`, and never held.
     """
 
     path: Path
@@ -179,6 +185,24 @@ class KnowledgeBase:
         naming the file and the row. A file whose header no longer gives
         the knowledge base's shape raises ValueError naming it.
         """
+        return self._read(rows)[0]
+
+    def read_unit_rows(self, rows: list[int]) -> np.ndarray:
+        """`normalize_rows(read_rows(rows))`, byte for byte, with one norm
+        pass: one float64 copy of the rows, divided in place by the norms
+        the ingest rule took of them. Only where the rule rescaled some
+        rows, as it does for a file `build` did not write, are the norms of
+        the rescaled rows taken again. Raises as `read_rows` does.
+        """
+        x, norms = self._read(rows)
+        if norms is None:
+            norms = row_norms(x)
+        out = np.array(x, dtype=np.float64)
+        return np.divide(out, norms[:, None], out=out)
+
+    def _read(self, rows: list[int]) -> tuple[np.ndarray, np.ndarray | None]:
+        """The float32 rows of `read_rows`, and their norms as `_ingest_rows`
+        hands them back: None where it rescaled some of them."""
         out = np.empty((len(rows), self.dim), "<f4")
         with open(self.path, "rb") as f, naming(self.path):
             shape = read_header(f)
@@ -194,8 +218,7 @@ class KnowledgeBase:
             for a, b in zip(cuts, cuts[1:] + [n]):
                 f.seek(start + rows[a] * width)
                 read_payload(f, out[a:b])
-        _ingest_rows(out, self.path, rows)
-        return out
+        return out, _ingest_rows(out, self.path, rows)
 
 
 def _record_problem(obj) -> str | None:
@@ -288,21 +311,24 @@ def save_records(path, records: Iterable[KnowledgeRecord]) -> None:
         f.writelines(starmap(_record_line, records))
 
 
-def _ingest_rows(x: np.ndarray, path, rows) -> None:
+def _ingest_rows(x: np.ndarray, path, rows) -> np.ndarray | None:
     """Check the float32 rows `x`, read from rows `rows` of the file `path`,
     and unit-normalize them in place, leaving already-unit rows bit-identical.
+    Returns the rows' norms when no row was rescaled, for a reader to reuse,
+    and None when some were.
 
     The first row that is not finite or has a norm below ZERO_NORM raises,
     naming `path` and its row. Rows whose norm is within UNIT_TOLERANCE of 1
     are not touched, so a normalize-store-reload cycle is idempotent at the
     byte level. Norms are `row_norms` in float64, where a float32 row's sum
     of squares is finite exactly when the row is; the rows that need scaling
-    are divided in float64 and rounded back into the array by one masked
-    `np.divide`. The checks on a clean block run only numpy routines that
-    an ingest of the whole payload ran.
+    are divided in float64 and rounded back into the array by one
+    `np.divide`, masked only when some rows need no scaling. The checks on
+    a clean block run only numpy routines that an ingest of the whole
+    payload ran.
     """
     if not len(x):
-        return
+        return np.empty(0)
     # NaN propagates through `min` and `max`, so both are finite exactly when
     # every entry is.
     if np.isfinite(x.min()) and np.isfinite(x.max()):
@@ -318,8 +344,12 @@ def _ingest_rows(x: np.ndarray, path, rows) -> None:
             raise ZeroVector(f"{path}: embedding row {rows[i]} has norm {norms[i]:.3e}")
         raise ValueError(f"{path}: embedding matrix contains NaN or Inf in row {rows[i]}")
     needs = np.abs(norms - 1.0) > UNIT_TOLERANCE
-    if needs.any():
-        np.divide(x, norms[:, None], out=x, where=needs[:, None], casting="same_kind")
+    if not needs.any():
+        return norms
+    # `where=True`, numpy's default, is no mask: half the masked divide's cost.
+    mask = True if needs.all() else needs[:, None]
+    np.divide(x, norms[:, None], out=x, where=mask, casting="same_kind")
+    return None
 
 
 def build(records_path, embeddings_path, sink: KbSink | None = None) -> KnowledgeBase:

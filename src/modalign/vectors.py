@@ -2,10 +2,13 @@
 and the one place rows are cut into blocks.
 
 `similarity_matrix` is the one similarity kernel. `score_blocks` runs it over
-BLOCK_ROWS-row query blocks against keys it normalizes once per call, each
-block bit-identical to `similarity_matrix` of those rows; `top_k`, the one
-ranking kernel, and retrieval reduce its blocks, and retrieval counts ranks
-and sorts nothing. Zero-shot scoring normalizes its queries once and keeps
+BLOCK_ROWS-row query blocks against unit keys, which it takes as given and
+never normalizes: the caller normalizes them once, or reads them unit, as
+`KnowledgeBase.read_unit_rows` does with the norms its ingest check took.
+Given `normalize_rows(keys)`, each block is bit-identical to
+`similarity_matrix(queries[rows], keys)`. `top_k`, the one ranking kernel,
+and retrieval reduce its blocks, and retrieval counts ranks and sorts
+nothing. Zero-shot scoring normalizes its queries once and keeps
 one whole-matrix `unit_similarity` product per category. All similarity
 math runs in float64 whatever the storage dtype, and cosine scores are
 clamped to [-1, 1] after the fact, so drift never leaks out-of-range values
@@ -211,21 +214,24 @@ def unit_similarity(unit_queries, keys) -> np.ndarray:
 
 
 def score_blocks(queries, keys):
-    """Yield (rows, scores) for each BLOCK_ROWS-row block of `queries`, where
-    `scores` equals `similarity_matrix(queries[rows], keys)` bit for bit.
+    """Yield (rows, scores) for each BLOCK_ROWS-row block of `queries`
+    against the unit rows `keys`: given `keys = normalize_rows(raw)`,
+    `scores` equals `similarity_matrix(queries[rows], raw)` bit for bit.
 
-    The dims are checked and the keys normalized once per call, not once
-    per block.
+    The keys are used as given, never normalized: keys that are not unit
+    give scores that are not cosines. The dims are checked once per call,
+    and each block of queries is normalized.
     """
     q, k = _checked(queries, keys)
-    unit_keys = normalize_rows(k)
     for start in range(0, q.shape[0], BLOCK_ROWS):
         rows = slice(start, min(start + BLOCK_ROWS, q.shape[0]))
-        yield rows, np.clip(normalize_rows(q[rows]) @ unit_keys.T, -1.0, 1.0)
+        yield rows, np.clip(normalize_rows(q[rows]) @ k.T, -1.0, 1.0)
 
 
 def top_k(queries, keys, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k rows of `keys` by cosine similarity, for every query row.
+    """Exact top-k rows of the unit rows `keys` by cosine similarity, for
+    every query row. The keys are used as given (see `score_blocks`); the
+    queries need not be unit.
 
     Returns (indices, scores), both of shape (query rows, min(k, key rows)).
     Each row is sorted by score descending with ties broken by ascending key

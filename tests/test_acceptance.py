@@ -89,7 +89,7 @@ def test_c03_top_k_oracle_equivalence():
         scores = [cosine(query, keys[i]) for i in range(1000)]
         oracle = sorted(range(1000), key=lambda i: (-scores[i], i))
         for k in (1, 50, 999, 1000):
-            got, _ = top_k(query[None, :], keys, k)
+            got, _ = top_k(query[None, :], normalize_rows(keys), k)
             assert got[0].tolist() == oracle[:k], f"seed {seed}, k={k}"
     passed(3, "top-k oracle equivalence")
 

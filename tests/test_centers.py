@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import modalign.centers
-from kbfiles import kb_from_parts, kb_rows, whole_matrix_ingest
+import modalign.kb
+import modalign.vectors
+from kbfiles import kb_from_parts, kb_rows, whole_matrix_ingest, write_kb_files
 from modalign.centers import (
     load_center_set,
     localize,
@@ -17,8 +19,15 @@ from modalign.centers import (
     sweep_k,
 )
 from modalign.errors import DimensionMismatch, MissingCategory
-from modalign.kb import KnowledgeRecord, Source
-from modalign.vectors import NORM_BLOCK_ROWS, EmbeddingMatrix, cosine, row_blocks, top_k
+from modalign.kb import KnowledgeRecord, Source, build, write_kb_dir
+from modalign.vectors import (
+    NORM_BLOCK_ROWS,
+    EmbeddingMatrix,
+    cosine,
+    normalize_rows,
+    row_blocks,
+    top_k,
+)
 
 
 def synthetic_parts(categories, per_category, dim, seed=0, source=Source.LLM_CATEGORY):
@@ -51,7 +60,7 @@ def blockwise_ranking(unit, rows, prompt, width):
     winners, scores = [], []
     for block in row_blocks(len(rows)):
         keys = rows[block]
-        order, block_scores = top_k(prompt[None, :], unit[keys], width)
+        order, block_scores = top_k(prompt[None, :], normalize_rows(unit[keys]), width)
         winners += [keys[i] for i in order[0].tolist()]
         scores.append(block_scores[0])
     scores = np.concatenate(scores)
@@ -179,7 +188,7 @@ class TestLocalize:
         kb = kb_from_parts(records, vectors)
         rows = kb.category_rows("a")
         assert rows == list(range(2600))
-        order, scores = top_k(prompt[None, :], kb_rows(kb)[rows], len(rows))
+        order, scores = top_k(prompt[None, :], normalize_rows(kb_rows(kb)[rows]), len(rows))
         assert order[0][:42].tolist() == planted  # the copies tie, lowest row first
         assert len(set(scores[0][:42].tolist())) == 1
         for k in (1, 10, 25, 43, 50, 2600):
@@ -210,12 +219,41 @@ class TestLocalize:
                 rows = kb.category_rows(name)
                 assert len(rows) == NORM_BLOCK_ROWS + 1
                 assert layout == "runs" or {j - i for i, j in zip(rows, rows[1:])} == {3}
-                order, scores = top_k(anchors[name][None, :], unit[rows], len(rows))
+                keys = normalize_rows(unit[rows])
+                order, scores = top_k(anchors[name][None, :], keys, len(rows))
                 assert center.member_rows == [rows[i] for i in order[0].tolist()]
                 assert center.member_scores == scores[0].tolist()
                 assert (center.member_rows, center.member_scores) == blockwise_ranking(
                     unit, rows, anchors[name], len(rows)
                 )
+
+    def test_norms_each_candidate_and_member_row_once(self, tmp_path, monkeypatch):
+        # Over an exported knowledge base, the read's ingest check takes each
+        # candidate row's norm and `top_k` reuses it; `top_k` is called once
+        # per candidate block and norms only its one prompt row.
+        records, vectors, anchors = synthetic_parts(
+            ["a", "b"], 2 * NORM_BLOCK_ROWS + 1, 16, seed=10
+        )
+        with write_kb_dir(tmp_path / "kb") as sink:
+            kb = build(*write_kb_files(tmp_path, records, vectors), sink)
+        normed = {modalign.kb: [], modalign.vectors: []}
+        for module, rows in normed.items():
+            def counting_row_norms(matrix, rows=rows, original=module.row_norms):
+                rows.append(len(matrix))
+                return original(matrix)
+
+            monkeypatch.setattr(module, "row_norms", counting_row_norms)
+        ranked = []
+
+        def counting_top_k(queries, keys, k):
+            ranked.append(len(keys))
+            return top_k(queries, keys, k)
+
+        monkeypatch.setattr(modalign.centers, "top_k", counting_top_k)
+        centers = localize(kb, anchors, k=50)
+        assert ranked == [NORM_BLOCK_ROWS, NORM_BLOCK_ROWS + 1] * 2  # a lone last row joins
+        assert sum(normed[modalign.kb]) == kb.size + centers.members.rows
+        assert normed[modalign.vectors] == [1] * len(ranked)
 
     def test_ranks_in_blocks_without_a_full_size_copy(self):
         # One top_k over every candidate makes a float64 copy of them all

@@ -28,7 +28,13 @@ from modalign.kb import (
 from modalign.centers import load_center_set, localize, save_center_set
 from modalign.training import resolve_pairs
 from modalign.ubem import read_ubem, write_ubem
-from modalign.vectors import NORM_BLOCK_ROWS, EmbeddingMatrix
+from modalign.vectors import (
+    NORM_BLOCK_ROWS,
+    UNIT_TOLERANCE,
+    EmbeddingMatrix,
+    normalize_rows,
+    row_norms,
+)
 
 
 def make_records(n, category="fish", source=Source.LLM_CATEGORY, prefix="rec"):
@@ -431,7 +437,7 @@ class TestExportRoundtrip:
         assert kb_rows(kb2).tobytes() == kb_rows(kb1).tobytes()
 
 
-@pytest.mark.parametrize("reader", ["localize", "resolve_pairs"])
+@pytest.mark.parametrize("reader", ["localize", "resolve_pairs", "read_unit_rows"])
 @pytest.mark.parametrize("fault", ["nan", "inf", "zero", "replaced"])
 def test_row_spoiled_after_build_raises_naming_file_and_row(tmp_path, small_paths, fault, reader):
     # The knowledge base reads its rows back from the file its build wrote,
@@ -457,9 +463,32 @@ def test_row_spoiled_after_build_raises_naming_file_and_row(tmp_path, small_path
     with pytest.raises(error) as info:
         if reader == "localize":
             localize(kb, prompts, k=2)
-        else:
+        elif reader == "resolve_pairs":
             resolve_pairs([("s0", 0), ("s1", 1)], np.ones((2, kb.dim)), kb)
+        else:
+            kb.read_unit_rows([0, row])
     assert str(info.value) == f"{kb.path}: {problem}"
+
+
+@pytest.mark.parametrize("export", [True, False])
+def test_read_unit_rows_are_the_normalized_read_rows(tmp_path, export):
+    # Exported rows are unit, so the read reuses the norms of its ingest
+    # check; the input file's raw rows, every third one already unit, are
+    # rescaled as they are read, and their norms are taken again.
+    rng = np.random.default_rng(13)
+    n = NORM_BLOCK_ROWS + 1
+    x = rng.standard_normal((n, 16)).astype(np.float32)
+    x[::3] = whole_matrix_ingest(x[::3])
+    paths = write_kb_files(tmp_path, make_records(n), x)
+    if export:
+        with write_kb_dir(tmp_path / "kb") as sink:
+            kb = build(*paths, sink)
+    else:
+        kb = build(*paths)
+    for rows in ([5, 3, 900, 901, 902, 0], [7], list(range(n)), [n - 1]):
+        got = kb.read_unit_rows(rows)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == normalize_rows(kb.read_rows(rows)).tobytes()
 
 
 def _ingest(x, path="m.ubem"):
@@ -519,6 +548,37 @@ class TestIngestRows:
             kb = build(*paths, sink)
         assert paths[1].read_bytes() == before
         assert kb_rows(kb).tobytes() == whole_matrix_ingest(mixed).tobytes()
+
+    @pytest.mark.parametrize("scaled", ["every", "some", "no"])
+    def test_rescale_gives_the_masked_divide_bytes(self, scaled):
+        # A block whose rows all need scaling is divided without a mask; the
+        # bytes are those of one masked divide whatever the block holds, and
+        # the norms come back only when no row was rescaled.
+        rng = np.random.default_rng(12)
+        n = NORM_BLOCK_ROWS + 1
+        raw = rng.standard_normal((n, 24))
+        unit = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        inside = [1.0, 1 - 0.9 * UNIT_TOLERANCE, 1 + 0.9 * UNIT_TOLERANCE]
+        outside = [1 - 1.1 * UNIT_TOLERANCE, 1 + 1.1 * UNIT_TOLERANCE, 0.5, 3.0]
+        pool = {"every": outside, "some": inside + outside, "no": inside}[scaled]
+        x = (unit * rng.choice(pool, n)[:, None]).astype(np.float32)
+        x[: len(pool)] = (unit[: len(pool)] * np.array(pool)[:, None]).astype(np.float32)
+        norms = row_norms(x)
+        needs = np.abs(norms - 1.0) > UNIT_TOLERANCE
+        # Each scale lands on its side of the tolerance once rounded to float32.
+        assert needs[: len(pool)].tolist() == [v not in inside for v in pool]
+        kinds = {"every": (True, True), "some": (False, True), "no": (False, False)}
+        assert (needs.all(), needs.any()) == kinds[scaled]
+        want = x.copy()
+        np.divide(want, norms[:, None], out=want, where=needs[:, None], casting="same_kind")
+        before = x.copy()
+        got = _ingest(x)
+        assert x.tobytes() == want.tobytes()
+        assert x[~needs].tobytes() == before[~needs].tobytes()  # inside rows keep their bytes
+        if scaled == "no":
+            assert got.tobytes() == norms.tobytes()
+        else:
+            assert got is None
 
     def test_zero_row_in_later_block_named_by_absolute_index(self, mixed):
         row = NORM_BLOCK_ROWS + 5

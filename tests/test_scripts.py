@@ -49,8 +49,9 @@ def test_script_runs(tmp_path, script, args):
     if script == "stage_rss.py":
         rows = [line.split("  ") for line in proc.stdout.splitlines()]
         by_workload = {}
-        for workload, stage, peak, current in rows:
+        for workload, stage, peak, current, seconds, faults in rows:
             assert float(peak) > 0 and (current == "-" or float(current) > 0)
+            assert float(seconds) >= 0 and int(faults) >= 0
             by_workload.setdefault(workload, []).append((stage, float(peak)))
         assert list(by_workload) == ["eval-heavy", "train-long"]
         for stages in by_workload.values():

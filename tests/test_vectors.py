@@ -177,14 +177,14 @@ class TestTopK:
         rng = np.random.default_rng(0)
         keys = rng.standard_normal((20, 6))
         query = keys[13].copy()
-        indices, scores = top_k(query[None, :], keys, 1)
+        indices, scores = top_k(query[None, :], normalize_rows(keys), 1)
         assert indices.shape == (1, 1)
         assert indices[0, 0] == 13
         assert scores[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_k_at_least_rows_returns_all_sorted(self):
         keys = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        indices, scores = top_k([[1.0, 0.0]], keys, 10)
+        indices, scores = top_k([[1.0, 0.0]], normalize_rows(keys), 10)
         assert indices[0].tolist() == [0, 2, 1]
         assert scores[0].tolist() == sorted(scores[0].tolist(), reverse=True)
 
@@ -193,13 +193,13 @@ class TestTopK:
         keys = rng.standard_normal((1000, 16))
         query = rng.standard_normal(16)
         expected = brute_force_ranking(query, keys)[:50]
-        indices, _ = top_k(query[None, :], keys, 50)
+        indices, _ = top_k(query[None, :], normalize_rows(keys), 50)
         assert indices[0].tolist() == [i for i, _ in expected]
 
     def test_tie_break_ascending_index(self):
         # duplicate rows produce identical scores; earlier row must win
         keys = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
-        indices, _ = top_k([[1.0, 1.0]], keys, 3)
+        indices, _ = top_k([[1.0, 1.0]], normalize_rows(keys), 3)
         assert indices[0].tolist() == [1, 2, 0]
 
     def test_empty_keys(self):
@@ -247,7 +247,7 @@ class TestTopK:
         keys = rng.standard_normal((rows, 5))
         query = rng.standard_normal(5)
         expected = brute_force_ranking(query, keys)[: min(k, rows)]
-        indices, _ = top_k(query[None, :], keys, k)
+        indices, _ = top_k(query[None, :], normalize_rows(keys), k)
         assert indices[0].tolist() == [i for i, _ in expected]
 
 
@@ -258,7 +258,7 @@ class TestScoreBlocks:
         queries = rng.standard_normal((2 * BLOCK_ROWS + 3, 64)).astype(dtype)
         keys = rng.standard_normal((300, 64)).astype(dtype)
         covered = []
-        for rows, scores in score_blocks(queries, keys):
+        for rows, scores in score_blocks(queries, normalize_rows(keys)):
             assert scores.dtype == np.float64
             assert np.array_equal(scores, similarity_matrix(queries[rows], keys))
             covered += range(len(queries))[rows]
@@ -268,19 +268,20 @@ class TestScoreBlocks:
         with pytest.raises(DimensionMismatch):
             next(score_blocks(np.ones((3, 3)), np.ones((4, 2))))
 
-    def test_top_k_normalizes_its_keys_once(self, monkeypatch):
-        # One call for the keys, then one per query block: the keys are not
-        # normalized again for every block.
+    def test_top_k_normalizes_each_query_block_and_not_its_keys(self, monkeypatch):
+        # One call per query block: the keys arrive unit, so they are not
+        # normalized at all, neither once per call nor once per block.
         calls = []
 
         def counting(matrix):
             calls.append(as_vectors(matrix).shape[0])
             return normalize_rows(matrix)
 
-        monkeypatch.setattr(vectors, "normalize_rows", counting)
         rng = np.random.default_rng(22)
-        top_k(rng.standard_normal((2 * BLOCK_ROWS + 3, 8)), rng.standard_normal((50, 8)), 5)
-        assert calls == [50, BLOCK_ROWS, BLOCK_ROWS, 3]
+        keys = normalize_rows(rng.standard_normal((50, 8)))
+        monkeypatch.setattr(vectors, "normalize_rows", counting)
+        top_k(rng.standard_normal((2 * BLOCK_ROWS + 3, 8)), keys, 5)
+        assert calls == [BLOCK_ROWS, BLOCK_ROWS, 3]
 
 
 class TestRowBlocks:
