@@ -10,12 +10,15 @@ generating it does not count in the pipeline's peak. It then runs
 `run_pipeline` into `OUT/<workload>-<seed>/out` with `pipeline._stage`
 wrapped, and prints one line per finished stage:
 
-    <workload>  <stage>  <ru_maxrss MB>  <current RSS MB>  <wall s>  <minor faults>
+    <workload>  <stage>  <ru_maxrss MB>  <current RSS MB>  <wall s>  <minor faults>  <modules>
 
 MB is 1e6 bytes, as in perfbench's `peak_rss_mb`. Current RSS is read from
 `/proc/self/statm` and printed as `-` where that file does not exist. The
 wall seconds and the minor page faults (the `ru_minflt` delta) are the
-stage's own, so one run shows which stage's time or memory moved.
+stage's own, so one run shows which stage's time or memory moved. The last
+column lists, comma-separated, the modules the stage imported first (`-`
+for none), each without the submodules it brought along: a stage whose RSS
+step comes from importing a package shows that package beside the step.
 
     python scripts/stage_rss.py --out /tmp/stages --workloads kb-large --seed 0
 """
@@ -58,17 +61,26 @@ def current_mb() -> str:
     return f"{pages * os.sysconf('SC_PAGE_SIZE') / MB:.2f}"
 
 
+def new_modules(before: set[str]) -> str:
+    """The modules first imported since `before` was taken, comma-separated
+    (`-` for none), leaving out each one whose parent package is among them."""
+    new = set(sys.modules) - before
+    shown = sorted(m for m in new if m.rpartition(".")[0] not in new)
+    return ",".join(shown) or "-"
+
+
 def reporting_stage(workload: str, stage):
     """`stage` that prints the stage's line once its block has run."""
 
     @contextmanager
     def wrapped(name: str):
-        faults, start = minor_faults(), time.perf_counter()
+        modules, faults, start = set(sys.modules), minor_faults(), time.perf_counter()
         with stage(name):
             yield
         seconds, faults = time.perf_counter() - start, minor_faults() - faults
         print(
-            f"{workload}  {name}  {peak_mb():.2f}  {current_mb()}  {seconds:.4f}  {faults}",
+            f"{workload}  {name}  {peak_mb():.2f}  {current_mb()}  {seconds:.4f}  {faults}"
+            f"  {new_modules(modules)}",
             flush=True,
         )
 

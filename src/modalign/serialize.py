@@ -41,21 +41,27 @@ def read_jsonl(path) -> Iterator[tuple[int, object]]:
     """Yield (line_number, parsed value) for each non-blank line of a JSONL file.
 
     Line numbers count from 1 and include blank lines (`line.strip()` is
-    empty). Each other line is decoded by one `raw_decode` call from the end
-    of its leading JSON whitespace, and only JSON whitespace may follow the
-    value, so it yields exactly `json.loads(line)`. A line that is not valid
-    JSON, or is nested too deeply to parse, raises MalformedRecord naming it
-    with `json.loads`'s own message ("Extra data" for a second value,
-    "Unexpected UTF-8 BOM" for a line that starts with U+FEFF). A file that
-    is not UTF-8 raises MalformedRecord naming its first bad line.
+    empty). Each line is decoded by one `raw_decode` call from column 0; only
+    a line where that fails is checked for blankness and decoded again from
+    the end of its leading JSON whitespace. Only JSON whitespace may follow
+    the value, so each line yields exactly `json.loads(line)`. A line that is
+    not valid JSON, or is nested too deeply to parse, raises MalformedRecord
+    naming it with `json.loads`'s own message ("Extra data" for a second
+    value, "Unexpected UTF-8 BOM" for a line that starts with U+FEFF). A file
+    that is not UTF-8 raises MalformedRecord naming its first bad line.
     """
     with open(path, "r", encoding="utf-8") as f:
         try:
             for line_number, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
                 try:
-                    obj, end = _decode(line, _skip_ws(line).end())
+                    try:
+                        obj, end = _decode(line)
+                    except json.JSONDecodeError:
+                        # A line that decodes from column 0 has no leading
+                        # whitespace; only a failed one needs these checks.
+                        if not line.strip():
+                            continue
+                        obj, end = _decode(line, _skip_ws(line).end())
                     if line[end:].strip(_JSON_WS):
                         raise json.JSONDecodeError("Extra data", line, _skip_ws(line, end).end())
                 except json.JSONDecodeError as e:

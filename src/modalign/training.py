@@ -7,12 +7,21 @@ cosine geometry used at inference. Training runs in one Python thread and
 its products on BLAS threads (CPU time is twice wall time on 2 cores).
 For a fixed seed it is bit-reproducible at any BLAS thread count, as a test
 checks.
+
+Each epoch's sample order comes from one stdlib `random.Random(config.seed)`
+per `train` call: the stable argsort of a block of its random 64-bit keys,
+a uniform shuffle (two keys tie with odds of about n² / 2⁶⁵). `numpy.random`
+is loaded only for a non-square adapter's Gaussian init, which `pipeline
+run` never needs (its adapters map the text dim to itself), so the pipeline
+does not pay the megabytes and milliseconds of importing it. That holds
+from numpy 2 on; numpy 1.x imports `numpy.random` with numpy itself.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import random
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -196,6 +205,11 @@ def _forward_backward(W, b, visual, texts, temperature, symmetric):
     return loss, [g.T @ visual, g.sum(axis=0)]
 
 
+def _epoch_order(rng: random.Random, n: int) -> np.ndarray:
+    """One epoch's sample order: the stable argsort of `n` random 64-bit keys."""
+    return np.frombuffer(rng.randbytes(8 * n), "<u8").argsort(kind="stable")
+
+
 def train(
     visual: np.ndarray,
     texts: np.ndarray,
@@ -227,10 +241,10 @@ def train(
     kind = Adam if config.optimizer == OptimizerKind.ADAM else SGD
     optimizer = kind([adapter.weight, adapter.bias], config.learning_rate)
 
-    rng = np.random.default_rng(config.seed)
+    rng = random.Random(config.seed)
     history: list[float] = []
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
+        order = _epoch_order(rng, n)
         loss_sum = 0.0
         seen = 0
         for batch, start in enumerate(range(0, n, config.batch_size), start=1):

@@ -31,6 +31,16 @@ passes a float32 C-ordered array's own buffer to the stream (no `tobytes`
 copy) and writes the label block, grown in one bytearray, in one call.
 `write_ubem` streams the header, payload and label block straight into the
 atomic temp file, so writing a matrix to disk holds no copy of its payload.
+
+A container's header line may take at most `HEADER_LIMIT` bytes, 4 MiB,
+newline included. An adapter header holds its modality and two dims. A
+center-set header spends at most 48 bytes of JSON on each member row (a KB
+row index of up to 20 digits, a float score of up to 24 characters and two
+", " separators), so the limit holds 65,536 member rows (3 MiB) with 1 MiB
+to spare for the category names, prompt texts and template. `read_container`
+reads at most one byte past the limit, so a file whose first line never
+ends is refused without being read whole, and `write_container_header`
+refuses a longer line, so no container is written that cannot be read.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ from .vectors import EmbeddingMatrix
 MAGIC = b"UBEM"
 VERSION = 1
 
+HEADER_LIMIT = 1 << 22  # the longest container header line, newline included
 _HEADER = struct.Struct("<HHIQ")  # version, flags, dim, rows
 _U32 = struct.Struct("<I")
 
@@ -192,10 +203,14 @@ def read_ubem(path) -> EmbeddingMatrix:
 def write_container_header(stream, kind: str, header: dict) -> None:
     """Write the header line of a `kind` container file: `header` after the
     `format` and `version` keys that `read_container` checks, as one UTF-8
-    JSON line. The caller writes the UBEM blobs after it."""
+    JSON line. The caller writes the UBEM blobs after it. A line longer
+    than `HEADER_LIMIT` raises ValueError before anything is written, so no
+    file is written that `read_container` would refuse."""
     line = json.dumps({"format": kind, "version": 1, **header}, ensure_ascii=False)
-    stream.write(line.encode("utf-8"))
-    stream.write(b"\n")
+    line = line.encode("utf-8") + b"\n"
+    if len(line) > HEADER_LIMIT:
+        raise ValueError(f"{kind} header line of {len(line)} bytes is longer than {HEADER_LIMIT}")
+    stream.write(line)
 
 
 def read_container(path, kind: str, blobs: int) -> tuple[dict, list[EmbeddingMatrix]]:
@@ -203,13 +218,16 @@ def read_container(path, kind: str, blobs: int) -> tuple[dict, list[EmbeddingMat
     file (a `.cset` or `.adapter` file): one header line, then the blobs.
 
     The header must be a JSON object whose `format` is `kind` and whose
-    `version` is the integer 1. Any fault of the header line or a blob
-    raises ValueError naming the file; the header's other keys are the
-    caller's to check.
+    `version` is the integer 1, on a line of at most `HEADER_LIMIT` bytes.
+    Any fault of the header line or a blob raises ValueError naming the
+    file; the header's other keys are the caller's to check.
     """
     with open(path, "rb") as f, naming(path):
+        line = f.readline(HEADER_LIMIT + 1)
+        if len(line) > HEADER_LIMIT:
+            raise ValueError(f"{kind} header line longer than {HEADER_LIMIT} bytes")
         try:
-            header = json.loads(f.readline())
+            header = json.loads(line)
         except (ValueError, RecursionError) as e:  # invalid JSON or UTF-8, or nested too deeply
             raise ValueError(f"bad {kind} header: {e}") from e
         version = header.get("version") if isinstance(header, dict) else None

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,9 @@ from modalign.pipeline import categories_for, load_labels
 from modalign.serialize import fixed_json
 from modalign.synthetic import SyntheticSpec, generate_synthetic
 from modalign.training import default_adapter, load_adapter, save_adapter
-from modalign.ubem import MAGIC, read_ubem, read_ubem_stream, write_ubem, write_ubem_stream
+from modalign.ubem import (
+    HEADER_LIMIT, MAGIC, read_ubem, read_ubem_stream, write_ubem, write_ubem_stream,
+)
 from modalign.vectors import EmbeddingMatrix
 
 
@@ -338,6 +341,35 @@ def run_cli(*args):
         [sys.executable, "-m", "modalign.cli", *map(str, args)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.skipif(
+    int(np.__version__.split(".")[0]) < 2, reason="numpy 1.x imports numpy.random with numpy"
+)
+def test_pipeline_run_never_imports_numpy_random(tmp_path):
+    # The bundle is drawn with numpy.random in a process of its own; the
+    # pipeline's process must not load it (nor `secrets`, which it brings).
+    proc = run_cli(
+        "synth", "generate", "--out", tmp_path / "bundle", "--categories", "3",
+        "--samples", "4", "--dim", "8", "--descriptions-per-class", "6",
+    )
+    assert proc.returncode == 0, proc.stderr
+    script = (
+        "import sys\n"
+        "from modalign.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in ('numpy.random', 'secrets') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(modalign.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "pipeline", "run",
+         "--config", str(tmp_path / "bundle" / "pipeline_config.json"),
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "run" / "manifest.json").is_file()
 
 
 @pytest.mark.parametrize(
@@ -662,6 +694,26 @@ def test_truncated_pipeline_config_exits_2_naming_file(bundle, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert str(path) in proc.stderr
+
+
+def test_center_set_whose_first_line_never_ends_exits_2_unread(bundle, tmp_path, capsys):
+    path = tmp_path / "endless.cset"
+    size = 32 << 20
+    path.write_bytes(b"{" + b"x" * (size - 1))
+    tracemalloc.start()
+    try:
+        code = main([
+            "eval", "zeroshot", "--centers", str(path), "--queries", str(bundle.visual["mod0"]),
+            "--labels", str(bundle.labels), "--report", str(tmp_path / "r.json"),
+        ])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: center-set header line longer than {HEADER_LIMIT} bytes\n"
+    )
+    assert peak < size // 3
 
 
 @pytest.mark.parametrize(

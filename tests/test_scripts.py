@@ -49,9 +49,15 @@ def test_script_runs(tmp_path, script, args):
     if script == "stage_rss.py":
         rows = [line.split("  ") for line in proc.stdout.splitlines()]
         by_workload = {}
-        for workload, stage, peak, current, seconds, faults in rows:
+        for workload, stage, peak, current, seconds, faults, modules in rows:
             assert float(peak) > 0 and (current == "-" or float(current) > 0)
             assert float(seconds) >= 0 and int(faults) >= 0
+            # A stage's first imports, none beside its own parent package;
+            # no stage loads numpy.random.
+            imported = [] if modules == "-" else modules.split(",")
+            assert all(imported) and imported == sorted(imported)
+            assert not any(m.rpartition(".")[0] in imported for m in imported)
+            assert "numpy.random" not in imported
             by_workload.setdefault(workload, []).append((stage, float(peak)))
         assert list(by_workload) == ["eval-heavy", "train-long"]
         for stages in by_workload.values():
@@ -61,6 +67,25 @@ def test_script_runs(tmp_path, script, args):
             assert peaks == sorted(peaks)  # ru_maxrss never falls within a workload
         # Each workload has its own process: no peak carries over to the next.
         assert by_workload["train-long"][0][1] < by_workload["eval-heavy"][-1][1]
+
+
+def test_stage_rss_names_a_new_package_without_its_submodules():
+    # In a fresh interpreter of its own: loading the script puts perfbench's
+    # thread limits into os.environ. json is loaded by then and xml is not.
+    code = (
+        "import runpy, sys\n"
+        f"new_modules = runpy.run_path({str(SCRIPTS / 'stage_rss.py')!r})['new_modules']\n"
+        "before = set(sys.modules)\n"
+        "print(new_modules(before))\n"
+        "import json.tool, xml.dom.minidom\n"
+        "print(new_modules(before))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(modalign.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["-", "json.tool,xml"]
 
 
 def test_readme_library_sketch_runs(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -260,6 +261,53 @@ class TestTrain:
         # batch_size 4 over 9 samples: tail of 1 must be dropped, not crash
         _, history = train(vectors, texts, TrainConfig(epochs=1, batch_size=4, seed=0))
         assert len(history) == 1
+
+
+class TestShuffle:
+    @staticmethod
+    def orders(seed, n, epochs):
+        rng = random.Random(seed)
+        return [training._epoch_order(rng, n).tolist() for _ in range(epochs)]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 37, 128])
+    def test_each_epoch_is_a_permutation(self, n):
+        for order in self.orders(0, n, 4):
+            assert sorted(order) == list(range(n))
+
+    def test_same_seed_same_orders(self):
+        assert self.orders(5, 50, 3) == self.orders(5, 50, 3)
+
+    def test_seeds_and_epochs_differ(self):
+        by_seed = [self.orders(seed, 50, 3) for seed in range(4)]
+        firsts = [orders[0] for orders in by_seed]
+        assert len({tuple(o) for o in firsts}) == len(firsts)
+        for orders in by_seed:
+            assert len({tuple(o) for o in orders}) == len(orders)
+
+    def test_every_position_is_reached(self):
+        # 20 draws of 4 rows: each row lands in each position at least once.
+        seen = np.zeros((4, 4), dtype=int)
+        for order in self.orders(1, 4, 20):
+            seen[order, range(4)] += 1
+        assert (seen > 0).all()
+
+    def test_batches_of_two_slice_each_epoch_order_and_drop_a_tail_of_one(self, monkeypatch):
+        batches = []
+        forward_backward = training._forward_backward
+
+        def recording(W, b, visual, texts, *args):
+            batches.append(visual[:, 0].astype(int).tolist())
+            return forward_backward(W, b, visual, texts, *args)
+
+        monkeypatch.setattr(training, "_forward_backward", recording)
+        rng = np.random.default_rng(6)
+        visual = rng.standard_normal((5, 3))
+        visual[:, 0] = np.arange(5)  # each row names itself
+        texts = normalize_rows(rng.standard_normal((5, 3)))
+        _, history = train(visual, texts, TrainConfig(epochs=3, batch_size=2, seed=4))
+        assert len(history) == 3
+        expected = [order[i : i + 2] for order in self.orders(4, 5, 3) for i in (0, 2)]
+        assert batches == expected
 
 
 class TestGradientCheck:

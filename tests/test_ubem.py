@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modalign import ubem
 from modalign.errors import ModalignError
 from modalign.ubem import (
     MAGIC,
@@ -344,3 +345,26 @@ def test_container_header_line_reads_back_with_its_blob(tmp_path):
     header, (blob,) = read_container(path, "center-set", 1)
     assert header["prompt_template"] == "a photo of é"
     assert blob.vectors.tobytes() == matrix.vectors.tobytes()
+
+
+def test_container_header_line_is_read_up_to_the_limit(tmp_path, monkeypatch):
+    monkeypatch.setattr(ubem, "HEADER_LIMIT", 64)
+    blob = roundtrip_bytes(EmbeddingMatrix(np.eye(2, dtype=np.float32)))
+    fits = b'{"format": "center-set", "version": 1}'.ljust(63) + b"\n"
+    path = tmp_path / "c.cset"
+    path.write_bytes(fits + blob)
+    header, _ = read_container(path, "center-set", 1)
+    assert header == {"format": "center-set", "version": 1}
+    path.write_bytes(b" " + fits + blob)
+    with pytest.raises(ValueError) as excinfo:
+        read_container(path, "center-set", 1)
+    assert str(excinfo.value) == f"{path}: center-set header line longer than 64 bytes"
+
+
+def test_container_header_line_past_the_limit_is_not_written(monkeypatch):
+    monkeypatch.setattr(ubem, "HEADER_LIMIT", 64)
+    buf = io.BytesIO()
+    write_container_header(buf, "center-set", {"k": "x" * 16})  # 64 bytes with its newline
+    with pytest.raises(ValueError, match="^center-set header line of 65 bytes is longer than 64$"):
+        write_container_header(buf, "center-set", {"k": "x" * 17})
+    assert len(buf.getvalue()) == 64
