@@ -9,14 +9,20 @@ tolerance of unit norm are stored byte-for-byte untouched, which keeps
 export -> build round trips lossless.
 
 Ingest memory: the records file is parsed once, in one pass, into only what
-the flow reads (`RecordColumns`): the ids, once; each row's source as one
-uint8 code; `category_index`, which maps each category to one ascending intp
-array of its rows; and `pair_index`. Both indexes grow as the lines are
-read, each line checked by the one schema check `_record_problem`. No
-description or generator string outlives the parse, and the set of ids that
-checks them for duplicates is freed before the embeddings are read. The
-knowledge base never holds its float payload either, only the path of a UBEM
-file of its rows. `build` reads the embeddings file once, one
+the flow reads (`RecordColumns`): the ids, as one `ubem.LabelBlock`, the
+bytes of the exported UBEM's label block plus one uint64 end offset per
+row; each row's source as one uint8 code; `category_index`, which maps each
+category to one ascending intp array of its rows; and `pair_index`. Both
+indexes grow as the lines are read, each line checked by the one schema
+check `_record_problem`. No description or generator string outlives the
+parse, and no id is held as a str, except an MLLM_DATA row's as its
+`pair_index` key. Repeated ids are found without a set of them: each id's
+hash goes, rounded to a float64, into one array that is freed with the
+parse, and one stable argsort of it puts equal hashes side by side; only
+ids that share a hash are decoded and compared. A float64 stable argsort
+and `==` are numpy routines that ranking and retrieval run anyway. The
+knowledge base never holds its float payload either, only the path of a
+UBEM file of its rows. `build` reads the embeddings file once, one
 `vectors.row_blocks` block at a time through one reused float32 buffer, and
 checks and normalizes each block in place with the ingest rule
 (`_ingest_rows`). When it exports, it writes each normalized block straight
@@ -39,19 +45,22 @@ Export memory: neither file is ever held whole. `write_kb_dir` yields the
 atomic temp files of a knowledge-base directory, and `build` writes into
 them as it reads: each record's canonical line as soon as it has read the
 line, through a text wrapper whose own buffer batches the UTF-8 encoding,
-and each block of normalized rows as soon as it is checked, then the ids as
-the UBEM label block. Both files are committed only when the block ends
-cleanly. Each field is encoded with the C JSON string encoder, so each
-line's bytes equal `json.dumps(record, ensure_ascii=False)`.
+and each block of normalized rows as soon as it is checked, then the ids'
+label block, whose bytes the parse already encoded. Both files are
+committed only when the block ends cleanly. Each field is encoded with the
+C JSON string encoder, so each line's bytes equal `json.dumps(record,
+ensure_ascii=False)`.
 
 Fault order: `build` names the first fault it meets, in this order. The
-records file is checked line by line, so its first malformed line or
-repeated id, whichever comes first in the file, is named with its line;
-then the embeddings file's header and the payload size it claims; then the
-record count is compared with the header's row count; then the payload's
-rows are checked in row order, and the first that is not finite or has a
-zero norm is named with the file and its row; then the label block's
-labels are checked, and dropped.
+records file's lines are checked as they are read, and its repeated ids
+when the parse ends or stops at a malformed line, so its first malformed
+line or repeated id, whichever comes first in the file, is named with its
+line (a string field holding a lone surrogate, which has no UTF-8 form, is
+malformed); then the embeddings file's header and the payload size it
+claims; then the record count is compared with the header's row count;
+then the payload's rows are checked in row order, and the first that is
+not finite or has a zero norm is named with the file and its row; then the
+label block's labels are checked, and dropped.
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import starmap
+from itertools import islice, starmap
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import BinaryIO, NamedTuple, TextIO
@@ -81,6 +90,7 @@ from .errors import (
 # benchmark tracer binds the names.
 from .serialize import atomic_write_text, atomic_writer, read_jsonl  # noqa: F401
 from .ubem import (  # noqa: F401
+    LabelBlock,
     naming,
     read_header,
     read_label_block,
@@ -107,6 +117,9 @@ class Source(str, Enum):
 # enum, so a source's JSON value finds the same code as its member.
 _SOURCE_CODE = {s: code for code, s in enumerate(Source)}
 _INTP = np.dtype(np.intp).char  # the `array` typecode of numpy's intp
+# What `load_records` keys each id by to find repeats. A str's hash is salted
+# per process, so two ids that share one are compared before either is named.
+_id_hash = hash
 
 
 class KnowledgeRecord(NamedTuple):
@@ -124,7 +137,7 @@ class RecordColumns(NamedTuple):
     """What a knowledge base keeps of its records: the `KnowledgeBase`
     fields that `load_records` builds, in their order there."""
 
-    ids: list[str]
+    ids: LabelBlock  # the record ids, as the exported UBEM's label block
     sources: np.ndarray  # uint8: each row's source code
     category_index: dict[str, np.ndarray]  # ascending intp rows, by first appearance
     pair_index: dict[str, int]  # each MLLM_DATA record's id -> its row
@@ -143,15 +156,15 @@ class KnowledgeBase:
     """What the flow reads of a knowledge base's records, and the path of
     the UBEM file of its rows.
 
-    `ids` is the knowledge base's one list of record ids; `sources` holds
-    each row's source code (its source's position in `Source`) as a uint8
-    array. The rows are read from `path` by `read_rows` and
-    `read_unit_rows`, and never held.
+    `ids` holds the record ids as one UBEM label block; `ids[row]` decodes
+    one. `sources` holds each row's source code (its source's position in
+    `Source`) as a uint8 array. The rows are read from `path` by `read_rows`
+    and `read_unit_rows`, and never held.
     """
 
     path: Path
     dim: int
-    ids: list[str]
+    ids: LabelBlock
     sources: np.ndarray
     category_index: dict[str, np.ndarray]
     pair_index: dict[str, int]
@@ -234,8 +247,24 @@ def _record_problem(obj) -> str | None:
         return "category is empty"
     if obj["source"] not in _SOURCE_CODE:
         return f"source must be one of {[s.value for s in Source]}, got {obj['source']!r}"
-    if type(obj.get("generator", "")) is not str:
+    generator = obj.get("generator", "")
+    if type(generator) is not str:
         return "field 'generator' is not a string"
+    # A lone surrogate, which only a JSON escape can make, has no UTF-8 form.
+    # An ASCII field holds none, so most lines encode nothing here.
+    if (
+        obj["id"].isascii()
+        and obj["category"].isascii()
+        and obj["description"].isascii()
+        and generator.isascii()
+    ):
+        return None
+    for key in ("id", "category", "description", "generator"):
+        try:
+            obj.get(key, "").encode("utf-8")
+        except UnicodeEncodeError as e:
+            char = f"U+{ord(e.object[e.start]):04X}"
+            return f"field {key!r} holds a lone surrogate ({char} at index {e.start})"
     return None
 
 
@@ -252,6 +281,38 @@ def _record_line(
     )
 
 
+def _check_repeats(path, ids: LabelBlock, hashes: array) -> None:
+    """Raise DuplicateId naming the line of the first row of `path` whose id
+    an earlier row holds.
+
+    One stable argsort of the ids' hashes, as float64, puts the rows of
+    each hash side by side in row order. Only rows that share a hash are
+    decoded and compared, so two ids whose hashes collide are no repeat.
+    Only for a repeat is the file read again, up to its row, to count its
+    lines, blank ones included.
+    """
+    keys = np.frombuffer(hashes, np.float64)
+    order = keys.argsort(kind="stable")
+    ranked = keys[order]
+    first, group, last = len(ids), set(), -2
+    # Each i here is a tie: rows order[i] and order[i + 1] share a hash.
+    for i in np.flatnonzero(ranked[1:] == ranked[:-1]).tolist():
+        if i != last + 1:  # order[i] is the first row of its hash
+            group = {ids[int(order[i])]}
+        last = i
+        row = int(order[i + 1])
+        rid = ids[row]
+        if rid not in group:
+            group.add(rid)
+        elif row < first:
+            first = row
+    if first < len(ids):
+        line_number = next(islice(read_jsonl(path), first, None))[0]
+        raise DuplicateId(
+            f"{path}: line {line_number}: record id {ids[first]!r} appears more than once"
+        ) from None
+
+
 def load_records(path, sink: TextIO | None = None) -> RecordColumns:
     """The columns of a records JSONL file, and its indexes, parsed in one pass.
 
@@ -260,35 +321,41 @@ def load_records(path, sink: TextIO | None = None) -> RecordColumns:
     text stream `sink`, when one is given, as soon as it is checked. Blank
     lines are skipped. The first line that breaks the table raises
     MalformedRecord, and the first repeated id DuplicateId, each naming the
-    file and the line.
+    file and the line; a repeated id before that line is named instead.
+
+    Each id is encoded onto one `LabelBlock` and its hash appended to one
+    float64 array. Repeats are looked for once, when the parse ends or
+    meets a malformed line, by `_check_repeats`, so no set of ids is held.
     """
     write = None if sink is None else sink.write
-    ids: list[str] = []
-    seen: set[str] = set()
+    ids = LabelBlock()
+    hashes = array("d")
     sources = array("B")
     category_rows: dict[str, array] = defaultdict(partial(array, _INTP))
     pair_index: dict[str, int] = {}
     mllm_data = _SOURCE_CODE[Source.MLLM_DATA]
-    for line_number, obj in read_jsonl(path):
-        problem = _record_problem(obj)
-        if problem is not None:
-            raise MalformedRecord(line_number, problem, path)
-        rid, category, source = obj["id"], obj["category"], obj["source"]
-        if write is not None:
-            generator = obj.get("generator", "")
-            write(_record_line(rid, category, obj["description"], source, generator))
-        if rid in seen:
-            raise DuplicateId(
-                f"{path}: line {line_number}: record id {rid!r} appears more than once"
-            )
-        seen.add(rid)
-        row = len(ids)
-        ids.append(rid)
-        code = _SOURCE_CODE[source]
-        sources.append(code)
-        category_rows[category].append(row)
-        if code == mllm_data:
-            pair_index[rid] = row
+    add_id, add_hash, id_hash = ids.append, hashes.append, _id_hash
+    try:
+        for line_number, obj in read_jsonl(path):
+            problem = _record_problem(obj)
+            if problem is not None:
+                raise MalformedRecord(line_number, problem, path)
+            rid, category, source = obj["id"], obj["category"], obj["source"]
+            if write is not None:
+                generator = obj.get("generator", "")
+                write(_record_line(rid, category, obj["description"], source, generator))
+            row = len(sources)
+            add_id(rid)
+            add_hash(id_hash(rid))
+            code = _SOURCE_CODE[source]
+            sources.append(code)
+            category_rows[category].append(row)
+            if code == mllm_data:
+                pair_index[rid] = row
+    except MalformedRecord:
+        _check_repeats(path, ids, hashes)
+        raise
+    _check_repeats(path, ids, hashes)
     return RecordColumns(
         ids,
         np.frombuffer(sources, np.uint8),
@@ -382,7 +449,7 @@ def build(records_path, embeddings_path, sink: KbSink | None = None) -> Knowledg
             for _ in read_label_block(f, rows) or ():
                 pass  # each label is checked; the record ids label the rows
     if sink is not None:
-        write_label_block(sink.embeddings, ids)
+        write_label_block(sink.embeddings, ids)  # the ids' bytes, as parsed
     return KnowledgeBase(
         Path(embeddings_path) if sink is None else sink.embeddings_path, dim, *columns
     )

@@ -28,7 +28,11 @@ JSON header line, then UBEM blobs. Both name the file in every ValueError,
 so the framing of every binary input is read in this module; the header line
 of a container is written by `write_container_header`. The writer
 passes a float32 C-ordered array's own buffer to the stream (no `tobytes`
-copy) and writes the label block, grown in one bytearray, in one call.
+copy) and writes the label block in one call. `LabelBlock` is the one
+label encoder: it holds a label block as the bytes the file stores, plus
+one uint64 end offset per label, and `write_label_block` writes its bytes
+as they are. The knowledge base keeps its record ids in one, so its
+labels are encoded once, as they are parsed, and never held as strs.
 `write_ubem` streams the header, payload and label block straight into the
 atomic temp file, so writing a matrix to disk holds no copy of its payload.
 
@@ -48,7 +52,8 @@ from __future__ import annotations
 import io
 import json
 import struct
-from collections.abc import Iterator
+from array import array
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 
 import numpy as np
@@ -71,18 +76,48 @@ def write_header(stream, dim: int, rows: int) -> None:
     stream.write(_HEADER.pack(VERSION, 0, dim, rows))
 
 
-def write_label_block(stream, labels: list[str] | None) -> None:
-    """Write the label block that follows a payload: its flag, then each
-    label's length and UTF-8 bytes, in one call."""
+class LabelBlock:
+    """A label block held as the file stores it: `data` is its flag, then
+    each label's u32 length and UTF-8 bytes, and `ends` holds where each
+    label's bytes end in `data`. `append` is the format's one label
+    encoder; `block[i]` decodes label i, so no label is held as a str."""
+
+    __slots__ = ("data", "ends")
+
+    def __init__(self, labels: Iterable[str] = ()):
+        self.data = bytearray(b"\x01")
+        self.ends = array("Q")
+        for label in labels:
+            self.append(label)
+
+    def append(self, label: str) -> None:
+        """Encode `label` onto the block; a lone surrogate raises
+        UnicodeEncodeError and leaves the block as it was."""
+        raw = label.encode("utf-8")
+        data = self.data
+        data += _U32.pack(len(raw))
+        data += raw
+        self.ends.append(len(data))
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, i: int) -> str:
+        i = range(len(self.ends))[i]  # an int in range, or IndexError
+        start = self.ends[i - 1] if i else 1
+        return self.data[start + _U32.size : self.ends[i]].decode("utf-8")
+
+
+def write_label_block(stream, labels: LabelBlock | list[str] | None) -> None:
+    """Write the label block that follows a payload, in one call: a label
+    block's bytes as they are, or the block that `LabelBlock` encodes of
+    a list of labels."""
     if labels is None:
         stream.write(b"\x00")
         return
-    block = bytearray(b"\x01")  # no per-label objects outlive their row
-    for label in labels:
-        raw = label.encode("utf-8")
-        block += _U32.pack(len(raw))
-        block += raw
-    stream.write(block)
+    if not isinstance(labels, LabelBlock):
+        labels = LabelBlock(labels)
+    stream.write(labels.data)
 
 
 def write_ubem_stream(stream, matrix: EmbeddingMatrix) -> None:

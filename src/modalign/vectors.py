@@ -5,6 +5,8 @@ and the one place rows are cut into blocks.
 BLOCK_ROWS-row query blocks against unit keys, which it takes as given and
 never normalizes: the caller normalizes them once, or reads them unit, as
 `KnowledgeBase.read_unit_rows` does with the norms its ingest check took.
+It takes the norms of the first and last key rows only, and refuses keys
+where either is not unit, so raw keys are not ranked by dot product.
 Given `normalize_rows(keys)`, each block is bit-identical to
 `similarity_matrix(queries[rows], keys)`. `top_k`, the one ranking kernel,
 and retrieval reduce its blocks, and retrieval counts ranks and sorts
@@ -218,11 +220,18 @@ def score_blocks(queries, keys):
     against the unit rows `keys`: given `keys = normalize_rows(raw)`,
     `scores` equals `similarity_matrix(queries[rows], raw)` bit for bit.
 
-    The keys are used as given, never normalized: keys that are not unit
-    give scores that are not cosines. The dims are checked once per call,
-    and each block of queries is normalized.
+    The keys are used as given, never normalized. The dims are checked once
+    per call, then the first and last key rows: a norm not within
+    UNIT_TOLERANCE of 1 raises ValueError naming the row. The rows between
+    are not checked. Each block of queries is normalized.
     """
     q, k = _checked(queries, keys)
+    if len(k):
+        ends = [0, len(k) - 1]
+        norms = np.linalg.norm(k[ends].astype(np.float64), axis=1).tolist()
+        for row, norm in zip(ends, norms):
+            if not abs(norm - 1.0) <= UNIT_TOLERANCE:  # NaN is refused too
+                raise ValueError(f"key row {row} has norm {norm:.7g}: keys must be unit rows")
     for start in range(0, q.shape[0], BLOCK_ROWS):
         rows = slice(start, min(start + BLOCK_ROWS, q.shape[0]))
         yield rows, np.clip(normalize_rows(q[rows]) @ k.T, -1.0, 1.0)

@@ -288,5 +288,5 @@ def test_c10_format_round_trip(tmp_path):
         rebuilt = build(dir_a / "records.jsonl", dir_a / "embeddings.ubem", sink)
     assert (dir_a / "records.jsonl").read_bytes() == (dir_b / "records.jsonl").read_bytes()
     assert (dir_a / "embeddings.ubem").read_bytes() == (dir_b / "embeddings.ubem").read_bytes()
-    assert rebuilt.ids == kb.ids == [r.id for r in records]
+    assert list(rebuilt.ids) == list(kb.ids) == [r.id for r in records]
     passed(10, "format round-trip")

@@ -1003,6 +1003,40 @@ def test_invalid_utf8_exits_2_naming_file_and_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["id", "description"])
+@pytest.mark.parametrize("verb", ["kb-build", "pipeline"])
+def test_lone_surrogate_exits_2_naming_file_line_and_field(bundle, tmp_path, verb, field):
+    # A JSON escape can make a string that UTF-8 cannot encode; the parse
+    # refuses it, with or without a file to write it to.
+    lines = bundle.records.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[1])
+    record[field] = "x\ud800"
+    lines[1] = json.dumps(record) + "\n"  # ASCII JSON: the surrogate as an escape
+    records = tmp_path / "records.jsonl"
+    records.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "out"
+    if verb == "kb-build":
+        proc = run_cli(
+            "kb", "build", "--records", records, "--embeddings", bundle.kb_embeddings,
+            "--out", out,
+        )
+        where = ""
+    else:
+        config = json.loads(bundle.pipeline_config.read_text())
+        config["records"] = str(records)
+        path = bundle.root / f"surrogate_{field}.json"  # the bundle's paths are relative
+        path.write_text(json.dumps(config))
+        proc = run_cli("pipeline", "run", "--config", path, "--out", out)
+        where = "stage 'kb-build': "
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        f"error: {where}{records}: line 2: "
+        f"field {field!r} holds a lone surrogate (U+D800 at index 1)\n"
+    )
+    assert not out.exists()
+
+
 def test_label_that_is_not_utf8_exits_2_naming_file_and_row(bundle, kb_dir, tmp_path):
     prompts = read_ubem(bundle.prompts)
     path = tmp_path / "badlabel.ubem"

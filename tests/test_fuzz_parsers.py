@@ -1,6 +1,7 @@
 """Property tests: every parser of outside input either returns a valid
 object or raises ModalignError/ValueError, whatever JSON it is handed."""
 
+import io
 import json
 import tempfile
 
@@ -209,13 +210,27 @@ def test_read_jsonl_yields_json_loads_or_its_message(tmp_path, lines, final_newl
     assert next(got, None) is None
 
 
+# Strings that may hold lone surrogates (category Cs), which `json.dumps`
+# writes as escapes and UTF-8 cannot encode.
+surrogate_texts = st.text(st.characters(categories=["Cs"]) | st.characters(), max_size=4)
+sources = st.sampled_from([s.value for s in Source])
 record_lines = json_values | objects_with_keys(
     ("id", "category", "description", "source", "generator")
 ) | st.fixed_dictionaries(
     {"id": json_values, "category": json_values, "description": json_values,
-     "source": st.sampled_from([s.value for s in Source]) | json_values},
+     "source": sources | json_values},
     optional={"generator": json_values},
+) | st.fixed_dictionaries(
+    {"id": surrogate_texts, "category": surrogate_texts.filter(bool),
+     "description": surrogate_texts, "source": sources},
+    optional={"generator": surrogate_texts},
 )
+
+
+def records_ids(path):
+    """The ids `load_records` parses, writing each line to a UTF-8 stream as
+    `kb build` writes its records file."""
+    return list(load_records(path, io.TextIOWrapper(io.BytesIO(), "utf-8")).ids)
 label_lines = json_values | st.fixed_dictionaries({"id": json_values, "category": json_values})
 relevance_lines = json_values | st.fixed_dictionaries(
     {"query_id": json_values, "relevant": json_values | st.lists(st.text(max_size=4), max_size=3)}
@@ -226,7 +241,7 @@ relevance_lines = json_values | st.fixed_dictionaries(
     "load, lines, written",
     [
         (
-            lambda path: load_records(path).ids,
+            records_ids,
             record_lines,
             lambda drawn: [x["id"] for x in drawn],
         ),

@@ -15,6 +15,7 @@ from modalign.errors import (
     ZeroVector,
 )
 from kbfiles import kb_from_parts, kb_rows, whole_matrix_ingest, write_kb_files
+from modalign import kb as kb_module
 from modalign.kb import (
     KnowledgeRecord,
     Source,
@@ -244,6 +245,18 @@ class TestRecordsFile:
         with pytest.raises(MalformedRecord):
             load_records(path)
 
+    @pytest.mark.parametrize("field", ["id", "category", "description", "generator"])
+    def test_lone_surrogate_is_malformed_without_a_sink(self, tmp_path, field):
+        record = {"id": "a", "category": "c", "description": "d", "source": "llm_category"}
+        record[field] = "é\udc80"
+        path = tmp_path / "records.jsonl"
+        path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord) as info:
+            load_records(path)
+        assert str(info.value) == (
+            f"{path}: line 2: field {field!r} holds a lone surrogate (U+DC80 at index 1)"
+        )
+
     def test_generator_roundtrip(self, tmp_path):
         records = [
             KnowledgeRecord("a", "c", "d", Source.LLM_CATEGORY, generator="gen-4")
@@ -275,7 +288,7 @@ class TestRecordsFile:
         finally:
             tracemalloc.stop()
         assert held < 0.1 * text_size
-        assert columns.ids == [r.id for r in records]
+        assert list(columns.ids) == [r.id for r in records]
         assert columns.sources.dtype == np.uint8
         assert columns.sources.tolist() == [i % 2 for i in range(rows)]
         assert_indexes_match_a_scan(columns, records)
@@ -319,14 +332,14 @@ class TestRecordsFile:
                 obj["generator"] = r.generator
             reference.append(json.dumps(obj, ensure_ascii=False) + "\n")
         assert path.read_bytes() == "".join(reference).encode("utf-8")
-        # The parse writes the same lines back, up to the first repeated id.
+        # The parse writes the same lines back, all of them: a repeated id is
+        # named once the whole file has been read.
         ids = [r.id for r in records]
         repeat = next((i for i, rid in enumerate(ids) if rid in ids[:i]), None)
         sink = io.StringIO(newline="")
-        end = None if repeat is None else repeat + 1
         if repeat is None:
             columns = load_records(path, sink)
-            assert columns.ids == ids
+            assert list(columns.ids) == ids
             assert [list(Source)[code] for code in columns.sources] == [r.source for r in records]
             assert_indexes_match_a_scan(columns, records)
         else:
@@ -335,7 +348,64 @@ class TestRecordsFile:
             assert str(info.value) == (
                 f"{path}: line {repeat + 1}: record id {ids[repeat]!r} appears more than once"
             )
-        assert sink.getvalue() == "".join(reference[:end])
+        assert sink.getvalue() == "".join(reference)
+
+
+class TestRepeatedIds:
+    # Few distinct ids, ASCII and not, so that repeats are common.
+    _ids = st.text(st.sampled_from("ab é😀"), max_size=2)
+    _entries = st.lists(
+        st.one_of(
+            _ids.map(lambda rid: ("id", rid)),
+            st.sampled_from([("blank", ""), ("blank", " \t"), ("bad", "[]")]),
+        ),
+        max_size=12,
+    )
+
+    @settings(deadline=None, max_examples=100)
+    @given(_entries)
+    def test_the_fault_a_seen_set_meets_first_is_named(self, tmp_path_factory, entries):
+        path = tmp_path_factory.mktemp("records") / "records.jsonl"
+        lines = [
+            json.dumps(
+                {"id": value, "category": "c", "description": "d", "source": "llm_category"},
+                ensure_ascii=False,
+            ) if kind == "id" else value
+            for kind, value in entries
+        ]
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        # The reference: one line at a time, the first malformed line or
+        # repeated id, blank lines counted.
+        seen, ids, fault = set(), [], None
+        for line_number, (kind, value) in enumerate(entries, start=1):
+            if kind == "bad":
+                fault = MalformedRecord, f"line {line_number}: record is not a JSON object"
+            elif kind == "id" and value in seen:
+                fault = DuplicateId, f"line {line_number}: record id {value!r} appears more than once"
+            if fault:
+                break
+            if kind == "id":
+                seen.add(value)
+                ids.append(value)
+        if fault is None:
+            assert list(load_records(path).ids) == ids
+        else:
+            with pytest.raises(fault[0]) as info:
+                load_records(path)
+            assert str(info.value) == f"{path}: {fault[1]}"
+
+    def test_colliding_hashes_name_the_first_true_repeat(self, tmp_path, monkeypatch):
+        # Every id hashes alike, so only comparing the ids tells a repeat.
+        monkeypatch.setattr(kb_module, "_id_hash", lambda rid: 7)
+        path = tmp_path / "records.jsonl"
+        records = make_records(6)
+        save_records(path, records)
+        assert list(load_records(path).ids) == [r.id for r in records]
+        ids = ["a", "b", "c", "b", "a", "c"]
+        save_records(path, [r._replace(id=rid) for r, rid in zip(records, ids)])
+        with pytest.raises(DuplicateId) as info:
+            load_records(path)
+        assert str(info.value) == f"{path}: line 4: record id 'b' appears more than once"
 
 
 class TestCategoryRows:
@@ -397,7 +467,7 @@ class TestExportRoundtrip:
         assert (out1 / "records.jsonl").read_bytes() == small_paths[0].read_bytes()
         assert (out1 / "records.jsonl").read_bytes() == (out2 / "records.jsonl").read_bytes()
         assert (out1 / "embeddings.ubem").read_bytes() == (out2 / "embeddings.ubem").read_bytes()
-        assert kb2.ids == kb1.ids == [r.id for r in SMALL_RECORDS]
+        assert list(kb2.ids) == list(kb1.ids) == [r.id for r in SMALL_RECORDS]
         assert kb2.sources.tolist() == kb1.sources.tolist() == [0, 0, 1, 1]
         assert kb2.pair_index == kb1.pair_index
         assert kb2.category_index.keys() == kb1.category_index.keys()
@@ -412,10 +482,10 @@ class TestExportRoundtrip:
             kb = build(*small_paths, sink)
         written = read_ubem(tmp_path / "kb" / "embeddings.ubem")
         ids = [r.id for r in SMALL_RECORDS]
-        assert written.labels == ids == kb.ids
+        assert written.labels == ids == list(kb.ids)
         # The written payload is the normalized rows, as the knowledge base reads them.
         assert written.vectors.tobytes() == kb_rows(kb).tobytes()
-        assert load_kb_dir(tmp_path / "kb").ids == ids
+        assert list(load_kb_dir(tmp_path / "kb").ids) == ids
 
     def test_export_builds_no_matrix(self, tmp_path, small_paths, monkeypatch):
         # Each block is checked once as it is read; a new EmbeddingMatrix
@@ -427,7 +497,7 @@ class TestExportRoundtrip:
         with write_kb_dir(tmp_path / "kb") as sink:
             kb = build(*small_paths, sink)
         monkeypatch.undo()
-        assert read_ubem(tmp_path / "kb" / "embeddings.ubem").labels == kb.ids
+        assert read_ubem(tmp_path / "kb" / "embeddings.ubem").labels == list(kb.ids)
 
     def test_ingest_idempotent_at_byte_level(self):
         rng = np.random.default_rng(5)
@@ -627,6 +697,35 @@ def test_build_and_export_hold_no_full_size_temporaries(tmp_path):
     assert peak < 0.5 * payload
 
 
+def test_parsed_ids_are_held_as_one_label_block(tmp_path):
+    # The columns hold each id once, as its bytes in the label block, plus
+    # one uint64 end offset, one uint8 source code and one intp row in its
+    # category's rows: no str per id, no set of them.
+    rows = 20_000
+    records = [
+        KnowledgeRecord(
+            f"desc_cat{i % 8:03d}_{i:05d}", f"cat{i % 8:03d}", f"description {i}",
+            Source.LLM_CATEGORY, "synthetic",
+        )
+        for i in range(rows)
+    ]
+    path = tmp_path / "records.jsonl"
+    save_records(path, records)
+    block = 1 + sum(4 + len(r.id.encode("utf-8")) for r in records)
+    per_record = block / rows + 8 + 1 + np.dtype(np.intp).itemsize
+    del records
+    load_records(path)  # warm-up: first-call allocations are not the result's
+    tracemalloc.start()
+    try:
+        columns = load_records(path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(columns.ids) == rows and not columns.pair_index
+    # Growing arrays over-allocate by up to an eighth.
+    assert held / rows < 1.2 * per_record
+
+
 def test_save_records_streams(tmp_path):
     # Records shaped like the synthetic generator's (about 170 bytes a line).
     records = [
@@ -649,7 +748,7 @@ def test_save_records_streams(tmp_path):
     size = path.stat().st_size
     assert peak < size / 4
     assert parsed_text(path).encode("utf-8") == path.read_bytes()
-    assert load_records(path).ids == [r.id for r in records]
+    assert list(load_records(path).ids) == [r.id for r in records]
 
 
 def _build_peak(paths) -> int:

@@ -11,6 +11,7 @@ from modalign import ubem
 from modalign.errors import ModalignError
 from modalign.ubem import (
     MAGIC,
+    LabelBlock,
     naming,
     read_header,
     read_label_block,
@@ -19,6 +20,7 @@ from modalign.ubem import (
     read_container,
     read_ubem_stream,
     write_container_header,
+    write_label_block,
     write_ubem,
     write_ubem_stream,
 )
@@ -123,6 +125,25 @@ def test_layout_pinned_and_roundtrips(matrix, label_block):
         assert back.vectors.tobytes() == matrix.vectors.tobytes()
         assert back.labels == matrix.labels
     assert stream.tell() == 2 * len(raw)
+
+
+def test_label_block_holds_the_bytes_it_writes():
+    labels = ["", "é", "a😀"]
+    block = LabelBlock(labels)
+    encoded = b"".join(struct.pack("<I", len(x.encode())) + x.encode() for x in labels)
+    assert bytes(block.data) == b"\x01" + encoded
+    assert block.ends.tolist() == [5, 11, 20]
+    assert len(block) == 3 and list(block) == labels
+    assert (block[-1], block[-3]) == ("a😀", "")
+    with pytest.raises(IndexError):
+        block[3]
+    streams = io.BytesIO(), io.BytesIO()
+    write_label_block(streams[0], block)
+    write_label_block(streams[1], labels)
+    assert streams[0].getvalue() == streams[1].getvalue() == bytes(block.data)
+    with pytest.raises(UnicodeEncodeError):
+        block.append("\ud800")
+    assert len(block) == 3 and bytes(block.data) == b"\x01" + encoded
 
 
 def _header_then(version, dim, rows, tail):

@@ -268,6 +268,25 @@ class TestScoreBlocks:
         with pytest.raises(DimensionMismatch):
             next(score_blocks(np.ones((3, 3)), np.ones((4, 2))))
 
+    @pytest.mark.parametrize(
+        "keys, row, norm",
+        [([[1, 1], [0.5, 0]], 0, "1.414214"), ([[1, 0], [0.5, 0]], 1, "0.5"),
+         ([[1, 0], [np.nan, 0]], 1, "nan")],
+    )
+    def test_raw_end_key_rows_are_refused(self, keys, row, norm):
+        # Raw keys would rank by dot product: rows [0, 1] with scores
+        # [1.0, 0.5] for the first case, where cosine ranks row 1 first.
+        message = f"key row {row} has norm {norm}: keys must be unit rows"
+        with pytest.raises(ValueError) as info:
+            top_k([[1, 0]], keys, 2)
+        assert str(info.value) == message
+        with pytest.raises(ValueError):
+            next(score_blocks(np.ones((0, 2)), keys))
+
+    def test_end_key_rows_within_the_unit_tolerance_pass(self):
+        keys = np.array([[1.0 - 0.9e-6, 0.0], [0.0, 1.0 + 0.9e-6]], dtype=np.float32)
+        assert top_k([[0.0, 1.0]], keys, 1)[0].tolist() == [[1]]
+
     def test_top_k_normalizes_each_query_block_and_not_its_keys(self, monkeypatch):
         # One call per query block: the keys arrive unit, so they are not
         # normalized at all, neither once per call nor once per block.
